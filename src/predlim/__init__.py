@@ -39,7 +39,6 @@ from .predictability import (
 from .selection import SelectionPlan, build_plan, materialize
 from .sequence_core import (
     InteractionLog,
-    InteractionRecord,
     ItemVocabulary,
     UserSequence,
     ingest_csv,
@@ -60,7 +59,6 @@ __all__ = [
     "EntropyEstimate",
     "GeneratorConfig",
     "InteractionLog",
-    "InteractionRecord",
     "ItemVocabulary",
     "PredictabilityScore",
     "SelectionPlan",

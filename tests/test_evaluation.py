@@ -4,17 +4,23 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predlim.evaluation import (
     DatasetScore,
     aggregate_dataset,
     consistency_report,
+    estimate_user,
     load_reference,
     rmse,
     run_difficulty_sweep,
     run_n_sweep,
+    score_log,
     spearman,
 )
+from predlim.predictability import epl, fano_invert, fano_nr, perm_predictability
+from predlim.sequence_core import log_from_sequences
 
 # Independent references: textbook rank arithmetic and a plain accumulation loop.
 
@@ -285,3 +291,70 @@ def test_sweep_rejects_unknown_method():
             "repeat_last", targets=(0.5,), methods=("epl", "magic"), reps=1,
             n=30, users=5, length=30,
         )
+
+
+# score_log against the public per-user functions
+
+
+def outcome(score_all):
+    """The scores as comparable tuples, or the error they raise."""
+    try:
+        scores = score_all()
+    except ValueError as exc:
+        return ("error", str(exc))
+    return [(sc.value, sc.method, sc.n, sc.effective_size) for sc in scores]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=2, max_size=30),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(["sampen", "lz"]),
+)
+def test_score_log_matches_per_user_functions(users, estimator):
+    log = log_from_sequences([np.array(u) for u in users], n_items=8)
+    seqs = log.sequences
+    # users shorter than m + 2 = 4 have no sampen estimate; lz covers them
+    estimates = {
+        s.user_index: estimate_user(s.items, estimator if s.length >= 4 else "lz", 2)
+        for s in seqs
+    }
+    ests = [estimates[s.user_index] for s in seqs]
+    expected = {
+        ("epl", None): lambda: [epl(e) for e in ests],
+        ("fano", None): lambda: [fano_invert(e, 8) for e in ests],
+        ("fano", "global"): lambda: [fano_invert(e, 8) for e in ests],
+        ("fano_nr", None): lambda: [fano_nr(e, seqs, scope="pooled") for e in ests],
+        ("fano_nr", "pooled"): lambda: [fano_nr(e, seqs, scope="pooled") for e in ests],
+        ("fano_nr", "per-user"): lambda: [fano_nr(e, [s], scope="per_user") for e, s in zip(ests, seqs)],
+    }
+    for (method, scope), reference in expected.items():
+        got = outcome(lambda: score_log(log, method, estimates, n_scope=scope))
+        assert got == outcome(reference), (method, scope)
+    # perm: short users make some dimensions, or all of them, infeasible
+    assert outcome(lambda: score_log(log, "perm")) == outcome(
+        lambda: [perm_predictability(s.items) for s in seqs]
+    )
+    assert outcome(lambda: score_log(log, "perm", d_set=(3, 5), tau=2)) == outcome(
+        lambda: [perm_predictability(s.items, d_set=(3, 5), tau=2) for s in seqs]
+    )
+
+
+def test_score_log_rejects_what_the_method_does_not_read():
+    log = log_from_sequences([np.array([0, 1, 2, 0, 1, 2, 0, 1])])
+    est = {0: estimate_user(log.sequences[0].items, "lz", 2)}
+    with pytest.raises(ValueError, match="n_scope"):
+        score_log(log, "fano_nr", est, n_scope="global")
+    with pytest.raises(ValueError, match="n_scope"):
+        score_log(log, "epl", est, n_scope="pooled")
+    with pytest.raises(ValueError, match="d_set or tau"):
+        score_log(log, "fano", est, tau=2)
+    with pytest.raises(ValueError, match="needs entropy"):
+        score_log(log, "epl")
+    with pytest.raises(ValueError, match="no entropy estimate for user 0"):
+        score_log(log, "epl", {})
+    with pytest.raises(ValueError, match="unknown method"):
+        score_log(log, "magic", est)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predlim.sequence_core import (
-    InteractionRecord,
     ingest_csv,
     log_from_json,
     log_from_sequences,
@@ -15,17 +14,30 @@ from predlim.sequence_core import (
 )
 
 
+def fanout_table(sequences):
+    """Per-state successor fan-out by direct enumeration: {state: |N(state)|}."""
+    succ = {}
+    for s in sequences:
+        for a, b in zip(s.items[:-1], s.items[1:]):
+            succ.setdefault(int(a), set()).add(int(b))
+    return {state: len(nexts) for state, nexts in succ.items()}
+
+
+def fanout_oracle(sequences, scope):
+    """N_r from the per-state tables: pooled over all users, or per user then maxed."""
+    if scope == "pooled":
+        return max(fanout_table(sequences).values())
+    table = {}
+    for s in sequences:
+        for state, fan in fanout_table([s]).items():
+            table[state] = max(fan, table.get(state, 0))
+    return max(table.values())
+
+
 def write_csv(path, rows, header="user_id,item_id,timestamp"):
     lines = [header] + [",".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
-
-
-def test_record_rejects_empty_fields():
-    with pytest.raises(ValueError):
-        InteractionRecord(user_id="", item_id="a", timestamp=0)
-    with pytest.raises(ValueError):
-        InteractionRecord(user_id="u", item_id="", timestamp=0)
 
 
 def test_shuffled_timestamps_sort_into_time_order(tmp_path):
@@ -115,8 +127,7 @@ def test_vocabulary_round_trip_and_stats(tmp_path):
     rows = [("u1", "a", 1), ("u1", "b", 2), ("u2", "b", 3), ("u2", "a", 4)]
     log = ingest_csv(write_csv(tmp_path / "log.csv", rows))
     vocab = log.vocabulary
-    for item, idx in vocab.forward.items():
-        assert vocab.reverse[idx] == item
+    assert vocab.reverse == ["a", "b"]
     assert int(vocab.counts.sum()) == log.stats["num_interactions"]
     assert log.stats == log.compute_stats()
     log.validate()
@@ -135,6 +146,13 @@ def test_json_round_trip(tmp_path):
         assert np.array_equal(a.items, b.items)
 
 
+def test_vocabulary_rejects_duplicate_item_ids(tmp_path):
+    log = ingest_csv(write_csv(tmp_path / "log.csv", [("u1", "a", 1), ("u1", "b", 2)]))
+    log.vocabulary.reverse[1] = "a"
+    with pytest.raises(ValueError, match="duplicate"):
+        log.validate()
+
+
 def test_json_rejects_unknown_schema(tmp_path):
     path = tmp_path / "log.json"
     path.write_text(json.dumps({"schema": "other"}), encoding="utf-8")
@@ -144,21 +162,19 @@ def test_json_rejects_unknown_schema(tmp_path):
 
 def test_fanout_direct_enumeration():
     log = log_from_sequences([np.array([0, 1, 0, 2])])
-    n_r, table = transition_fanout(log.sequences)
-    assert n_r == 2
-    assert table == {0: 2, 1: 1}
+    assert transition_fanout(log.sequences) == 2
+    assert fanout_table(log.sequences) == {0: 2, 1: 1}
 
 
 def test_fanout_constant_sequence():
     log = log_from_sequences([np.array([0, 0, 0])])
-    n_r, _ = transition_fanout(log.sequences)
-    assert n_r == 1
+    assert transition_fanout(log.sequences) == 1
 
 
 def test_fanout_pooled_vs_per_user():
     log = log_from_sequences([np.array([0, 1]), np.array([0, 2])])
-    pooled, _ = transition_fanout(log.sequences, scope="pooled")
-    per_user, _ = transition_fanout(log.sequences, scope="per_user")
+    pooled = transition_fanout(log.sequences, scope="pooled")
+    per_user = transition_fanout(log.sequences, scope="per_user")
     assert pooled == 2
     assert per_user == 1
 
@@ -181,8 +197,8 @@ def test_fanout_requires_transitions():
 )
 def test_fanout_bounds_property(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=7)
-    pooled, _ = transition_fanout(log.sequences, scope="pooled")
-    per_user, _ = transition_fanout(log.sequences, scope="per_user")
+    pooled = transition_fanout(log.sequences, scope="pooled")
+    per_user = transition_fanout(log.sequences, scope="per_user")
     assert 1 <= per_user <= pooled <= len(log.vocabulary)
 
 
@@ -194,3 +210,17 @@ def test_log_from_sequences_pads_vocabulary():
         log_from_sequences([np.array([11])], n_items=10)
     with pytest.raises(ValueError):
         log_from_sequences([])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda users: any(len(u) >= 2 for u in users))
+)
+def test_fanout_matches_enumeration_oracle(user_lists):
+    log = log_from_sequences([np.array(u) for u in user_lists], n_items=6)
+    for scope in ("pooled", "per_user"):
+        assert transition_fanout(log.sequences, scope=scope) == fanout_oracle(log.sequences, scope)
