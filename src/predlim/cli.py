@@ -20,12 +20,13 @@ import numpy as np
 
 from . import evaluation, selection
 from .cohort import compute_features, split_and_aggregate
-from .entropy import EntropyEstimate, perm_entropy
+from .entropy import EntropyEstimate
+from .predictability import perm_scales
 from .sequence_core import ingest_csv, log_from_json, log_to_json
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
 # Unused here; the benchmark's tracer wraps these names in this module.
-from .entropy import lz_entropy, sampen  # noqa: F401
+from .entropy import lz_entropy, perm_entropy, sampen  # noqa: F401
 from .predictability import epl, fano_invert, fano_nr, perm_predictability  # noqa: F401
 
 
@@ -51,18 +52,20 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    reads = {"sampen": ("m", "unit"), "lz": ("unit",), "perm": ("d", "tau")}[args.estimator]
+    for k in ("m", "unit", "d", "tau"):
+        if getattr(args, k) is not None and k not in reads:
+            raise ValueError(f"estimator {args.estimator} does not read --{k}")
+    perm = {k: v for k, v in (("d_set", args.d), ("tau", args.tau)) if v is not None}
+    m = 2 if args.m is None else args.m
     log = log_from_json(args.log)
     rows = []
     for seq in log.sequences:
         if args.estimator == "perm":
-            for d in args.d:
-                try:
-                    est = perm_entropy(seq.items, d=d, tau=args.tau)
-                except ValueError:
-                    continue
-                rows.append([seq.user_index, est.estimator, repr(est.value), "", f"d={d}"])
+            rows += [[seq.user_index, e.estimator, repr(e.value), "", f"d={e.params['d']}"]
+                     for e in perm_scales(seq.items, **perm)]
         else:
-            est = evaluation.estimate_user(seq.items, args.estimator, args.m).to(args.unit)
+            est = evaluation.estimate_user(seq.items, args.estimator, m).to(args.unit or "nats")
             flags = ";".join(est.flags)
             rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
@@ -262,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="per-user entropy estimates")
     p.add_argument("--log", required=True)
     p.add_argument("--estimator", choices=["sampen", "lz", "perm"], default="sampen")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--d", type=_int_list, default=[3, 4, 5])
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--unit", choices=["nats", "bits"], default="nats")
+    p.add_argument("--m", type=int, help="sampen only; default 2")
+    p.add_argument("--d", type=_int_list, help="perm only; default 3,4,5")
+    p.add_argument("--tau", type=int, help="perm only; default 1")
+    p.add_argument("--unit", choices=["nats", "bits"], help="sampen and lz only; default nats")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_estimate)
 

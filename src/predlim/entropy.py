@@ -22,6 +22,7 @@ __all__ = [
     "plugin_entropy",
     "sampen",
     "lz_entropy",
+    "check_perm_options",
     "perm_entropy",
 ]
 
@@ -261,6 +262,14 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     return EntropyEstimate(value, "bits", "lz", {"lambda_sum": int(lam.sum())})
 
 
+def check_perm_options(d_set, tau: int) -> None:
+    """Reject an empty d_set, any d outside {3, 4, 5} and any tau < 1."""
+    if not d_set or any(d not in (3, 4, 5) for d in d_set):
+        raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+
+
 def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     """Normalized permutation entropy of ordinal patterns, in [0, 1].
 
@@ -268,10 +277,7 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     patterns by ascending stable sort, so equal values rank by position. The
     Shannon entropy of the pattern frequencies is divided by log(d!).
     """
-    if d not in (3, 4, 5):
-        raise ValueError("d must be in {3, 4, 5}")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    check_perm_options((d,), tau)
     x = np.ascontiguousarray(items, dtype=np.int64)
     t = len(x)
     n_vec = t - (d - 1) * tau

@@ -286,9 +286,9 @@ def score_log(
     if method == "fano":
         return [fano_invert(e, len(log.vocabulary)) for e in ests]
     if (n_scope or spec.scopes[0]) == "pooled":
-        n_r = [transition_fanout(sequences, scope="pooled")] * len(sequences)
+        n_r = [transition_fanout(sequences)] * len(sequences)
     else:
-        n_r = [transition_fanout([s], scope="per_user") for s in sequences]
+        n_r = [transition_fanout([s]) for s in sequences]
     return [replace(fano_invert(e, max(n, 2)), method="fano_nr") for e, n in zip(ests, n_r)]
 
 

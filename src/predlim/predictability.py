@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import EntropyEstimate, perm_entropy
+from .entropy import EntropyEstimate, check_perm_options, perm_entropy
 from .sequence_core import UserSequence, transition_fanout
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "fano_forward",
     "fano_invert",
     "fano_nr",
+    "perm_scales",
     "perm_predictability",
 ]
 
@@ -121,19 +122,30 @@ def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
     return PredictabilityScore(value=mid, method="fano", entropy=s, n=n)
 
 
-def fano_nr(
-    s: EntropyEstimate,
-    sequences: list[UserSequence],
-    scope: str = "pooled",
-) -> PredictabilityScore:
+def fano_nr(s: EntropyEstimate, sequences: list[UserSequence]) -> PredictabilityScore:
     """Fano inversion against the observed successor fan-out.
 
-    N_r comes from transition_fanout over the given sequences; a fan-out of 1
-    is clamped to 2 where the Fano relation is defined (a deterministic
-    sequence still maps to Pi = 1 through the S <= 0 clamp).
+    N_r comes from transition_fanout over the given sequences ([s] for user s
+    alone); a fan-out of 1 is clamped to 2 where the Fano relation is defined
+    (a deterministic sequence still maps to Pi = 1 through the S <= 0 clamp).
     """
-    n_r = transition_fanout(sequences, scope=scope)
+    n_r = transition_fanout(sequences)
     return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
+
+
+def perm_scales(items: np.ndarray, d_set=(3, 4, 5), tau: int = 1) -> list[EntropyEstimate]:
+    """perm_entropy at each d in d_set that the sequence is long enough for.
+
+    An unsupported d or tau raises whatever the sequence's length.
+    """
+    check_perm_options(d_set, tau)
+    scales = []
+    for d in d_set:
+        try:
+            scales.append(perm_entropy(items, d=d, tau=tau))
+        except ValueError:  # the sequence is too short at this d
+            continue
+    return scales
 
 
 def perm_predictability(
@@ -148,14 +160,7 @@ def perm_predictability(
     value of exactly 0 (all feasible scales exactly pattern-uniform) is clamped
     to the smallest positive float to stay within (0, 1].
     """
-    best: EntropyEstimate | None = None
-    for d in d_set:
-        try:
-            est = perm_entropy(items, d=d, tau=tau)
-        except ValueError:
-            continue
-        if best is None or est.value < best.value:
-            best = est
+    best = min(perm_scales(items, d_set, tau), key=lambda est: est.value, default=None)
     if best is None:
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
     value = 1.0 - best.value

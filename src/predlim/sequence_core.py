@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +39,6 @@ class ItemVocabulary:
     def __len__(self) -> int:
         return len(self.reverse)
 
-    def validate(self) -> None:
-        if len(set(self.reverse)) != len(self.reverse):
-            raise ValueError("duplicate item ids in vocabulary")
-        if len(self.counts) != len(self.reverse):
-            raise ValueError("counts length mismatch")
-
 
 @dataclass
 class UserSequence:
@@ -61,7 +55,7 @@ class UserSequence:
 class InteractionLog:
     vocabulary: ItemVocabulary
     sequences: list[UserSequence]
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     @property
     def num_users(self) -> int:
@@ -71,66 +65,22 @@ class InteractionLog:
     def num_items(self) -> int:
         return len(self.vocabulary)
 
-    def compute_stats(self) -> dict:
-        n_inter = int(sum(s.length for s in self.sequences))
-        n_users = len(self.sequences)
-        return {
-            "num_users": n_users,
-            "num_items": len(self.vocabulary),
-            "num_interactions": n_inter,
-            "avg_length": n_inter / n_users if n_users else 0.0,
-        }
 
-    def validate(self) -> None:
-        self.vocabulary.validate()
-        if self.compute_stats() != self.stats:
-            raise ValueError("stored stats disagree with sequences")
-        n_items = len(self.vocabulary)
-        for pos, seq in enumerate(self.sequences):
-            if seq.user_index != pos:
-                raise ValueError("sequences not sorted by user_index")
-            if seq.length < 1:
-                raise ValueError("empty user sequence")
-            if seq.length and int(seq.items.max()) >= n_items:
-                raise ValueError("item index out of vocabulary range")
-        total = int(self.vocabulary.counts.sum())
-        if total != self.stats["num_interactions"]:
-            raise ValueError("vocabulary counts do not sum to interactions")
+def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]) -> InteractionLog:
+    """The one constructor of an InteractionLog: user u is user_ids[u].
 
-
-def _build_log(rows: list[tuple[str, str, int]]) -> InteractionLog:
-    """Encode filtered, ordered rows into an InteractionLog.
-
-    Rows must already be in final order; vocabulary indices follow first
-    appearance in that order, user indices follow first appearance of the user.
+    arrays[u] holds u's indices into item_ids in time order; counts and stats come from them.
     """
-    index: dict[str, int] = {}
-    reverse: list[str] = []
-    user_order: dict[str, int] = {}
-    per_user: list[list[int]] = []
-    for user_id, item_id, _ts in rows:
-        idx = index.get(item_id)
-        if idx is None:
-            idx = len(reverse)
-            index[item_id] = idx
-            reverse.append(item_id)
-        u = user_order.get(user_id)
-        if u is None:
-            u = len(per_user)
-            user_order[user_id] = u
-            per_user.append([])
-        per_user[u].append(idx)
-
-    counts = np.zeros(len(reverse), dtype=np.int64)
-    sequences = []
-    for user_id, u in user_order.items():
-        items = np.asarray(per_user[u], dtype=np.int64)
-        np.add.at(counts, items, 1)
-        sequences.append(UserSequence(user_index=u, user_id=user_id, items=items))
-    vocab = ItemVocabulary(reverse=reverse, counts=counts)
-    log = InteractionLog(vocabulary=vocab, sequences=sequences)
-    log.stats = log.compute_stats()
-    return log
+    counts = np.bincount(np.concatenate(arrays) if arrays else [], minlength=len(item_ids))
+    sequences = [UserSequence(u, uid, a) for u, (uid, a) in enumerate(zip(user_ids, arrays))]
+    n_inter = int(counts.sum())
+    stats = {
+        "num_users": len(sequences),
+        "num_items": len(item_ids),
+        "num_interactions": n_inter,
+        "avg_length": n_inter / len(sequences) if sequences else 0.0,
+    }
+    return InteractionLog(ItemVocabulary(item_ids, counts), sequences, stats)
 
 
 def ingest_csv(
@@ -141,17 +91,22 @@ def ingest_csv(
 ) -> InteractionLog:
     """Read a (user_id, item_id, timestamp) CSV into an InteractionLog.
 
-    Rows are sorted by timestamp with file order breaking ties. If max_events is
-    set, only the first max_events rows of the sorted stream are kept. With
-    dedup, a row repeating the previous surviving (user, item, timestamp) row of
-    the same user is dropped. Users with fewer than min_length events are then
-    removed; item indices are assigned in first-appearance order over the
-    surviving rows so that vocabulary counts sum to the log's interactions.
+    A UTF-8 byte-order mark before the header is skipped. Rows are sorted by
+    timestamp with file order breaking ties. If max_events is set, only the
+    first max_events rows of the sorted stream are kept. With dedup, a row
+    repeating the previous surviving (user, item, timestamp) row of the same
+    user is dropped. Users with fewer than min_length events are then removed;
+    item indices are assigned in first-appearance order over the surviving rows
+    so that vocabulary counts sum to the log's interactions.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
-    records: list[tuple[int, str, str, int]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    if max_events is not None and max_events < 0:
+        raise ValueError("max_events must be >= 0")
+    users: list[str] = []
+    items: list[str] = []
+    stamps: list[int] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -164,66 +119,53 @@ def ingest_csv(
             if len(row) != 3 or not row[0] or not row[1]:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}")
             try:
-                ts = int(row[2])
+                stamps.append(int(row[2]))
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: timestamp {row[2]!r} is not an integer"
                 ) from None
-            records.append((ts, row[0], row[1], lineno))
+            users.append(row[0])
+            items.append(row[1])
 
-    records.sort(key=lambda r: r[0])  # stable: file order breaks timestamp ties
-    if max_events is not None:
-        records = records[:max_events]
-
-    rows: list[tuple[str, str, int]] = []
-    last_by_user: dict[str, tuple[str, int]] = {}
-    lengths: dict[str, int] = {}
-    for ts, user_id, item_id, _lineno in records:
-        if dedup and last_by_user.get(user_id) == (item_id, ts):
+    # stable: file order breaks timestamp ties; max_events None keeps every row
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)[:max_events]
+    by_user: dict[str, list[int]] = {}  # each user's row indices, time order
+    for r in order:
+        rows = by_user.setdefault(users[r], [])
+        if dedup and rows and items[rows[-1]] == items[r] and stamps[rows[-1]] == stamps[r]:
             continue
-        last_by_user[user_id] = (item_id, ts)
-        rows.append((user_id, item_id, ts))
-        lengths[user_id] = lengths.get(user_id, 0) + 1
-
-    keep = {u for u, n in lengths.items() if n >= min_length}
-    rows = [r for r in rows if r[0] in keep]
-    if not rows:
+        rows.append(r)
+    kept = {u: rows for u, rows in by_user.items() if len(rows) >= min_length}
+    if not kept:
         raise ValueError(f"{path}: no interactions left after filtering")
-    return _build_log(rows)
+    index: dict[str, int] = {}
+    for r in order:  # a row dedup dropped repeats an item its user kept
+        if users[r] in kept:
+            index.setdefault(items[r], len(index))
+    arrays = [np.array([index[items[r]] for r in rows], dtype=np.int64) for rows in kept.values()]
+    return _make_log(arrays, list(index), list(kept))
 
 
-def log_from_sequences(
-    item_arrays: list[np.ndarray],
-    n_items: int | None = None,
-    user_ids: list[str] | None = None,
-) -> InteractionLog:
+def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None) -> InteractionLog:
     """Build a log from integer sequences over an identity vocabulary.
 
-    Item k is named str(k); with n_items given, the vocabulary covers indices
-    0..n_items-1 even if some never occur (a generator's full item space, or the
-    swept candidate size for Fano). Intended for synthetic corpora and tests.
+    Item k is named str(k) and user u is named "u{u}"; with n_items given, the
+    vocabulary covers indices 0..n_items-1 even if some never occur (a
+    generator's full item space, or the swept candidate size for Fano).
+    Intended for synthetic corpora and tests.
     """
     if not item_arrays:
         raise ValueError("no sequences")
     arrays = [np.asarray(a, dtype=np.int64) for a in item_arrays]
-    observed_max = max((int(a.max()) for a in arrays if len(a)), default=-1)
+    if any(len(a) == 0 for a in arrays):
+        raise ValueError("empty user sequence")
+    observed_max = max(int(a.max()) for a in arrays)
     if n_items is None:
         n_items = observed_max + 1
     if observed_max >= n_items:
         raise ValueError("item index exceeds n_items")
-    if user_ids is None:
-        user_ids = [f"u{u}" for u in range(len(arrays))]
-    counts = np.zeros(n_items, dtype=np.int64)
-    sequences = []
-    for u, items in enumerate(arrays):
-        if len(items) == 0:
-            raise ValueError("empty user sequence")
-        np.add.at(counts, items, 1)
-        sequences.append(UserSequence(user_index=u, user_id=user_ids[u], items=items))
-    vocab = ItemVocabulary(reverse=[str(k) for k in range(n_items)], counts=counts)
-    log = InteractionLog(vocabulary=vocab, sequences=sequences)
-    log.stats = log.compute_stats()
-    return log
+    user_ids = [f"u{u}" for u in range(len(arrays))]
+    return _make_log(arrays, [str(k) for k in range(n_items)], user_ids)
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:
@@ -241,45 +183,39 @@ def log_to_json(log: InteractionLog, path: str) -> None:
 
 
 def log_from_json(path: str) -> InteractionLog:
+    """Load a log written by log_to_json, rejecting one that disagrees with itself."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != LOG_SCHEMA:
         raise ValueError(f"{path}: unknown log schema {payload.get('schema')!r}")
-    vocab = ItemVocabulary(list(payload["items"]), np.asarray(payload["counts"], dtype=np.int64))
-    sequences = [
-        UserSequence(
-            user_index=u,
-            user_id=entry["user_id"],
-            items=np.asarray(entry["items"], dtype=np.int64),
-        )
-        for u, entry in enumerate(payload["users"])
-    ]
-    log = InteractionLog(vocabulary=vocab, sequences=sequences, stats=payload["stats"])
-    log.validate()
+    item_ids = list(payload["items"])
+    if len(set(item_ids)) != len(item_ids):
+        raise ValueError("duplicate item ids in vocabulary")
+    arrays = [np.asarray(entry["items"], dtype=np.int64) for entry in payload["users"]]
+    if any(len(a) == 0 for a in arrays):
+        raise ValueError("empty user sequence")
+    if any(a.min() < 0 or a.max() >= len(item_ids) for a in arrays):
+        raise ValueError("item index out of vocabulary range")
+    log = _make_log(arrays, item_ids, [entry["user_id"] for entry in payload["users"]])
+    if log.stats != payload["stats"]:
+        raise ValueError("stored stats disagree with sequences")
+    if log.vocabulary.counts.tolist() != payload["counts"]:
+        raise ValueError("stored vocabulary counts disagree with sequences")
     return log
 
 
-def transition_fanout(sequences: list[UserSequence], scope: str = "pooled") -> int:
-    """Maximum observed successor fan-out N_r.
+def transition_fanout(sequences: list[UserSequence]) -> int:
+    """Maximum observed successor fan-out N_r over the given sequences.
 
-    For each current item x, N(x) is the set of distinct items ever observed
-    immediately after x, and N_r is the largest |N(x)|. Pooled scope unions
-    transitions across all sequences; per_user counts successors within each
-    user alone and takes the maximum over users.
+    For each current item x, N(x) is the set of distinct items observed
+    immediately after x in any of the sequences, and N_r is the largest |N(x)|.
+    Pass a log's sequences for the pooled N_r, or [s] for user s's own.
     """
-    if scope not in ("pooled", "per_user"):
-        raise ValueError(f"unknown scope {scope!r}")
-    if not any(s.length >= 2 for s in sequences):
+    succ: dict[int, set[int]] = {}
+    for s in sequences:
+        items = s.items.tolist()
+        for a, b in zip(items, items[1:]):
+            succ.setdefault(a, set()).add(b)
+    if not succ:
         raise ValueError("no transitions in scope")
-
-    def _fanout(seqs: list[UserSequence]) -> int:
-        succ: dict[int, set[int]] = {}
-        for s in seqs:
-            items = s.items.tolist()
-            for a, b in zip(items, items[1:]):
-                succ.setdefault(a, set()).add(b)
-        return max(len(nexts) for nexts in succ.values())
-
-    if scope == "pooled":
-        return _fanout(sequences)
-    return max(_fanout([s]) for s in sequences if s.length >= 2)
+    return max(len(nexts) for nexts in succ.values())

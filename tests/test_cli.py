@@ -309,6 +309,8 @@ def test_score_rejects_options_the_method_does_not_read(tmp_path, capsys):
         ("epl", *entropy, "--d", "3"),
         ("fano_nr", *entropy, "--tau", "2"),
         ("perm", *entropy),
+        ("perm", "--d", "3,7"),
+        ("perm", "--tau", "0"),
     ]
     for method, *extra in cases:
         out = tmp_path / "rejected.csv"
@@ -319,6 +321,68 @@ def test_score_rejects_options_the_method_does_not_read(tmp_path, capsys):
         assert code == 1, (method, extra)
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
         assert not out.exists()
+
+
+def test_estimate_rejects_options_the_estimator_does_not_read(tmp_path, capsys):
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    cases = [
+        ("sampen", "--d", "9"),
+        ("sampen", "--tau", "0"),
+        ("lz", "--m", "7"),
+        ("lz", "--d", "3"),
+        ("perm", "--m", "7"),
+        ("perm", "--unit", "bits"),
+        ("perm", "--d", "7"),
+        ("perm", "--d", "3,7"),
+        ("perm", "--tau", "0"),
+    ]
+    for estimator, *extra in cases:
+        out = tmp_path / "rejected.csv"
+        code, _, stderr = run_cli(
+            capsys, "estimate", "--log", log_path, "--estimator", estimator, *extra,
+            "--output", str(out),
+        )
+        assert code == 1, (estimator, extra)
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert not out.exists()
+
+
+def test_estimate_reads_its_own_options(tmp_path, capsys):
+    log_path, _ = _session_corpus(tmp_path, capsys)
+
+    def output(estimator, *extra):
+        out = tmp_path / f"{estimator}{'_'.join(extra)}.csv"
+        code, _, _ = run_cli(
+            capsys, "estimate", "--log", log_path, "--estimator", estimator, *extra,
+            "--output", str(out),
+        )
+        assert code == 0, (estimator, extra)
+        return out.read_bytes()
+
+    sampen = (tmp_path / "entropy.csv").read_bytes()  # the corpus's default estimate
+    assert output("sampen", "--m", "2", "--unit", "nats") == sampen
+    assert sampen != output("sampen", "--m", "3") != output("sampen", "--unit", "bits")
+    assert output("lz") == output("lz", "--unit", "nats") != output("lz", "--unit", "bits")
+    assert output("perm") == output("perm", "--d", "3,4,5", "--tau", "1")
+    assert output("perm") != output("perm", "--d", "3", "--tau", "2")
+
+
+def test_ingest_skips_a_byte_order_mark_and_rejects_negative_max_events(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + raw.read_bytes())
+    logs = []
+    for path in (raw, bom):
+        logs.append(tmp_path / f"{path.stem}.json")
+        code, _, _ = run_cli(capsys, "ingest", "--input", str(path), "--output", str(logs[-1]))
+        assert code == 0
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+    code, _, stderr = run_cli(
+        capsys, "ingest", "--input", str(raw), "--max-events", "-5",
+        "--output", str(tmp_path / "neg.json"),
+    )
+    assert code == 1 and stderr == "error: max_events must be >= 0\n"
 
 
 def test_score_perm_reads_d_and_tau(tmp_path, capsys):

@@ -13,6 +13,7 @@ from predlim.predictability import (
     fano_invert,
     fano_nr,
     perm_predictability,
+    perm_scales,
 )
 from predlim.sequence_core import log_from_sequences
 
@@ -148,11 +149,11 @@ def test_fano_nr_binary_entropy_inverse():
 
 def test_fano_nr_scope_changes_candidate_size():
     log = log_from_sequences([np.array([0, 1, 0, 2]), np.array([0, 3, 0, 4])])
-    pooled = fano_nr(bits(1.0), log.sequences, scope="pooled")
-    per_user = fano_nr(bits(1.0), log.sequences, scope="per_user")
-    assert pooled.n == 4 and per_user.n == 2
+    pooled = fano_nr(bits(1.0), log.sequences)
+    per_user = [fano_nr(bits(1.0), [s]) for s in log.sequences]
+    assert pooled.n == 4 and [sc.n for sc in per_user] == [2, 2]
     # at fixed entropy the Fano relation is monotone in the candidate size
-    assert pooled.value > per_user.value
+    assert all(pooled.value > sc.value for sc in per_user)
 
 
 # permutation predictability
@@ -176,6 +177,17 @@ def test_perm_predictability_skips_infeasible_scales():
 def test_perm_predictability_all_scales_infeasible():
     with pytest.raises(ValueError, match="feasible"):
         perm_predictability(np.arange(6))
+
+
+def test_perm_rejects_unsupported_options_whatever_the_length():
+    # d=7 is unsupported, not infeasible: it raises even beside a feasible d=3
+    for items in (np.arange(7), np.arange(400)):
+        for d_set, tau in (((3, 7), 1), ((), 1), ((3,), 0)):
+            with pytest.raises(ValueError, match="must be"):
+                perm_predictability(items, d_set=d_set, tau=tau)
+            with pytest.raises(ValueError, match="must be"):
+                perm_scales(items, d_set=d_set, tau=tau)
+    assert [e.params["d"] for e in perm_scales(np.arange(7))] == [3]
 
 
 def test_perm_predictability_takes_minimum_entropy():

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,9 +131,10 @@ def test_vocabulary_round_trip_and_stats(tmp_path):
     log = ingest_csv(write_csv(tmp_path / "log.csv", rows))
     vocab = log.vocabulary
     assert vocab.reverse == ["a", "b"]
-    assert int(vocab.counts.sum()) == log.stats["num_interactions"]
-    assert log.stats == log.compute_stats()
-    log.validate()
+    assert vocab.counts.tolist() == [2, 2]
+    assert log.stats == {
+        "num_users": 2, "num_items": 2, "num_interactions": 4, "avg_length": 2.0,
+    }
 
 
 def test_json_round_trip(tmp_path):
@@ -146,11 +150,47 @@ def test_json_round_trip(tmp_path):
         assert np.array_equal(a.items, b.items)
 
 
+def _saved_payload(tmp_path):
+    """A saved two-user log: items [a, b], counts [2, 1], users u1 [0, 1] and u2 [0]."""
+    rows = [("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3)]
+    path = tmp_path / "log.json"
+    log_to_json(ingest_csv(write_csv(tmp_path / "log.csv", rows)), str(path))
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_vocabulary_rejects_duplicate_item_ids(tmp_path):
-    log = ingest_csv(write_csv(tmp_path / "log.csv", [("u1", "a", 1), ("u1", "b", 2)]))
-    log.vocabulary.reverse[1] = "a"
+    path, payload = _saved_payload(tmp_path)
+    payload["items"][1] = "a"
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
-        log.validate()
+        log_from_json(str(path))
+
+
+def _users(u1, u2):
+    return {"users": [{"user_id": "u1", "items": u1}, {"user_id": "u2", "items": u2}]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_users([0, 1], []), "empty user sequence"),
+        (_users([0, 2], [0]), "out of vocabulary range"),
+        (_users([0, 1], [-1]), "out of vocabulary range"),
+        ({"stats": {"num_users": 2, "num_items": 2, "num_interactions": 3, "avg_length": 2.0}},
+         "stats disagree"),
+        (_users([0, 1], [1]), "counts disagree"),
+        # the same total split differently: only a full comparison sees it
+        ({"counts": [1, 2]}, "counts disagree"),
+    ],
+)
+def test_json_load_rejects_a_log_that_disagrees_with_itself(tmp_path, change, message):
+    path, payload = _saved_payload(tmp_path)
+    assert payload["counts"] == [2, 1]
+    log_from_json(str(path))
+    payload.update(change)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        log_from_json(str(path))
 
 
 def test_json_rejects_unknown_schema(tmp_path):
@@ -173,18 +213,16 @@ def test_fanout_constant_sequence():
 
 def test_fanout_pooled_vs_per_user():
     log = log_from_sequences([np.array([0, 1]), np.array([0, 2])])
-    pooled = transition_fanout(log.sequences, scope="pooled")
-    per_user = transition_fanout(log.sequences, scope="per_user")
-    assert pooled == 2
-    assert per_user == 1
+    assert transition_fanout(log.sequences) == 2
+    assert [transition_fanout([s]) for s in log.sequences] == [1, 1]
 
 
 def test_fanout_requires_transitions():
     log = log_from_sequences([np.array([0]), np.array([1])])
     with pytest.raises(ValueError, match="transitions"):
         transition_fanout(log.sequences)
-    with pytest.raises(ValueError, match="scope"):
-        transition_fanout(log.sequences, scope="both")
+    with pytest.raises(ValueError, match="transitions"):
+        transition_fanout(log.sequences[:1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,8 +235,8 @@ def test_fanout_requires_transitions():
 )
 def test_fanout_bounds_property(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=7)
-    pooled = transition_fanout(log.sequences, scope="pooled")
-    per_user = transition_fanout(log.sequences, scope="per_user")
+    pooled = transition_fanout(log.sequences)
+    per_user = max(transition_fanout([s]) for s in log.sequences)
     assert 1 <= per_user <= pooled <= len(log.vocabulary)
 
 
@@ -222,5 +260,79 @@ def test_log_from_sequences_pads_vocabulary():
 )
 def test_fanout_matches_enumeration_oracle(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=6)
-    for scope in ("pooled", "per_user"):
-        assert transition_fanout(log.sequences, scope=scope) == fanout_oracle(log.sequences, scope)
+    assert transition_fanout(log.sequences) == fanout_oracle(log.sequences, "pooled")
+    per_user = max(transition_fanout([s]) for s in log.sequences if s.length >= 2)
+    assert per_user == fanout_oracle(log.sequences, "per_user")
+
+
+def reference_ingest(text, min_length, max_events, dedup):
+    """ingest_csv's rules by the csv module, sorted and dicts: ({user: items}, vocabulary)."""
+    rows = [r for r in csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))][1:]
+    events = sorted(((int(ts), u, i) for u, i, ts in filter(None, rows)), key=lambda e: e[0])
+    events = events[:max_events]
+    seqs = {}
+    for ts, user, item in events:
+        seq = seqs.setdefault(user, [])
+        if not (dedup and seq and seq[-1] == (item, ts)):
+            seq.append((item, ts))
+    seqs = {u: [item for item, _ in seq] for u, seq in seqs.items() if len(seq) >= min_length}
+    vocabulary = list(dict.fromkeys(item for _, user, item in events if user in seqs))
+    return seqs, vocabulary
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["u1", "u,2", 'u"3', " u4 "]),
+            st.sampled_from(["a", "b,c", 'd"', " e", "F"]),
+            st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+        ),
+        max_size=25,
+    ),
+    header=st.sampled_from([
+        "user_id,item_id,timestamp",
+        "User_ID, Item_Id ,TIMESTAMP",
+        ' user_id\t,"item_id",timestamp ',
+    ]),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    blank_after=st.sets(st.integers(0, 25)),
+    bom=st.booleans(),
+    min_length=st.integers(1, 4),
+    max_events=st.one_of(st.none(), st.integers(-2, 30)),
+    dedup=st.booleans(),
+)
+def test_ingest_matches_a_reference_parser(
+    tmp_path_factory, rows, header, eol, quoting, blank_after, bom, min_length, max_events, dedup
+):
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator=eol, quoting=quoting)
+    for k, row in enumerate(rows):
+        writer.writerow(row)
+        if k in blank_after:
+            body.write(eol)
+    text = ("\ufeff" if bom else "") + header + eol + body.getvalue()
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def ingest():
+        return ingest_csv(str(path), min_length=min_length, max_events=max_events, dedup=dedup)
+
+    if max_events is not None and max_events < 0:
+        with pytest.raises(ValueError, match="max_events"):
+            ingest()
+        return
+    seqs, vocabulary = reference_ingest(text, min_length, max_events, dedup)
+    if not seqs:
+        with pytest.raises(ValueError, match="filtering"):
+            ingest()
+        return
+    log = ingest()
+    reverse = log.vocabulary.reverse
+    assert {s.user_id: [reverse[k] for k in s.items] for s in log.sequences} == seqs
+    assert [s.user_id for s in log.sequences] == list(seqs)
+    assert reverse == vocabulary
+    assert dict(zip(reverse, log.vocabulary.counts.tolist())) == Counter(
+        item for seq in seqs.values() for item in seq
+    )
