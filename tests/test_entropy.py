@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predlim import entropy
 from predlim.entropy import (
     Distribution,
     EntropyEstimate,
     lz_entropy,
+    perm_entropies,
     perm_entropy,
     plugin_entropy,
     sampen,
@@ -287,6 +289,53 @@ def test_perm_matches_ordinal_pattern_oracle(x, d, tau):
     est = perm_entropy(np.array(x), d=d, tau=tau)
     assert est.value == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
     assert est.params == {"d": d, "tau": tau}
+
+
+def rowwise_perm_entropy(x, d, tau):
+    """Normalized permutation entropy counted the row-wise way: np.unique(axis=0) over
+    each vector's stable argsort, one sequence at a time."""
+    x = np.asarray(x, dtype=np.int64)
+    n_vec = len(x) - (d - 1) * tau
+    idx = np.arange(n_vec)[:, None] + tau * np.arange(d)[None, :]
+    _, counts = np.unique(np.argsort(x[idx], axis=1, kind="stable"), axis=0, return_counts=True)
+    freqs = counts / n_vec
+    h = float(-(freqs * np.log(freqs)).sum())
+    return min(max(h / math.log(math.factorial(d)), 0.0), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=40), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=40, max_size=90),
+    st.integers(min_value=0, max_value=12),
+    st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),
+)
+def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_set, tau):
+    # a 16-vector budget puts chunk boundaries all through the corpus, and the
+    # long sequence (more vectors than the budget at any d and tau) in a chunk of its own
+    corpus = corpus[:at] + [long] + corpus[at:] + [[2, 1, 0, 1]]  # the last: too short at any d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "PERM_CHUNK_WINDOWS", 16)
+        table = perm_entropies([np.array(x, dtype=np.int64) for x in corpus], d_set, tau)
+    assert table.shape == (len(corpus), len(d_set))
+    for x, row in zip(corpus, table.tolist()):
+        for d, got in zip(d_set, row):
+            if len(x) < d * tau + 1 or len(x) - (d - 1) * tau < 5:
+                assert math.isnan(got)
+                with pytest.raises(ValueError, match="embedding vectors"):
+                    perm_entropy(np.array(x), d=d, tau=tau)
+                continue
+            assert got == perm_entropy(np.array(x), d=d, tau=tau).value
+            assert got == rowwise_perm_entropy(x, d, tau)
+            assert got == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
+    assert np.isnan(table[-1]).all()
+
+
+def test_perm_entropies_of_no_sequences_is_an_empty_table():
+    assert perm_entropies([], (3, 5)).shape == (0, 2)
+    with pytest.raises(ValueError):
+        perm_entropies([], (6,))
 
 
 def test_perm_strictly_increasing_is_zero():

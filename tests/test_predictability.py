@@ -12,6 +12,7 @@ from predlim.predictability import (
     fano_forward,
     fano_invert,
     fano_nr,
+    perm_predictabilities,
     perm_predictability,
     perm_scales,
 )
@@ -188,6 +189,23 @@ def test_perm_rejects_unsupported_options_whatever_the_length():
             with pytest.raises(ValueError, match="must be"):
                 perm_scales(items, d_set=d_set, tau=tau)
     assert [e.params["d"] for e in perm_scales(np.arange(7))] == [3]
+
+
+def test_perm_predictability_takes_the_first_d_on_ties():
+    # an increasing sequence is pattern-free at every d: the first d listed wins
+    for d_set in ((5, 3), (4, 5, 3), (3, 4)):
+        score = perm_predictability(np.arange(40), d_set=d_set)
+        assert score.entropy.params == {"d": d_set[0], "tau": 1}
+
+
+def test_perm_predictabilities_equal_each_sequence_scored_alone():
+    rng = np.random.default_rng(3)
+    arrays = [rng.integers(0, k, size=t) for k, t in ((3, 9), (5, 60), (2, 12), (9, 300), (4, 10))]
+    for d_set, tau in (((3, 4, 5), 1), ((5, 3), 2), ((4,), 1)):
+        alone = [perm_predictability(x, d_set, tau) for x in arrays]
+        assert perm_predictabilities(arrays, d_set, tau) == alone
+    with pytest.raises(ValueError, match="feasible"):
+        perm_predictabilities(arrays + [np.arange(6)])
 
 
 def test_perm_predictability_takes_minimum_entropy():

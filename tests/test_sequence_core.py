@@ -181,6 +181,11 @@ def _users(u1, u2):
         (_users([0, 1], [1]), "counts disagree"),
         # the same total split differently: only a full comparison sees it
         ({"counts": [1, 2]}, "counts disagree"),
+        (_users([0, 1], [2**70]), "out of vocabulary range"),
+        # indices that numpy would truncate or cast: a fraction, a bool, a string
+        (_users([0, 1.5], [0]), "not an integer"),
+        (_users([0, True], [0]), "not an integer"),
+        (_users([0, "1"], [0]), "not an integer"),
     ],
 )
 def test_json_load_rejects_a_log_that_disagrees_with_itself(tmp_path, change, message):
