@@ -16,14 +16,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evaluation, selection
-from .cohort import compute_features, split_and_aggregate
-from .entropy import EntropyEstimate, perm_entropies
-from .predictability import PERM_D_SET
+from .cohort import DIMENSIONS, compute_features, split_and_aggregate
+from .entropy import UNITS, EntropyEstimate, perm_entropies
+from .predictability import ESTIMATORS, METHODS
 from .sequence_core import ingest_csv, log_from_json, log_to_json
-from .synth import GeneratorConfig, generate, invert_noise, params_for
+from .synth import MECHANISMS, GeneratorConfig, generate, invert_noise, params_for
 
 # Unused here; the benchmark's tracer wraps these names in this module.
 from .entropy import lz_entropy, perm_entropy, sampen  # noqa: F401
@@ -36,6 +34,27 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
+
+
+def _given(args, mode: str, reads, options) -> dict:
+    """The options given on the command line, by name; one that reads does not list raises."""
+    given = {k: getattr(args, k) for k in options if getattr(args, k, None) is not None}
+    unread = sorted(given.keys() - set(reads))
+    if unread:
+        raise ValueError(f"{mode} does not read --{unread[0].replace('_', '-')}")
+    return given
+
+
+def _table_options(p, rows: dict, rename=None, choices=None) -> None:
+    """One --option per parameter the table rows read, typed and described by its default."""
+    for k in dict.fromkeys(k for row in rows.values() for k in row):
+        default = next(row[k] for row in rows.values() if k in row)
+        modes = " and ".join(mode.replace("_", "-") for mode, row in rows.items() if k in row)
+        dest, listed = (rename or {}).get(k, k), isinstance(default, tuple)
+        shown = ",".join(map(str, default)) if listed else default
+        kind = _int_list if listed else type(default)
+        p.add_argument(f"--{dest.replace('_', '-')}", type=kind, dest=dest,
+                       choices=(choices or {}).get(k), help=f"{modes} only; default {shown}")
 
 
 def cmd_ingest(args) -> int:
@@ -52,23 +71,20 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    reads = {"sampen": ("m", "unit"), "lz": ("unit",), "perm": ("d", "tau")}[args.estimator]
-    for k in ("m", "unit", "d", "tau"):
-        if getattr(args, k) is not None and k not in reads:
-            raise ValueError(f"estimator {args.estimator} does not read --{k}")
-    m = 2 if args.m is None else args.m
-    d_set = PERM_D_SET if args.d is None else args.d
-    tau = 1 if args.tau is None else args.tau
+    defaults = ESTIMATORS[args.estimator]
+    every = {k for row in ESTIMATORS.values() for k in row}
+    opts = {**defaults, **_given(args, f"estimator {args.estimator}", defaults, every)}
     log = log_from_json(args.log)
     if args.estimator == "perm":
-        table = perm_entropies([seq.items for seq in log.sequences], d_set, tau)
+        table = perm_entropies([seq.items for seq in log.sequences], opts["d"], opts["tau"])
         rows = [[seq.user_index, "perm_normalized", repr(v), "", f"d={d}"]
-                for seq, row in zip(log.sequences, table) for d, v in zip(d_set, row.tolist())
+                for seq, row in zip(log.sequences, table) for d, v in zip(opts["d"], row.tolist())
                 if v == v]  # NaN at a d the user is too short for
     else:
         rows = []
         for seq in log.sequences:
-            est = evaluation.estimate_user(seq.items, args.estimator, m).to(args.unit or "nats")
+            est = evaluation.estimate_user(seq.items, args.estimator, opts.get("m"))
+            est = est.to(opts["unit"])
             flags = ";".join(est.flags)
             rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
@@ -105,7 +121,7 @@ def _entropy_row(row: dict) -> EntropyEstimate | None:
 
 def cmd_score(args) -> int:
     log = log_from_json(args.log)
-    if evaluation.METHODS[args.method].reads_entropy != bool(args.entropy):
+    if METHODS[args.method].reads_entropy != bool(args.entropy):
         need = "required" if not args.entropy else "not read"
         raise ValueError(f"--entropy is {need} for method {args.method}")
     estimates = _read_per_user(args.entropy, _entropy_row, "entropy") if args.entropy else None
@@ -122,33 +138,24 @@ def cmd_score(args) -> int:
 
 def cmd_synth(args) -> int:
     mechanism = args.mechanism.replace("-", "_")
-    free = "p" if mechanism == "repeat_last" else "eps"
-    noise = getattr(args, free)
+    spec = MECHANISMS[mechanism]
+    every = {k for row in MECHANISMS.values() for k in (*row.fixed, row.noise)}
+    fixed = _given(args, f"mechanism {args.mechanism}", (*spec.fixed, spec.noise), every)
+    noise = fixed.pop(spec.noise, None)
     if (args.target_hit1 is None) == (noise is None):
-        raise ValueError(f"give exactly one of --target-hit1 or --{free}")
+        raise ValueError(f"give exactly one of --target-hit1 or --{spec.noise}")
     if noise is None:
-        noise = invert_noise(mechanism, args.target_hit1, n=args.n, m=args.m, m_c=args.m_c)
-    params = params_for(mechanism, noise, args.m, args.rho, args.c, args.m_c, args.s)
+        noise = invert_noise(mechanism, args.target_hit1, n=args.n, **fixed)
+    params = params_for(mechanism, noise, **fixed)
     config = GeneratorConfig(mechanism, args.n, args.users, args.length, args.seed, params)
     corpus = generate(config)
     os.makedirs(args.output, exist_ok=True)
     log_to_json(corpus.log, os.path.join(args.output, "log.json"))
-    trace = corpus.latent_trace
-    serializable = {
-        key: [np.asarray(v).tolist() for v in val] if isinstance(val, list) else np.asarray(val).tolist()
-        for key, val in trace.items()
-    }
     with open(os.path.join(args.output, "latent.json"), "w", encoding="utf-8") as fh:
-        json.dump(serializable, fh)
+        json.dump(corpus.latent_trace, fh, default=lambda array: array.tolist())
     with open(os.path.join(args.output, "oracle.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "config": dataclasses.asdict(config),
-                "oracle_hit1": corpus.oracle_hit1,
-                "latent_trace_file": "latent.json",
-            },
-            fh,
-        )
+        json.dump({"config": dataclasses.asdict(config), "oracle_hit1": corpus.oracle_hit1,
+                   "latent_trace_file": "latent.json"}, fh)
     print(f"generated {mechanism} corpus at {args.output} (oracle hit@1 {corpus.oracle_hit1:.4f})")
     return 0
 
@@ -158,9 +165,11 @@ def _read_scores_csv(path: str) -> dict[int, float]:
 
 
 def cmd_cohort(args) -> int:
+    reads = ["tail_mass"] if args.dimension == "longtail" else []  # it shapes only that feature
+    given = _given(args, f"dimension {args.dimension}", reads, ["tail_mass"])
     log = log_from_json(args.log)
     scores = _read_scores_csv(args.scores)
-    features = compute_features(log, tail_mass=args.tail_mass)
+    features = compute_features(log, **given)
     report = split_and_aggregate(features, scores, args.dimension)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
@@ -172,31 +181,27 @@ def cmd_cohort(args) -> int:
     return 0
 
 
-# The options each sweep reads beyond the shared ones (per mechanism for difficulty sweeps).
-SWEEP_READS = {
-    "n": ("n_grid", "target_hit1", "c", "m_c", "s"),
-    "session_reset": ("mechanism", "targets", "n", "rho", "m_latent"),
-    "repeat_last": ("mechanism", "targets", "n"),
-    "context_switch": ("mechanism", "targets", "n", "c", "m_c", "s"),
-}
-
-
 def cmd_sweep(args) -> int:
     if args.kind == "difficulty" and not args.mechanism:
         raise ValueError("--mechanism is required for a difficulty sweep")
-    scope = "n" if args.kind == "n" else args.mechanism.replace("-", "_")
-    options = {k for reads in SWEEP_READS.values() for k in reads}  # all kind-specific options
-    given = {k: getattr(args, k) for k in options if getattr(args, k) is not None}
-    unread = sorted(given.keys() - set(SWEEP_READS[scope]))
-    if unread:
-        what = "an n sweep" if scope == "n" else f"a {args.mechanism} difficulty sweep"
-        raise ValueError(f"{what} does not read --{unread[0].replace('_', '-')}")
-    shared = dict(
-        methods=args.methods.split(","), reps=args.reps, users=args.users, length=args.length,
-        seed=args.seed, estimator=args.estimator, m=args.m,
-    )
+    mechanism = "context_switch" if args.kind == "n" else args.mechanism.replace("-", "_")
+    # --m is sampen's template length, so the session-reset set size is --m-latent
+    reads = [{"m": "m_latent"}.get(k, k) for k in MECHANISMS[mechanism].fixed]
+    reads += ["n_grid", "target_hit1"] if args.kind == "n" else ["mechanism", "targets", "n"]
+    methods = args.methods.split(",")
+    what = "an n sweep" if args.kind == "n" else f"a {args.mechanism} difficulty sweep"
+    if any(METHODS[meth].reads_entropy for meth in methods if meth in METHODS):
+        estimator = args.estimator or "sampen"
+        reads += ["estimator", *ESTIMATORS[estimator]]
+        what += f" by {estimator}"
+    else:
+        what += f" of methods {args.methods}"
+    shared = dict(methods=methods, reps=args.reps, users=args.users, length=args.length,
+                  seed=args.seed)
+    options = vars(args).keys() - shared.keys() - {"command", "func", "kind", "output"}
+    given = _given(args, what, reads, options)
     if args.kind == "difficulty":
-        given["mechanism"] = scope
+        given["mechanism"] = mechanism
         table = evaluation.run_difficulty_sweep(**given, **shared)
         for meth, value in table.rmse_by_method.items():
             print(f"rmse vs targets [{meth}]: {value:.4f}")
@@ -269,6 +274,8 @@ def cmd_select(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="predlim", description=__doc__)
+    mechanisms = [name.replace("_", "-") for name in MECHANISMS]
+    fixed = {name: spec.fixed for name, spec in MECHANISMS.items()}
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="read a (user,item,timestamp) CSV into log JSON")
@@ -281,33 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="per-user entropy estimates")
     p.add_argument("--log", required=True)
-    p.add_argument("--estimator", choices=["sampen", "lz", "perm"], default="sampen")
-    p.add_argument("--m", type=int, help="sampen only; default 2")
-    p.add_argument("--d", type=_int_list, help="perm only; default 3,4,5")
-    p.add_argument("--tau", type=int, help="perm only; default 1")
-    p.add_argument("--unit", choices=["nats", "bits"], help="sampen and lz only; default nats")
+    p.add_argument("--estimator", choices=list(ESTIMATORS), default="sampen")
+    _table_options(p, ESTIMATORS, choices={"unit": UNITS})
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("score", help="map entropies to predictability scores")
     p.add_argument("--log", required=True)
     p.add_argument("--entropy", default=None)
-    p.add_argument("--method", choices=list(evaluation.METHODS), required=True)
+    p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument(
-        "--n-scope", choices=["global", "per-user", "pooled"], default=None,
+        "--n-scope", choices=list(dict.fromkeys(s for m in METHODS.values() for s in m.scopes)),
         help="Fano candidate size: global for fano; pooled (default) or per-user for fano_nr",
     )
-    p.add_argument("--d", type=_int_list, default=None, help="perm only; default 3,4,5")
-    p.add_argument("--tau", type=int, default=None, help="perm only; default 1")
+    _table_options(p, {"perm": ESTIMATORS["perm"]})
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("synth", help="generate an oracle-controlled synthetic corpus")
-    p.add_argument(
-        "--mechanism",
-        choices=["session-reset", "repeat-last", "context-switch"],
-        required=True,
-    )
+    p.add_argument("--mechanism", choices=mechanisms, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
@@ -315,41 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-hit1", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--c", type=int, default=5)
-    p.add_argument("--m-c", type=int, default=5, dest="m_c")
-    p.add_argument("--s", type=float, default=0.05)
+    _table_options(p, fixed)
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cohort", help="median-split cohort aggregation")
     p.add_argument("--log", required=True)
     p.add_argument("--scores", required=True)
-    p.add_argument("--dimension", choices=["novelty", "longtail", "activity"], required=True)
-    p.add_argument("--tail-mass", type=float, default=0.8)
+    p.add_argument("--dimension", choices=list(DIMENSIONS), required=True)
+    p.add_argument("--tail-mass", type=float, help="longtail only: the share the head items cover")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_cohort)
 
     p = sub.add_parser("sweep", help="difficulty or item-space-size sweep")
     p.add_argument("--kind", choices=["difficulty", "n"], required=True)
-    p.add_argument("--mechanism", choices=["session-reset", "repeat-last", "context-switch"])
+    p.add_argument("--mechanism", choices=mechanisms, help="difficulty only (n: context-switch)")
     p.add_argument("--targets", type=_float_list, help="difficulty only; default 0.05,0.1,...,0.9")
     p.add_argument("--n-grid", type=_int_list, help="n only; default 100,316,...,100000")
     p.add_argument("--target-hit1", type=float, help="n only; default 0.10")
-    p.add_argument("--methods", default="epl,fano,fano_nr,perm")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--n", type=int, help="difficulty only; default 10000")
     p.add_argument("--users", type=int, default=300)
     p.add_argument("--length", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=["sampen", "lz"], default="sampen")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--rho", type=float, help="session-reset only; default 0.05")
-    p.add_argument("--m-latent", type=int, dest="m_latent", help="session-reset only; default 1")
-    p.add_argument("--c", type=int, help="n and context-switch only; default 5")
-    p.add_argument("--m-c", type=int, dest="m_c", help="n and context-switch only; default 5")
-    p.add_argument("--s", type=float, help="n and context-switch only; default 0.05")
+    p.add_argument("--estimator", choices=[e for e, row in ESTIMATORS.items() if "unit" in row],
+                   help="read when a method reads entropy; default sampen")
+    p.add_argument("--m", type=int, help="sampen's template length")
+    _table_options(p, fixed, rename={"m": "m_latent"})
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -25,7 +25,8 @@ __all__ = [
     "split_and_aggregate",
 ]
 
-DIMENSIONS = ("novelty", "longtail", "activity")
+# Every split dimension and the UserFeature field it splits on.
+DIMENSIONS = {"novelty": "novelty", "longtail": "longtail_exposure", "activity": "activity"}
 
 
 @dataclass(frozen=True)
@@ -126,15 +127,14 @@ def split_and_aggregate(
     user shares one feature value.
     """
     if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {DIMENSIONS}")
+        raise ValueError(f"dimension must be one of {tuple(DIMENSIONS)}")
     if len(features) < 2:
         raise ValueError("need at least 2 users to split")
     feature_users = {f.user_index for f in features}
     if feature_users != set(scores):
         raise ValueError("features and scores must cover identical user sets")
 
-    attr = {"novelty": "novelty", "longtail": "longtail_exposure", "activity": "activity"}
-    keyed = [(getattr(f, attr[dimension]), f.user_index) for f in features]
+    keyed = [(getattr(f, DIMENSIONS[dimension]), f.user_index) for f in features]
     reverse = dimension == "activity"  # Q1 = more active
     keyed.sort(key=lambda kv: ((-kv[0] if reverse else kv[0]), kv[1]))
     cut = math.ceil(len(keyed) / 2)

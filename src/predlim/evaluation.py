@@ -1,14 +1,14 @@
 """Scoring dispatch, dataset-level aggregation, consistency statistics, and sweeps.
 
-METHODS is the one table of scoring methods and what each reads. The CLI and
-both sweeps pick an estimator through estimate_user and score a whole log by
-one method through score_log. Per-user predictability scores roll up to one
-number per dataset via a weighted mean (weight = prediction events a user
-defines, T_u - 1, or uniform). Rank agreement with reference accuracies uses
-Spearman correlation with average-rank ties; value agreement uses RMSE. The
-two sweep harnesses drive the synthetic generators: a difficulty sweep holds
-the item space fixed and varies the oracle ceiling, an N-sweep holds the
-ceiling fixed and varies the item-space size across orders of magnitude.
+The CLI and both sweeps pick an estimator through estimate_user and score a
+whole log by one method through score_log, as predictability.METHODS says.
+Per-user predictability scores roll up to one number per dataset via a
+weighted mean (weight = prediction events a user defines, T_u - 1, or
+uniform). Rank agreement with reference accuracies uses Spearman correlation
+with average-rank ties; value agreement uses RMSE. The two sweep harnesses
+drive the synthetic generators: a difficulty sweep holds the item space fixed
+and varies the oracle ceiling, an N-sweep holds the ceiling fixed and varies
+the item-space size across orders of magnitude.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from importlib import resources
 import numpy as np
 
 from .entropy import EntropyEstimate, lz_entropy, sampen
-from .predictability import PredictabilityScore, epl, fano_invert, perm_predictabilities
+from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_invert
+from .predictability import perm_predictabilities
 from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
 from .sequence_core import InteractionLog, transition_fanout
 from .synth import GeneratorConfig, generate, invert_noise, params_for
@@ -36,7 +37,6 @@ __all__ = [
     "rmse",
     "load_reference",
     "consistency_report",
-    "METHODS",
     "estimate_user",
     "score_log",
     "run_difficulty_sweep",
@@ -221,29 +221,10 @@ class SweepTable:
         return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """What a scoring method reads besides the log."""
-
-    reads_entropy: bool
-    scopes: tuple[str, ...] = ()  # accepted n_scope values, the default first
-
-
-# Every scoring method. The Fano candidate size N is the global vocabulary for
-# fano, and the pooled or per-user successor fan-out, clamped to 2, for
-# fano_nr. perm reads the sequence itself, through d_set and tau.
-METHODS = {
-    "epl": MethodSpec(reads_entropy=True),
-    "fano": MethodSpec(reads_entropy=True, scopes=("global",)),
-    "fano_nr": MethodSpec(reads_entropy=True, scopes=("pooled", "per-user")),
-    "perm": MethodSpec(reads_entropy=False),
-}
-
-
-def estimate_user(items: np.ndarray, estimator: str, m: int) -> EntropyEstimate:
-    """One user's entropy by a sequence estimator: sampen (template length m) or lz."""
+def estimate_user(items: np.ndarray, estimator: str, m: int | None = None) -> EntropyEstimate:
+    """One user's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
     if estimator == "sampen":
-        return sampen(items, m=m)
+        return sampen(items, m=ESTIMATORS["sampen"]["m"] if m is None else m)
     if estimator == "lz":
         return lz_entropy(items)
     raise ValueError(f"unknown sequence estimator {estimator!r}")
@@ -324,6 +305,10 @@ def _sweep(kind, grid, config_at, methods, reps, seed, estimator, m) -> SweepTab
     for meth in methods:
         if meth not in METHODS:
             raise ValueError(f"unknown method {meth!r}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"a method is listed twice in {methods}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     rows: list[SweepRow] = []
     for gi, value in enumerate(grid):
         config = config_at(value)
@@ -342,31 +327,34 @@ def _sweep(kind, grid, config_at, methods, reps, seed, estimator, m) -> SweepTab
 def run_difficulty_sweep(
     mechanism: str,
     targets=DIFFICULTY_TARGETS,
-    methods=("epl", "fano", "fano_nr", "perm"),
+    methods=tuple(METHODS),
     reps: int = 10,
     n: int = 10000,
     users: int = 300,
     length: int = 200,
     seed: int = 0,
     estimator: str = "sampen",
-    m: int = 2,
-    rho: float = 0.05,
-    m_latent: int = 1,
-    c: int = 5,
-    m_c: int = 5,
-    s: float = 0.05,
+    m: int | None = None,
+    rho: float | None = None,
+    m_latent: int | None = None,
+    c: int | None = None,
+    m_c: int | None = None,
+    s: float | None = None,
 ) -> SweepTable:
     """Estimate-vs-truth sweep across oracle difficulty levels.
 
     For each target the mechanism's noise parameter is inverted to pin the
     oracle ceiling, reps corpora are generated, and each method's per-corpus
     mean is recorded as mean +/- std over reps. rmse_by_method compares the
-    per-target means against the targets themselves.
+    per-target means against the targets themselves. A fixed parameter left
+    None takes the mechanism's default from synth.MECHANISMS, and one the
+    mechanism does not read is ignored; m is sampen's template length.
     """
+    fixed = dict(m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
 
     def config_at(target: float) -> GeneratorConfig:
-        noise = invert_noise(mechanism, target, n=n, m=m_latent, m_c=m_c)
-        params = params_for(mechanism, noise, m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
+        noise = invert_noise(mechanism, target, n=n, **fixed)
+        params = params_for(mechanism, noise, **fixed)
         return GeneratorConfig(mechanism, n, users, length, seed, params)
 
     methods = list(methods)
@@ -380,27 +368,29 @@ def run_difficulty_sweep(
 def run_n_sweep(
     n_grid=N_GRID,
     target_hit1: float = 0.10,
-    methods=("epl", "fano", "fano_nr", "perm"),
+    methods=tuple(METHODS),
     reps: int = 10,
     users: int = 300,
     length: int = 200,
     seed: int = 7,
     estimator: str = "sampen",
-    m: int = 2,
-    c: int = 5,
-    m_c: int = 5,
-    s: float = 0.05,
+    m: int | None = None,
+    c: int | None = None,
+    m_c: int | None = None,
+    s: float | None = None,
 ) -> SweepTable:
     """Item-space-size sweep at a fixed oracle ceiling (context_switch).
 
     At each N the in-context noise is re-inverted so the oracle ceiling stays
     at target_hit1 while the candidate space grows; a size-insensitive
-    estimate should stay flat across the grid.
+    estimate should stay flat across the grid. Defaults as in
+    run_difficulty_sweep.
     """
+    fixed = dict(c=c, m_c=m_c, s=s)
 
     def config_at(n) -> GeneratorConfig:
-        eps = invert_noise("context_switch", target_hit1, n=n, m_c=m_c)
-        params = params_for("context_switch", eps, m=None, rho=None, c=c, m_c=m_c, s=s)
+        eps = invert_noise("context_switch", target_hit1, n=n, **fixed)
+        params = params_for("context_switch", eps, **fixed)
         return GeneratorConfig("context_switch", int(n), users, length, seed, params)
 
     return _sweep("n", n_grid, config_at, methods, reps, seed, estimator, m)

@@ -29,13 +29,37 @@ __all__ = [
     "fano_forward",
     "fano_invert",
     "fano_nr",
-    "perm_scales",
     "perm_predictability",
     "perm_predictabilities",
 ]
 
-METHODS = ("epl", "fano", "fano_nr", "perm")
-PERM_D_SET = (3, 4, 5)  # the embedding dimensions perm scores take by default
+# Every entropy estimator and the options it reads, with their defaults. Those
+# with a unit measure an entropy, which epl and the Fano routes can map.
+ESTIMATORS = {
+    "sampen": {"m": 2, "unit": "nats"},
+    "lz": {"unit": "nats"},
+    "perm": {"d": (3, 4, 5), "tau": 1},
+}
+_PERM = ESTIMATORS["perm"]  # the defaults of the perm functions below
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What a scoring method reads besides the log."""
+
+    reads_entropy: bool
+    scopes: tuple[str, ...] = ()  # accepted n_scope values, the default first
+
+
+# Every scoring method. The Fano candidate size N is the global vocabulary for
+# fano, and the pooled or per-user successor fan-out, clamped to 2, for
+# fano_nr. perm reads the sequence itself, through d_set and tau.
+METHODS = {
+    "epl": MethodSpec(reads_entropy=True),
+    "fano": MethodSpec(reads_entropy=True, scopes=("global",)),
+    "fano_nr": MethodSpec(reads_entropy=True, scopes=("pooled", "per-user")),
+    "perm": MethodSpec(reads_entropy=False),
+}
 
 
 @dataclass(frozen=True)
@@ -54,10 +78,10 @@ class PredictabilityScore:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if not (0.0 < self.value <= 1.0):
             raise ValueError(f"predictability must lie in (0, 1], got {self.value}")
-        if self.method in ("fano", "fano_nr"):
+        if METHODS[self.method].scopes:  # a Fano method, so it records its candidate size
             if self.n is None or self.n < 2:
                 raise ValueError("fano scores must record n >= 2")
             if self.value < 1.0 / self.n - 1e-12:
@@ -136,21 +160,7 @@ def fano_nr(s: EntropyEstimate, sequences: list[UserSequence]) -> Predictability
     return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
 
 
-def perm_scales(items: np.ndarray, d_set=PERM_D_SET, tau: int = 1) -> list[EntropyEstimate]:
-    """perm_entropy at each d in d_set that the sequence is long enough for.
-
-    An unsupported d or tau raises whatever the sequence's length.
-    """
-    row = perm_entropies([items], d_set, tau)[0].tolist()
-    return [EntropyEstimate(v, None, "perm_normalized", {"d": d, "tau": tau})
-            for d, v in zip(d_set, row) if v == v]  # NaN: too short at this d
-
-
-def perm_predictability(
-    items: np.ndarray,
-    d_set: tuple[int, ...] = PERM_D_SET,
-    tau: int = 1,
-) -> PredictabilityScore:
+def perm_predictability(items, d_set=_PERM["d"], tau=_PERM["tau"]) -> PredictabilityScore:
     """1 minus the minimum normalized permutation entropy over d_set.
 
     Dimensions whose length precondition fails are skipped so short sequences
@@ -161,7 +171,7 @@ def perm_predictability(
     return perm_predictabilities([items], d_set, tau)[0]
 
 
-def perm_predictabilities(arrays: list[np.ndarray], d_set=PERM_D_SET, tau: int = 1) -> list:
+def perm_predictabilities(arrays: list[np.ndarray], d_set=_PERM["d"], tau=_PERM["tau"]) -> list:
     """perm_predictability of every item array, from one perm_entropies table."""
     table = perm_entropies(arrays, d_set, tau)
     if np.isnan(table).all(axis=1).any():

@@ -188,12 +188,16 @@ def log_from_json(path: str) -> InteractionLog:
     """Load a log written by log_to_json, rejecting one that disagrees with itself."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != LOG_SCHEMA:
-        raise ValueError(f"{path}: unknown log schema {payload.get('schema')!r}")
-    item_ids = list(payload["items"])
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != LOG_SCHEMA:
+        raise ValueError(f"{path}: unknown log schema {schema!r}")
+    item_ids, users = payload["items"], payload["users"]
+    if not (isinstance(item_ids, list) and isinstance(users, list)) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("items"), list) for entry in users
+    ):
+        raise ValueError("items and users must be lists, each user an object with a list of items")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
-    users = payload["users"]
     # exact types, since numpy would truncate a float and cast a bool (an int subclass)
     if set(map(type, chain.from_iterable(entry["items"] for entry in users))) - {int}:
         bad = next(v for entry in users for v in entry["items"] if type(v) is not int)

@@ -20,6 +20,7 @@ in what order they are produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .sequence_core import InteractionLog, log_from_sequences
 
 __all__ = [
+    "MECHANISMS",
     "GeneratorConfig",
     "SynthCorpus",
     "oracle_hit1",
@@ -36,7 +38,24 @@ __all__ = [
     "simulate_oracle",
 ]
 
-MECHANISMS = ("session_reset", "repeat_last", "context_switch")
+
+@dataclass(frozen=True)
+class Mechanism:
+    noise: str  # the free parameter invert_noise solves for, always the last
+    fixed: dict  # the fixed parameters and their defaults, in params order
+    set_size: str | None = None  # the size k of the active set; None for k = 1
+
+
+# Every mechanism. p is the chance of repeating the previous item, which the
+# oracle predicts; eps is the chance of a uniform draw over all n items.
+MECHANISMS = {
+    "session_reset": Mechanism("eps", {"m": 1, "rho": 0.05}, set_size="m"),
+    "repeat_last": Mechanism("p", {}),
+    "context_switch": Mechanism("eps", {"c": 5, "m_c": 5, "s": 0.05}, set_size="m_c"),
+}
+# The range of every generator parameter; "n" stands for the item-space size.
+PARAM_RANGES = {"m": (1, "n"), "m_c": (1, "n"), "c": (2, math.inf),
+                "rho": (0, 1), "s": (0, 1), "eps": (0, 1), "p": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -49,35 +68,21 @@ class GeneratorConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}")
+        expected = set(params_for(self.mechanism, None))
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.users < 1 or self.length < 2:
             raise ValueError("need users >= 1 and length >= 2")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        expected = set(params_for(self.mechanism, *[None] * 6))  # the names params_for builds
         if set(self.params) != expected:
             raise ValueError(
                 f"{self.mechanism} needs params {sorted(expected)}, got {sorted(self.params)}"
             )
-        p = self.params
-        if self.mechanism == "session_reset":
-            if not (1 <= p["m"] <= self.n):
-                raise ValueError("need 1 <= m <= n")
-            if not (0.0 <= p["rho"] <= 1.0 and 0.0 <= p["eps"] <= 1.0):
-                raise ValueError("rho and eps must lie in [0, 1]")
-        elif self.mechanism == "repeat_last":
-            if not (0.0 <= p["p"] <= 1.0):
-                raise ValueError("p must lie in [0, 1]")
-        else:
-            if p["c"] < 2:
-                raise ValueError("need c >= 2 contexts")
-            if not (1 <= p["m_c"] <= self.n):
-                raise ValueError("need 1 <= m_c <= n")
-            if not (0.0 <= p["s"] <= 1.0 and 0.0 <= p["eps"] <= 1.0):
-                raise ValueError("s and eps must lie in [0, 1]")
+        for name, value in self.params.items():
+            lo, hi = PARAM_RANGES[name]
+            if not lo <= value <= (self.n if hi == "n" else hi):
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass
@@ -94,31 +99,30 @@ def oracle_hit1(config: GeneratorConfig) -> float:
     The session_reset form for general m extends the known m = 1 case; it is
     cross-checked against simulate_oracle rather than taken on faith.
     """
-    n = config.n
+    spec = MECHANISMS[config.mechanism]
     p = config.params
-    if config.mechanism == "session_reset":
-        return (1.0 - p["eps"]) / p["m"] + p["eps"] / n
-    if config.mechanism == "repeat_last":
-        return p["p"] + (1.0 - p["p"]) / n
-    return (1.0 - p["eps"]) / p["m_c"] + p["eps"] / n
+    k = p[spec.set_size] if spec.set_size else 1
+    noise = p[spec.noise]
+    if spec.noise == "p":
+        return noise / k + (1.0 - noise) / config.n
+    return (1.0 - noise) / k + noise / config.n
 
 
-def invert_noise(mechanism: str, target_hit1: float, **fixed) -> float:
+def invert_noise(mechanism: str, target_hit1: float, n: int, **fixed) -> float:
     """Solve the oracle closed form for the free noise parameter.
 
-    repeat_last solves for p, the others for eps. Errors name the feasible
+    repeat_last solves for p, the others for eps. The active-set size comes
+    from fixed, or its default, as in params_for. Errors name the feasible
     target interval when the requested level cannot be reached. Round-trip
     through oracle_hit1 agrees with the target to 1e-12.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"mechanism must be one of {MECHANISMS}")
-    n = fixed["n"]
-    if mechanism == "repeat_last":
-        lo, hi = 1.0 / n, 1.0
-        value = (target_hit1 - 1.0 / n) / (1.0 - 1.0 / n)
+    params = params_for(mechanism, None, **fixed)
+    spec = MECHANISMS[mechanism]
+    k = params[spec.set_size] if spec.set_size else 1
+    lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
+    if spec.noise == "p":
+        value = (target_hit1 - 1.0 / n) / (1.0 / k - 1.0 / n)
     else:
-        k = fixed["m"] if mechanism == "session_reset" else fixed["m_c"]  # active set size
-        lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
         value = (1.0 / k - target_hit1) / (1.0 / k - 1.0 / n) if k != n else 0.0
     if not (lo <= target_hit1 <= hi) or not (-1e-12 <= value <= 1.0 + 1e-12):
         raise ValueError(
@@ -127,19 +131,18 @@ def invert_noise(mechanism: str, target_hit1: float, **fixed) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def params_for(mechanism: str, noise: float, m, rho, c, m_c, s) -> dict:
+def params_for(mechanism: str, noise: float | None, **fixed) -> dict:
     """A mechanism's generator params, with noise as its free parameter.
 
-    noise is p for repeat_last and eps for the others; the fixed values a
-    mechanism does not use are ignored, so callers may pass them all.
+    Each fixed parameter takes its value from fixed, or its default where
+    fixed leaves it out or None. Names the mechanism does not read are
+    ignored, so callers may pass them all.
     """
-    if mechanism == "session_reset":
-        return {"m": m, "rho": rho, "eps": noise}
-    if mechanism == "repeat_last":
-        return {"p": noise}
-    if mechanism == "context_switch":
-        return {"c": c, "m_c": m_c, "s": s, "eps": noise}
-    raise ValueError(f"mechanism must be one of {MECHANISMS}")
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"mechanism must be one of {tuple(MECHANISMS)}")
+    spec = MECHANISMS[mechanism]
+    params = {k: default if fixed.get(k) is None else fixed[k] for k, default in spec.fixed.items()}
+    return {**params, spec.noise: noise}
 
 
 def _user_rng(seed: int, user_index: int) -> np.random.Generator:

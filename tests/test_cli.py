@@ -455,8 +455,14 @@ def test_duplicate_user_rows_are_rejected(tmp_path, capsys):
 
 
 def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
-    # each log agrees with itself once numpy casts its indices to int64
-    for name, items in (("fraction", [0.7, 1.2]), ("bool", [True, False]), ("string", ["0", "1"])):
+    # each of the first three logs agrees with itself once numpy casts its indices to int64
+    cases = [
+        ("fraction", [0.7, 1.2], "item index 0.7 is not an integer"),
+        ("bool", [True, False], "item index True is not an integer"),
+        ("string", ["0", "1"], "item index '0' is not an integer"),
+        ("scalar", 5, "items and users must be lists, each user an object with a list of items"),
+    ]
+    for name, items, message in cases:
         log_path = tmp_path / f"{name}.json"
         log_path.write_text(json.dumps({
             "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1],
@@ -468,7 +474,7 @@ def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
             capsys, "estimate", "--log", str(log_path), "--estimator", "lz", "--output", str(out)
         )
         assert code == 1, name
-        assert stderr == f"error: item index {items[0]!r} is not an integer\n"
+        assert stderr == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -492,11 +498,17 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path, capsys):
         ("difficulty", "--mechanism", "repeat-last", "--c", "3"),
         ("difficulty", "--mechanism", "context-switch", "--rho", "0.1"),
         ("difficulty", "--mechanism", "context-switch", "--m-latent", "2"),
+        ("n", "--methods", "perm", "--estimator", "sampen"),
+        ("n", "--methods", "perm", "--m", "2"),
+        ("difficulty", "--mechanism", "repeat-last", "--methods", "perm", "--estimator", "lz"),
+        ("difficulty", "--mechanism", "repeat-last", "--methods", "perm", "--m", "3"),
+        ("n", "--estimator", "lz", "--m", "2"),
+        ("difficulty", "--mechanism", "session-reset", "--estimator", "lz", "--m", "3"),
     ]
     for kind, *extra in cases:
         out = tmp_path / "rejected.csv"
         code, _, stderr = run_cli(
-            capsys, "sweep", "--kind", kind, *extra, *SMALL_SWEEP, "--output", str(out)
+            capsys, "sweep", "--kind", kind, *SMALL_SWEEP, *extra, "--output", str(out)
         )
         assert code == 1, extra
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
@@ -530,3 +542,64 @@ def test_sweep_reads_its_own_options_with_unchanged_defaults(tmp_path, capsys):
     assert output("difficulty", "--mechanism", "session-reset", "--targets", "0.1") != output(
         "difficulty", "--mechanism", "session-reset", "--targets", "0.1", "--rho", "0.5"
     )
+
+
+def test_synth_rejects_options_the_mechanism_does_not_read(tmp_path, capsys):
+    cases = {
+        "repeat-last": ("--rho", "--m", "--c", "--m-c", "--s", "--eps"),
+        "session-reset": ("--p", "--c", "--s"),
+        "context-switch": ("--rho", "--m", "--p"),
+    }
+    for mechanism, flags in cases.items():
+        for flag in flags:
+            out = tmp_path / "rejected"
+            code, _, stderr = run_cli(
+                capsys, "synth", "--mechanism", mechanism, "--n", "20", "--users", "4",
+                "--length", "30", "--target-hit1", "0.3", flag, "2", "--output", str(out),
+            )
+            assert code == 1, (mechanism, flag)
+            assert stderr == f"error: mechanism {mechanism} does not read {flag}\n"
+            assert not out.exists()
+
+
+def test_synth_reads_its_own_options_with_unchanged_defaults(tmp_path, capsys):
+    def output(mechanism, *extra):
+        out = tmp_path / f"{mechanism}{'_'.join(extra)}"
+        code, _, _ = run_cli(
+            capsys, "synth", "--mechanism", mechanism, "--n", "40", "--users", "4",
+            "--length", "30", "--target-hit1", "0.1", *extra, "--output", str(out),
+        )
+        assert code == 0, extra
+        return [(out / name).read_bytes() for name in ("log.json", "latent.json", "oracle.json")]
+
+    defaults = {
+        "session-reset": ("--m", "1", "--rho", "0.05"),
+        "repeat-last": (),
+        "context-switch": ("--c", "5", "--m-c", "5", "--s", "0.05"),
+    }
+    for mechanism, explicit in defaults.items():
+        assert output(mechanism) == output(mechanism, *explicit)
+    assert output("session-reset") != output("session-reset", "--rho", "0.5")
+    assert output("context-switch") != output("context-switch", "--c", "3")
+
+
+def test_cohort_reads_tail_mass_for_longtail_only(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = str(tmp_path / "scores.csv")
+    run_cli(capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+            "--output", scores)
+
+    def cohort(dimension, *extra):
+        out = tmp_path / f"{dimension}{'_'.join(extra)}.json"
+        code, _, stderr = run_cli(
+            capsys, "cohort", "--log", log_path, "--scores", scores, "--dimension", dimension,
+            *extra, "--output", str(out),
+        )
+        return code, stderr, out
+
+    for dimension in ("novelty", "activity"):
+        code, stderr, out = cohort(dimension, "--tail-mass", "0.5")
+        assert code == 1 and stderr == f"error: dimension {dimension} does not read --tail-mass\n"
+        assert not out.exists()
+    code, _, out = cohort("longtail", "--tail-mass", "0.8")
+    assert code == 0 and out.read_bytes() == cohort("longtail")[2].read_bytes()

@@ -286,11 +286,16 @@ def test_sweep_csv_round_trip(tmp_path):
 
 
 def test_sweep_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        run_difficulty_sweep(
-            "repeat_last", targets=(0.5,), methods=("epl", "magic"), reps=1,
-            n=30, users=5, length=30,
-        )
+    for methods, reps, match in (
+        (("epl", "magic"), 1, "unknown method"),
+        (("epl", "perm", "epl"), 1, "listed twice"),
+        (("epl",), 0, "reps must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_difficulty_sweep(
+                "repeat_last", targets=(0.5,), methods=methods, reps=reps,
+                n=30, users=5, length=30,
+            )
 
 
 # score_log against the public per-user functions

@@ -14,7 +14,6 @@ from predlim.predictability import (
     fano_nr,
     perm_predictabilities,
     perm_predictability,
-    perm_scales,
 )
 from predlim.sequence_core import log_from_sequences
 
@@ -186,9 +185,6 @@ def test_perm_rejects_unsupported_options_whatever_the_length():
         for d_set, tau in (((3, 7), 1), ((), 1), ((3,), 0)):
             with pytest.raises(ValueError, match="must be"):
                 perm_predictability(items, d_set=d_set, tau=tau)
-            with pytest.raises(ValueError, match="must be"):
-                perm_scales(items, d_set=d_set, tau=tau)
-    assert [e.params["d"] for e in perm_scales(np.arange(7))] == [3]
 
 
 def test_perm_predictability_takes_the_first_d_on_ties():
