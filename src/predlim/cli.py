@@ -81,9 +81,11 @@ def cmd_estimate(args) -> int:
                 for seq, row in zip(log.sequences, table) for d, v in zip(opts["d"], row.tolist())
                 if v == v]  # NaN at a d the user is too short for
     else:
+        ests = evaluation.estimate_entropies(
+            [seq.items for seq in log.sequences], args.estimator, opts.get("m")
+        )
         rows = []
-        for seq in log.sequences:
-            est = evaluation.estimate_user(seq.items, args.estimator, opts.get("m"))
+        for seq, est in zip(log.sequences, ests):
             est = est.to(opts["unit"])
             flags = ";".join(est.flags)
             rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])

@@ -22,6 +22,7 @@ __all__ = [
     "plugin_entropy",
     "sampen",
     "lz_entropy",
+    "lz_entropies",
     "perm_entropy",
     "perm_entropies",
 ]
@@ -31,6 +32,10 @@ UNITS = ("nats", "bits")
 # Embedding vectors counted per np.unique call. A chunk's temporaries take about
 # 150 bytes a vector, so a CLI step's peak stays that of loading its log.
 PERM_CHUNK_WINDOWS = 1 << 13
+# Symbols (events plus one separator per array) per lz suffix sort. On a
+# 20k-user log of 50-event users (2 CPUs), 2^13 and 2^14 took 0.54 s, 2^11
+# 0.72 s and 2^17 0.78 s; the call's traced peak was 7 MB up to 2^14, 39 MB at 2^17.
+LZ_CHUNK_SYMBOLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -169,81 +174,82 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     return EntropyEstimate(math.log(b / a), "nats", "sampen", params)
 
 
-def _suffix_array(x: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling over lexsort."""
-    n = len(x)
-    rank = np.unique(x, return_inverse=True)[1].astype(np.int64)
-    k = 1
-    while True:
-        if int(rank.max()) == n - 1:
-            sa = np.empty(n, dtype=np.int64)
-            sa[rank] = np.arange(n)
-            return sa
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        boundary = np.empty(n, dtype=np.int64)
-        boundary[0] = 0
-        boundary[1:] = (rank[order[1:]] != rank[order[:-1]]) | (
-            key2[order[1:]] != key2[order[:-1]]
-        )
-        rank[order] = np.cumsum(boundary)
-        k *= 2
+def _chunks(sizes: np.ndarray, budget: int):
+    """(lo, hi) of each run of consecutive sizes within budget; a larger size runs alone."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        limit = ends[lo] - sizes[lo] + budget
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield lo, hi
+        lo = hi
 
 
-def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """Kasai: lcp[i] = common prefix length of suffixes sa[i-1] and sa[i]."""
-    n = len(x)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    lcp = np.zeros(n, dtype=np.int64)
-    h = 0
-    for j in range(n):
-        r = rank[j]
-        if r == 0:
-            h = 0
-            continue
-        p = sa[r - 1]
-        while j + h < n and p + h < n and x[j + h] == x[p + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+def _suffix_ranks(s: np.ndarray) -> list[np.ndarray]:
+    """Prefix doubling: ranks[k][i] ranks s[i:i + 2^k] among s's length-2^k substrings.
 
-
-def _longest_previous_match(x: np.ndarray) -> np.ndarray:
-    """For each position j, the longest prefix of x[j:] occurring at some p < j.
-
-    Occurrences may overlap position j. Stack pass over the suffix array
-    (Crochemore-Ilie); lpf[0] = 0 by definition.
+    s holds dense ranks 0..max and ends in a symbol found nowhere else. Each
+    round ranks the pairs (ranks[k][i], ranks[k][i + 2^k]) with one np.unique
+    over a packed key, a pair running off the end ranking below any other; it
+    stops when the ranks are all distinct, so ranks[-1] is the inverse suffix
+    array and no two suffixes share a prefix of 2^(len(ranks) - 1) symbols.
     """
-    n = len(x)
-    sa = _suffix_array(x)
-    lcp = _lcp_array(x, sa)
-    sa_ext = np.empty(n + 1, dtype=np.int64)
-    sa_ext[:n] = sa
-    sa_ext[n] = -1  # sentinel below every position
-    lcp_ext = np.empty(n + 1, dtype=np.int64)
-    lcp_ext[:n] = lcp
-    lcp_ext[n] = 0
+    n = len(s)
+    ranks = [s]
+    while int(ranks[-1].max()) < n - 1:
+        rank, k = ranks[-1], 1 << (len(ranks) - 1)
+        key = rank * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        ranks.append(np.unique(key, return_inverse=True)[1])
+    return ranks
+
+
+def _common_prefix(ranks: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Common prefix length of the suffixes at i and at j, pair by pair (i != j).
+
+    Binary lifting over the doubling ranks (Manber & Myers 1993): from the
+    longest block down, extend by 2^k where the next 2^k symbols agree.
+    """
+    length = np.zeros(len(i), dtype=np.int64)
+    for k in range(len(ranks) - 2, -1, -1):
+        rank = ranks[k]
+        length += (rank[i + length] == rank[j + length]).astype(np.int64) << k
+    return length
+
+
+def _longest_previous_match(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """For each position j, the longest prefix of s[j:] starting at a p < j of j's owner.
+
+    owner is non-decreasing, and each owner's run ends in a symbol found
+    nowhere else in s, so no match runs past it. Suffixes are sorted by
+    (owner, rank); in that order the best earlier start is one of the two
+    nearest entries above and below j that start before it (Crochemore & Ilie
+    2008). A sparse table of range minima over the starts and a binary descent
+    find both for every j at once; one owned by another user is rejected.
+    """
+    n = len(s)
+    ranks = _suffix_ranks(s)
+    pos = np.argsort(owner * n + ranks[-1])
+    mins = [pos]  # mins[k][r] = min(pos[r:r + 2^k])
+    while 1 << len(mins) <= n:
+        h = 1 << (len(mins) - 1)
+        mins.append(np.minimum(mins[-1][:-h], mins[-1][h:]))
+    above = np.arange(n)  # pos[above:r] all start after pos[r]
+    below = np.arange(n)  # pos[r + 1:below + 1] all start after pos[r]
+    for k in range(len(mins) - 1, -1, -1):
+        h = 1 << k
+        start = above - h
+        skip = (start >= 0) & (mins[k][np.maximum(start, 0)] > pos)
+        above = np.where(skip, start, above)
+        fits = below + 1 + h <= n
+        skip = fits & (mins[k][np.where(fits, below + 1, 0)] > pos)
+        below = np.where(skip, below + h, below)
     lpf = np.zeros(n, dtype=np.int64)
-    stack: list[int] = []
-    for i in range(n + 1):
-        cur = lcp_ext[i]
-        while stack and (
-            sa_ext[i] < sa_ext[stack[-1]]
-            or (sa_ext[i] > sa_ext[stack[-1]] and cur <= lcp_ext[stack[-1]])
-        ):
-            top = stack.pop()
-            if sa_ext[i] < sa_ext[top]:
-                lpf[sa_ext[top]] = max(lcp_ext[top], cur)
-                cur = min(lcp_ext[top], cur)
-            else:
-                lpf[sa_ext[top]] = lcp_ext[top]
-        if i < n:
-            stack.append(i)
-            lcp_ext[i] = cur
+    for nearest in (above - 1, below + 1):
+        r = np.flatnonzero((nearest >= 0) & (nearest < n))
+        r = r[owner[pos[nearest[r]]] == owner[pos[r]]]
+        j = pos[r]
+        lpf[j] = np.maximum(lpf[j], _common_prefix(ranks, j, pos[nearest[r]]))
     return lpf
 
 
@@ -256,13 +262,36 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     longest previous match, so Lambda = lpf + 1 with Lambda_1 = 1. The estimate
     is T log2(T) / sum_i Lambda_i.
     """
-    x = np.ascontiguousarray(items, dtype=np.int64)
-    t = len(x)
-    if t < 2:
+    return lz_entropies([items])[0]
+
+
+def lz_entropies(arrays: list[np.ndarray]) -> list[EntropyEstimate]:
+    """lz_entropy of each item array, in order; an array of fewer than 2 events raises.
+
+    Arrays are batched whole into chunks of at most LZ_CHUNK_SYMBOLS (2^13)
+    symbols, a budget chosen by time and peak memory on a log of many short
+    users (see its comment); a longer array is a chunk of its own. A chunk
+    joins its arrays, items relabelled densely, each followed by a separator
+    of its own above every item, so one suffix sort serves every array in it
+    and no match crosses an array's end. Lambda sums are integers, so each
+    value is what the array alone gives, to the bit.
+    """
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    if np.any(lengths < 2):
         raise ValueError("need at least 2 events")
-    lam = _longest_previous_match(x) + 1
-    value = t * math.log2(t) / float(lam.sum())
-    return EntropyEstimate(value, "bits", "lz", {"lambda_sum": int(lam.sum())})
+    sums = np.zeros(len(arrays), dtype=np.int64)
+    for lo, hi in _chunks(lengths + 1, LZ_CHUNK_SYMBOLS):  # one separator after each array
+        t = lengths[lo:hi]
+        x = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays[lo:hi]])
+        vocab, codes = np.unique(x, return_inverse=True)
+        s = np.insert(codes, np.cumsum(t), len(vocab) + np.arange(len(t)))
+        lpf = _longest_previous_match(s, np.repeat(np.arange(len(t)), t + 1))
+        starts = np.cumsum(t + 1) - (t + 1)
+        sums[lo:hi] = np.add.reduceat(lpf, starts) + t  # a separator's lpf is 0
+    return [
+        EntropyEstimate(t * math.log2(t) / float(lam), "bits", "lz", {"lambda_sum": lam})
+        for t, lam in zip(lengths.tolist(), sums.tolist())
+    ]
 
 
 def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
@@ -302,13 +331,9 @@ def perm_entropies(arrays: list[np.ndarray], d_set, tau: int = 1) -> np.ndarray:
         span = (d - 1) * tau + 1
         n_vec = lengths - (span - 1)
         feasible = np.flatnonzero((n_vec >= 5) & (n_vec >= tau + 1))  # the latter: T >= d*tau + 1
-        ends = np.cumsum(n_vec[feasible])
         norm = math.log(math.factorial(d))
-        lo = 0
-        while lo < len(feasible):
-            limit = ends[lo] - n_vec[feasible[lo]] + PERM_CHUNK_WINDOWS
-            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-            chunk, lo = feasible[lo:hi], hi
+        for lo, hi in _chunks(n_vec[feasible], PERM_CHUNK_WINDOWS):
+            chunk = feasible[lo:hi]
             x = np.concatenate([np.asarray(arrays[u], dtype=np.int64) for u in chunk])
             owner = np.repeat(np.arange(len(chunk)), n_vec[chunk])
             rows = np.arange(len(owner)) + (span - 1) * owner  # skip windows across two arrays

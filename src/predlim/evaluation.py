@@ -1,7 +1,8 @@
 """Scoring dispatch, dataset-level aggregation, consistency statistics, and sweeps.
 
-The CLI and both sweeps pick an estimator through estimate_user and score a
-whole log by one method through score_log, as predictability.METHODS says.
+The CLI and both sweeps estimate a whole log's entropies through
+estimate_entropies and score it by one method through score_log, as
+predictability.METHODS says.
 Per-user predictability scores roll up to one number per dataset via a
 weighted mean (weight = prediction events a user defines, T_u - 1, or
 uniform). Rank agreement with reference accuracies uses Spearman correlation
@@ -20,7 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .entropy import EntropyEstimate, lz_entropy, sampen
+from .entropy import EntropyEstimate, lz_entropies, sampen
+from .entropy import lz_entropy  # noqa: F401  (the benchmark's tracer wraps it)
 from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_invert
 from .predictability import perm_predictabilities
 from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
@@ -37,7 +39,7 @@ __all__ = [
     "rmse",
     "load_reference",
     "consistency_report",
-    "estimate_user",
+    "estimate_entropies",
     "score_log",
     "run_difficulty_sweep",
     "run_n_sweep",
@@ -221,12 +223,13 @@ class SweepTable:
         return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
 
 
-def estimate_user(items: np.ndarray, estimator: str, m: int | None = None) -> EntropyEstimate:
-    """One user's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
+def estimate_entropies(arrays, estimator: str, m: int | None = None) -> list[EntropyEstimate]:
+    """Each item array's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
     if estimator == "sampen":
-        return sampen(items, m=ESTIMATORS["sampen"]["m"] if m is None else m)
+        m = ESTIMATORS["sampen"]["m"] if m is None else m
+        return [sampen(items, m=m) for items in arrays]
     if estimator == "lz":
-        return lz_entropy(items)
+        return lz_entropies(arrays)
     raise ValueError(f"unknown sequence estimator {estimator!r}")
 
 
@@ -283,7 +286,8 @@ def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[
     """
     estimates = None
     if any(METHODS[meth].reads_entropy for meth in methods):
-        estimates = {s.user_index: estimate_user(s.items, estimator, m) for s in log.sequences}
+        ests = estimate_entropies([s.items for s in log.sequences], estimator, m)
+        estimates = {s.user_index: est for s, est in zip(log.sequences, ests)}
     return {
         meth: float(np.mean([score.value for score in score_log(log, meth, estimates)]))
         for meth in methods

@@ -72,8 +72,12 @@ def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]
 
     arrays[u] holds u's indices into item_ids in time order; counts and stats come from them.
     """
-    flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
-    if len(flat) and (flat.min() < 0 or flat.max() >= len(item_ids)):
+    if not arrays:
+        raise ValueError("no sequences")
+    if any(len(a) == 0 for a in arrays):
+        raise ValueError("empty user sequence")
+    flat = np.concatenate(arrays)
+    if flat.min() < 0 or flat.max() >= len(item_ids):
         raise ValueError("item index out of vocabulary range")
     counts = np.bincount(flat, minlength=len(item_ids))
     del flat  # freed before the per-user objects are made, to keep the peak down
@@ -83,7 +87,7 @@ def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]
         "num_users": len(sequences),
         "num_items": len(item_ids),
         "num_interactions": n_inter,
-        "avg_length": n_inter / len(sequences) if sequences else 0.0,
+        "avg_length": n_inter / len(sequences),
     }
     return InteractionLog(ItemVocabulary(item_ids, counts), sequences, stats)
 
@@ -159,13 +163,9 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
     generator's full item space, or the swept candidate size for Fano).
     Intended for synthetic corpora and tests.
     """
-    if not item_arrays:
-        raise ValueError("no sequences")
     arrays = [np.asarray(a, dtype=np.int64) for a in item_arrays]
-    if any(len(a) == 0 for a in arrays):
-        raise ValueError("empty user sequence")
-    if n_items is None:
-        n_items = max(int(a.max()) for a in arrays) + 1
+    if n_items is None:  # _make_log rejects no arrays and an empty one
+        n_items = max((int(a.max()) for a in arrays if len(a)), default=-1) + 1
     user_ids = [f"u{u}" for u in range(len(arrays))]
     return _make_log(arrays, [str(k) for k in range(n_items)], user_ids)
 
@@ -196,6 +196,9 @@ def log_from_json(path: str) -> InteractionLog:
         isinstance(entry, dict) and isinstance(entry.get("items"), list) for entry in users
     ):
         raise ValueError("items and users must be lists, each user an object with a list of items")
+    if not all(isinstance(v, str) for v in item_ids):
+        bad = next(v for v in item_ids if not isinstance(v, str))
+        raise ValueError(f"item id {bad!r} is not a string")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
     # exact types, since numpy would truncate a float and cast a bool (an int subclass)
@@ -206,8 +209,6 @@ def log_from_json(path: str) -> InteractionLog:
         arrays = [np.array(entry["items"], dtype=np.int64) for entry in users]
     except OverflowError:  # beyond int64, so beyond any vocabulary
         raise ValueError("item index out of vocabulary range") from None
-    if any(len(a) == 0 for a in arrays):
-        raise ValueError("empty user sequence")
     log = _make_log(arrays, item_ids, [entry["user_id"] for entry in users])
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")

@@ -456,18 +456,26 @@ def test_duplicate_user_rows_are_rejected(tmp_path, capsys):
 
 def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
     # each of the first three logs agrees with itself once numpy casts its indices to int64
+    def user(items):
+        return {"users": [{"user_id": "u", "items": items}]}
+
     cases = [
-        ("fraction", [0.7, 1.2], "item index 0.7 is not an integer"),
-        ("bool", [True, False], "item index True is not an integer"),
-        ("string", ["0", "1"], "item index '0' is not an integer"),
-        ("scalar", 5, "items and users must be lists, each user an object with a list of items"),
+        ("fraction", user([0.7, 1.2]), "item index 0.7 is not an integer"),
+        ("bool", user([True, False]), "item index True is not an integer"),
+        ("string", user(["0", "1"]), "item index '0' is not an integer"),
+        ("scalar", user(5), "items and users must be lists, each user an object with a list of items"),
+        ("list-id", {"items": [[1], "b"]}, "item id [1] is not a string"),
+        ("number-id", {"items": ["a", 7]}, "item id 7 is not a string"),
+        ("no-users", {"users": [], "counts": [0, 0], "stats": {
+            "num_users": 0, "num_items": 2, "num_interactions": 0, "avg_length": 0.0}},
+         "no sequences"),  # agrees with itself
     ]
-    for name, items, message in cases:
+    for name, change, message in cases:
         log_path = tmp_path / f"{name}.json"
         log_path.write_text(json.dumps({
-            "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1],
-            "users": [{"user_id": "u", "items": items}],
+            "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1], **user([0, 1]),
             "stats": {"num_users": 1, "num_items": 2, "num_interactions": 2, "avg_length": 2.0},
+            **change,
         }))
         out = tmp_path / f"{name}.csv"
         code, _, stderr = run_cli(

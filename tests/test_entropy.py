@@ -10,6 +10,7 @@ from predlim import entropy
 from predlim.entropy import (
     Distribution,
     EntropyEstimate,
+    lz_entropies,
     lz_entropy,
     perm_entropies,
     perm_entropy,
@@ -248,6 +249,46 @@ def test_lz_alphabet_relabeling_invariant():
     x = rng.integers(0, 8, size=300)
     relabel = rng.permutation(8)
     assert lz_entropy(x).value == lz_entropy(relabel[x]).value
+
+
+SYMBOLS = st.sampled_from([0, 1, 2, -5, 2**62])  # lz_entropy accepts any int64
+RUNS = st.lists(st.tuples(SYMBOLS, st.integers(2, 10)), min_size=1, max_size=5).map(
+    lambda runs: [v for v, n in runs for _ in range(n)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(SYMBOLS, min_size=2, max_size=2),
+            st.lists(SYMBOLS, min_size=2, max_size=30),
+            RUNS,
+        ),
+        max_size=12,
+    ),
+    st.one_of(st.lists(st.integers(min_value=0, max_value=2), min_size=40, max_size=90), RUNS),
+    st.integers(min_value=0, max_value=12),
+)
+def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
+    # a 24-symbol budget puts chunk boundaries all through the corpus, and a
+    # 40-event sequence in a chunk of its own
+    corpus = corpus[:at] + [long] + corpus[at:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "LZ_CHUNK_SYMBOLS", 24)
+        ests = lz_entropies([np.array(x, dtype=np.int64) for x in corpus])
+    assert len(ests) == len(corpus)
+    for x, est in zip(corpus, ests):
+        assert est.params == {"lambda_sum": sum(brute_match_lengths(x))}
+        assert est.value == brute_lz(x)
+        assert est.value == lz_entropy(np.array(x)).value
+        assert (est.unit, est.estimator) == ("bits", "lz")
+
+
+def test_lz_entropies_reject_a_single_event_anywhere():
+    assert lz_entropies([]) == []
+    with pytest.raises(ValueError, match="at least 2 events"):
+        lz_entropies([np.array([0, 1, 0]), np.array([4])])
 
 
 # permutation entropy

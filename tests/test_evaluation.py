@@ -11,7 +11,7 @@ from predlim.evaluation import (
     DatasetScore,
     aggregate_dataset,
     consistency_report,
-    estimate_user,
+    estimate_entropies,
     load_reference,
     rmse,
     run_difficulty_sweep,
@@ -324,7 +324,7 @@ def test_score_log_matches_per_user_functions(users, estimator):
     seqs = log.sequences
     # users shorter than m + 2 = 4 have no sampen estimate; lz covers them
     estimates = {
-        s.user_index: estimate_user(s.items, estimator if s.length >= 4 else "lz", 2)
+        s.user_index: estimate_entropies([s.items], estimator if s.length >= 4 else "lz", 2)[0]
         for s in seqs
     }
     ests = [estimates[s.user_index] for s in seqs]
@@ -350,7 +350,7 @@ def test_score_log_matches_per_user_functions(users, estimator):
 
 def test_score_log_rejects_what_the_method_does_not_read():
     log = log_from_sequences([np.array([0, 1, 2, 0, 1, 2, 0, 1])])
-    est = {0: estimate_user(log.sequences[0].items, "lz", 2)}
+    est = {0: estimate_entropies([log.sequences[0].items], "lz", 2)[0]}
     with pytest.raises(ValueError, match="n_scope"):
         score_log(log, "fano_nr", est, n_scope="global")
     with pytest.raises(ValueError, match="n_scope"):
