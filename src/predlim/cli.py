@@ -228,9 +228,10 @@ def cmd_report(args) -> int:
                     reference_accuracy=ref["hit20"] if ref else None,
                 )
             )
+    reports = {method: evaluation.consistency_report(scores)
+               for method, scores in sorted(by_method.items())}  # each checked before any output
     payload = {}
-    for method, scores in sorted(by_method.items()):
-        report = evaluation.consistency_report(scores)
+    for method, report in reports.items():
         payload[method] = {k: v for k, v in dataclasses.asdict(report).items() if k != "method"}
         print(f"{method}: rho {report.spearman_rho:.4f}, rmse {report.rmse:.4f}")
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -21,6 +21,7 @@ __all__ = [
     "Distribution",
     "plugin_entropy",
     "sampen",
+    "sampen_entropies",
     "lz_entropy",
     "lz_entropies",
     "perm_entropy",
@@ -29,13 +30,11 @@ __all__ = [
 
 LN2 = math.log(2.0)
 UNITS = ("nats", "bits")
-# Embedding vectors counted per np.unique call. A chunk's temporaries take about
-# 150 bytes a vector, so a CLI step's peak stays that of loading its log.
-PERM_CHUNK_WINDOWS = 1 << 13
-# Symbols (events plus one separator per array) per lz suffix sort. On a
-# 20k-user log of 50-event users (2 CPUs), 2^13 and 2^14 took 0.54 s, 2^11
-# 0.72 s and 2^17 0.78 s; the call's traced peak was 7 MB up to 2^14, 39 MB at 2^17.
-LZ_CHUNK_SYMBOLS = 1 << 13
+# Symbols (events, plus lz's one separator per array) in a chunk of whole arrays
+# that one pass counts; a longer array is a chunk of its own. On a 20k-user log
+# of 50-event users (2 CPUs), lz took 0.54 s at 2^13 and 2^14, 0.72 s at 2^11 and
+# 0.78 s at 2^17; its traced peak was 7 MB up to 2^14, 39 MB at 2^17.
+CHUNK_SYMBOLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -123,26 +122,6 @@ def plugin_entropy(d: Distribution, unit: str = "nats") -> EntropyEstimate:
     return est.to(unit)
 
 
-def _window_match_pairs(windows: np.ndarray, n_symbols: int) -> int:
-    """Number of index pairs i < j whose rows are identical.
-
-    Rows are packed into single integers when the window fits in 63 bits,
-    otherwise counted via row-wise unique.
-    """
-    k, w = windows.shape
-    if k < 2:
-        return 0
-    bits = max(int(n_symbols - 1).bit_length(), 1)
-    if w * bits <= 63:
-        weights = (1 << (bits * np.arange(w - 1, -1, -1))).astype(np.int64)
-        packed = windows @ weights
-        _, counts = np.unique(packed, return_counts=True)
-    else:
-        _, counts = np.unique(windows, axis=0, return_counts=True)
-    counts = counts.astype(np.int64)
-    return int((counts * (counts - 1) // 2).sum())
-
-
 def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     """Sample entropy with exact template matching, in nats.
 
@@ -153,25 +132,46 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     the discrete metric). Degenerate inputs return the cap ln(pair count):
     flags carry "saturated", plus "no_regularity" when even B is zero.
     """
+    return sampen_entropies([items], m)[0]
+
+
+def sampen_entropies(arrays: list[np.ndarray], m: int = 2) -> list[EntropyEstimate]:
+    """sampen of each item array, in order; m below 1 or an array shorter than m + 2 raises.
+
+    Arrays are batched whole into chunks of at most CHUNK_SYMBOLS events. In a
+    chunk of n events, items relabelled densely, each (array, window) is named
+    by extension: names at width w rank name[w-1] * n + code densely, from the
+    array index at width 0, so keys stay below n^2 for any m and any item ids.
+    An array's pairs at widths m and m+1 come from its first T-m starts' name
+    counts. A and B are integers, so each value is the array's alone, to the bit.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = np.ascontiguousarray(items, dtype=np.int64)
-    t = len(x)
-    if t < m + 2:
-        raise ValueError(f"sequence length {t} is below m + 2 = {m + 2}")
-    n_symbols = int(x.max()) + 1
-    starts = t - m
-    wins_m = np.lib.stride_tricks.sliding_window_view(x, m)[:starts]
-    wins_m1 = np.lib.stride_tricks.sliding_window_view(x, m + 1)
-    b = _window_match_pairs(wins_m, n_symbols)
-    a = _window_match_pairs(wins_m1, n_symbols)
-    params = {"m": m, "A": a, "B": b}
-    cap = math.log(starts * (starts - 1) // 2)
-    if b == 0:
-        return EntropyEstimate(cap, "nats", "sampen", params, ("saturated", "no_regularity"))
-    if a == 0:
-        return EntropyEstimate(cap, "nats", "sampen", params, ("saturated",))
-    return EntropyEstimate(math.log(b / a), "nats", "sampen", params)
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    short = lengths[lengths < m + 2]
+    if len(short):
+        raise ValueError(f"sequence length {short[0]} is below m + 2 = {m + 2}")
+    pairs = np.zeros((2, len(arrays)), dtype=np.int64)  # B, then A
+    for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
+        t = lengths[lo:hi]
+        x = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays[lo:hi]])
+        code = np.unique(x, return_inverse=True)[1]
+        n = len(code)
+        starts = np.flatnonzero(np.arange(n) < np.repeat(np.cumsum(t) - m, t))  # first T-m each
+        bounds = np.cumsum(t - m) - (t - m)
+        name = np.repeat(np.arange(len(t)), t)  # width 0: the array
+        for w in range(1, m + 2):
+            name = np.unique(name[: n - w + 1] * n + code[w - 1 :], return_inverse=True)[1]
+            if w >= m:
+                named = name[starts]
+                same = np.bincount(named)[named] - 1  # other starts sharing each one's name
+                pairs[w - m, lo:hi] = np.add.reduceat(same, bounds) // 2
+    out = []
+    for t, b, a in zip(lengths.tolist(), *pairs.tolist()):
+        flags = () if a else ("saturated",) if b else ("saturated", "no_regularity")
+        value = math.log(b / a) if a else math.log((t - m) * (t - m - 1) // 2)
+        out.append(EntropyEstimate(value, "nats", "sampen", {"m": m, "A": a, "B": b}, flags))
+    return out
 
 
 def _chunks(sizes: np.ndarray, budget: int):
@@ -268,9 +268,8 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
 def lz_entropies(arrays: list[np.ndarray]) -> list[EntropyEstimate]:
     """lz_entropy of each item array, in order; an array of fewer than 2 events raises.
 
-    Arrays are batched whole into chunks of at most LZ_CHUNK_SYMBOLS (2^13)
-    symbols, a budget chosen by time and peak memory on a log of many short
-    users (see its comment); a longer array is a chunk of its own. A chunk
+    Arrays are batched whole into chunks of at most CHUNK_SYMBOLS symbols,
+    events and separators; a longer array is a chunk of its own. A chunk
     joins its arrays, items relabelled densely, each followed by a separator
     of its own above every item, so one suffix sort serves every array in it
     and no match crosses an array's end. Lambda sums are integers, so each
@@ -280,7 +279,7 @@ def lz_entropies(arrays: list[np.ndarray]) -> list[EntropyEstimate]:
     if np.any(lengths < 2):
         raise ValueError("need at least 2 events")
     sums = np.zeros(len(arrays), dtype=np.int64)
-    for lo, hi in _chunks(lengths + 1, LZ_CHUNK_SYMBOLS):  # one separator after each array
+    for lo, hi in _chunks(lengths + 1, CHUNK_SYMBOLS):  # one separator after each array
         t = lengths[lo:hi]
         x = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays[lo:hi]])
         vocab, codes = np.unique(x, return_inverse=True)
@@ -316,10 +315,10 @@ def perm_entropies(arrays: list[np.ndarray], d_set, tau: int = 1) -> np.ndarray:
     NaN marks a d the array is too short for; an empty d_set, a d outside
     {3, 4, 5} or a tau below 1 raises. A stable argsort row p is coded as the
     integer sum_k p[k] d^(d-1-k), which sorts as the rows do. Arrays are
-    batched whole into chunks of at most PERM_CHUNK_WINDOWS embedding vectors
-    (a longer array is a chunk of its own); one np.unique over packed (array,
-    code) keys counts a chunk, and each array sums its own slice of the
-    frequency terms in code order, as counting it alone would.
+    batched whole into chunks of at most CHUNK_SYMBOLS events (a longer array
+    is a chunk of its own); one np.unique over packed (array, code) keys
+    counts a chunk, and each array sums its own slice of the frequency terms
+    in code order, as counting it alone would.
     """
     if not d_set or any(d not in (3, 4, 5) for d in d_set):
         raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
@@ -332,7 +331,7 @@ def perm_entropies(arrays: list[np.ndarray], d_set, tau: int = 1) -> np.ndarray:
         n_vec = lengths - (span - 1)
         feasible = np.flatnonzero((n_vec >= 5) & (n_vec >= tau + 1))  # the latter: T >= d*tau + 1
         norm = math.log(math.factorial(d))
-        for lo, hi in _chunks(n_vec[feasible], PERM_CHUNK_WINDOWS):
+        for lo, hi in _chunks(lengths[feasible], CHUNK_SYMBOLS):
             chunk = feasible[lo:hi]
             x = np.concatenate([np.asarray(arrays[u], dtype=np.int64) for u in chunk])
             owner = np.repeat(np.arange(len(chunk)), n_vec[chunk])

@@ -21,8 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .entropy import EntropyEstimate, lz_entropies, sampen
-from .entropy import lz_entropy  # noqa: F401  (the benchmark's tracer wraps it)
+from .entropy import EntropyEstimate, lz_entropies, sampen_entropies
+from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer wraps them)
 from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_invert
 from .predictability import perm_predictabilities
 from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
@@ -157,13 +157,25 @@ def consistency_report(dataset_scores: list[DatasetScore]) -> ConsistencyReport:
     """Rank and value agreement between predictability and reference accuracy.
 
     Scores lacking a reference accuracy are excluded and listed in warnings.
-    Pairs carry both raw values and their average-tie ranks.
+    Pairs carry both raw values and their average-tie ranks. A predictability
+    outside (0, 1], a reference accuracy that is not finite or a dataset
+    listed twice raises.
     """
     if not dataset_scores:
         raise ValueError("no dataset scores")
     methods = {s.method for s in dataset_scores}
     if len(methods) != 1:
         raise ValueError(f"mixed methods in one report: {sorted(methods)}")
+    seen: set[str] = set()
+    for s in dataset_scores:
+        where, ref = f"{s.dataset_id} under {s.method}", s.reference_accuracy
+        if not 0.0 < s.predictability <= 1.0:
+            raise ValueError(f"{where}: predictability {s.predictability} is not in (0, 1]")
+        if ref is not None and not math.isfinite(ref):
+            raise ValueError(f"{where}: reference accuracy {ref} is not finite")
+        if s.dataset_id in seen:
+            raise ValueError(f"{where}: listed twice")
+        seen.add(s.dataset_id)
     kept = [s for s in dataset_scores if s.reference_accuracy is not None]
     warnings = [
         f"{s.dataset_id}: no reference accuracy, excluded"
@@ -226,8 +238,7 @@ class SweepTable:
 def estimate_entropies(arrays, estimator: str, m: int | None = None) -> list[EntropyEstimate]:
     """Each item array's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
     if estimator == "sampen":
-        m = ESTIMATORS["sampen"]["m"] if m is None else m
-        return [sampen(items, m=m) for items in arrays]
+        return sampen_entropies(arrays, ESTIMATORS["sampen"]["m"] if m is None else m)
     if estimator == "lz":
         return lz_entropies(arrays)
     raise ValueError(f"unknown sequence estimator {estimator!r}")
@@ -246,7 +257,8 @@ def score_log(
     estimates maps user_index to an entropy estimate and is read by the
     methods that read entropy. n_scope defaults to the method's first scope;
     d_set and tau default to perm_predictability's. A scope or option the
-    method does not read raises, as does a user without an estimate.
+    method does not read raises, as does a user without an estimate or an
+    estimate for no user of the log.
     """
     spec = METHODS.get(method)
     if spec is None:
@@ -265,6 +277,9 @@ def score_log(
     missing = [s.user_index for s in sequences if s.user_index not in estimates]
     if missing:
         raise ValueError(f"no entropy estimate for user {missing[0]}")
+    extra = estimates.keys() - {s.user_index for s in sequences}
+    if extra:
+        raise ValueError(f"entropy estimate for user {min(extra)}, who is not in the log")
     ests = [estimates[s.user_index] for s in sequences]
     if method == "epl":
         return [epl(e) for e in ests]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -76,6 +77,9 @@ def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]
         raise ValueError("no sequences")
     if any(len(a) == 0 for a in arrays):
         raise ValueError("empty user sequence")
+    if len(set(user_ids)) < len(user_ids):
+        twice = next(uid for uid, n in Counter(user_ids).items() if n > 1)
+        raise ValueError(f"user id {twice!r} is given twice")
     flat = np.concatenate(arrays)
     if flat.min() < 0 or flat.max() >= len(item_ids):
         raise ValueError("item index out of vocabulary range")
@@ -196,9 +200,11 @@ def log_from_json(path: str) -> InteractionLog:
         isinstance(entry, dict) and isinstance(entry.get("items"), list) for entry in users
     ):
         raise ValueError("items and users must be lists, each user an object with a list of items")
-    if not all(isinstance(v, str) for v in item_ids):
-        bad = next(v for v in item_ids if not isinstance(v, str))
-        raise ValueError(f"item id {bad!r} is not a string")
+    user_ids = [entry.get("user_id") for entry in users]
+    for what, ids in (("item id", item_ids), ("user id", user_ids)):
+        bad = [v for v in ids if not isinstance(v, str)]
+        if bad:
+            raise ValueError(f"{what} {bad[0]!r} is not a string")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
     # exact types, since numpy would truncate a float and cast a bool (an int subclass)
@@ -209,7 +215,7 @@ def log_from_json(path: str) -> InteractionLog:
         arrays = [np.array(entry["items"], dtype=np.int64) for entry in users]
     except OverflowError:  # beyond int64, so beyond any vocabulary
         raise ValueError("item index out of vocabulary range") from None
-    log = _make_log(arrays, item_ids, [entry["user_id"] for entry in users])
+    log = _make_log(arrays, item_ids, user_ids)
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")
     if log.vocabulary.counts.tolist() != payload["counts"]:

@@ -258,6 +258,34 @@ def test_report_against_shipped_reference(tmp_path, capsys):
     assert -1.0 <= payload["epl"]["spearman_rho"] <= 1.0
 
 
+def test_report_rejects_a_bad_row(tmp_path, capsys):
+    # the bad rows sit under fano, which is reported after epl's good ones
+    good = [("AOTM", "fano", "0.10"), ("Bridge", "fano", "0.71"), ("Algebra", "fano", "0.69")]
+    reference = tmp_path / "reference.csv"
+    reference.write_text("dataset_id,best_model,hit1,hit20\nAOTM,SASRec,0.0,0.1485\n"
+                         "Bridge,GRU4Rec,0.1,0.9\nAlgebra,GRU4Rec,0.1,nan\n")
+    cases = [
+        ([("AOTM", "fano", "nan")], (), "AOTM under fano: predictability nan is not in (0, 1]"),
+        ([("AOTM", "fano", "7")], (), "AOTM under fano: predictability 7.0 is not in (0, 1]"),
+        ([("AOTM", "fano", "0.2")], (), "AOTM under fano: listed twice"),
+        ([], ("--reference", str(reference)),
+         "Algebra under fano: reference accuracy nan is not finite"),
+    ]
+    for rows, extra, message in cases:
+        scores_path = tmp_path / "dataset_scores.csv"
+        with open(scores_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset_id", "method", "predictability"])
+            writer.writerows([("AOTM", "epl", "0.2"), ("Bridge", "epl", "0.5")])
+            writer.writerows(good + rows)
+        out = tmp_path / "report.json"
+        code, stdout, stderr = run_cli(
+            capsys, "report", "--scores", str(scores_path), *extra, "--output", str(out)
+        )
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "predlim.cli", "--help"],
@@ -278,6 +306,22 @@ def _session_corpus(tmp_path, capsys):
     est_path = str(tmp_path / "entropy.csv")
     run_cli(capsys, "estimate", "--log", log_path, "--output", est_path)
     return log_path, est_path
+
+
+def test_score_rejects_entropy_rows_for_users_the_log_lacks(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    lines = open(est_path).read().splitlines()
+    for user in ("7", "-3"):
+        lines.append(",".join([user, *lines[1].split(",")[1:]]))
+    entropy = tmp_path / "extra_entropy.csv"
+    entropy.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "scores.csv"
+    code, _, stderr = run_cli(
+        capsys, "score", "--log", log_path, "--entropy", str(entropy), "--method", "epl",
+        "--output", str(out),
+    )
+    assert (code, stderr) == (1, "error: entropy estimate for user -3, who is not in the log\n")
+    assert not out.exists()
 
 
 def test_score_n_scope_defaults_to_the_methods_own(tmp_path, capsys):
@@ -469,6 +513,15 @@ def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
         ("no-users", {"users": [], "counts": [0, 0], "stats": {
             "num_users": 0, "num_items": 2, "num_interactions": 0, "avg_length": 0.0}},
          "no sequences"),  # agrees with itself
+        ("list-user-id", {"users": [{"user_id": ["x"], "items": [0, 1]}]},
+         "user id ['x'] is not a string"),
+        ("number-user-id", {"users": [{"user_id": 5, "items": [0, 1]}]},
+         "user id 5 is not a string"),
+        ("no-user-id", {"users": [{"items": [0, 1]}]}, "user id None is not a string"),
+        ("user-twice", {"users": [{"user_id": "u", "items": [0, 1]}] * 2, "counts": [2, 2],
+                        "stats": {"num_users": 2, "num_items": 2, "num_interactions": 4,
+                                  "avg_length": 2.0}},
+         "user id 'u' is given twice"),  # agrees with itself
     ]
     for name, change, message in cases:
         log_path = tmp_path / f"{name}.json"

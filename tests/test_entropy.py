@@ -16,6 +16,7 @@ from predlim.entropy import (
     perm_entropy,
     plugin_entropy,
     sampen,
+    sampen_entropies,
 )
 
 # Independent reference implementations. These deliberately take the slow,
@@ -208,6 +209,60 @@ def test_sampen_wide_window_fallback_agrees():
     assert (est.params["A"], est.params["B"]) == (a, b)
 
 
+SYMBOLS = st.sampled_from([0, 1, 2, -5, 2**62])  # sampen and lz accept any int64
+RUNS = st.lists(st.tuples(SYMBOLS, st.integers(2, 10)), min_size=1, max_size=5).map(
+    lambda runs: [v for v, n in runs for _ in range(n)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.one_of(
+                    st.lists(SYMBOLS, min_size=m + 2, max_size=m + 2),
+                    st.lists(SYMBOLS, min_size=m + 2, max_size=30),
+                    RUNS.filter(lambda x: len(x) >= m + 2),
+                ),
+                max_size=12,
+            ),
+        )
+    ),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=40, max_size=90),
+    st.integers(min_value=0, max_value=12),
+)
+def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
+    # a 24-event budget puts chunk boundaries all through the corpus, and the
+    # long sequence in a chunk of its own
+    m, corpus = m_corpus
+    corpus = corpus[:at] + [long] + corpus[at:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
+        ests = sampen_entropies([np.array(x, dtype=np.int64) for x in corpus], m)
+    assert len(ests) == len(corpus)
+    for x, est in zip(corpus, ests):
+        a, b = brute_sampen_counts(x, m)
+        assert est.params == {"m": m, "A": a, "B": b}
+        starts = len(x) - m
+        if a == 0:
+            assert est.value == math.log(starts * (starts - 1) // 2)
+            assert est.flags == (("saturated",) if b else ("saturated", "no_regularity"))
+        else:
+            assert est.value == math.log(b / a)
+            assert est.flags == ()
+        assert (est.unit, est.estimator) == ("nats", "sampen")
+
+
+def test_sampen_entropies_reject_a_short_sequence_anywhere():
+    assert sampen_entropies([], 2) == []
+    with pytest.raises(ValueError, match="length 3 is below m \\+ 2 = 4"):
+        sampen_entropies([np.arange(6), np.arange(3)], 2)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        sampen_entropies([np.arange(6)], 0)
+
+
 # match-length estimator
 
 
@@ -251,12 +306,6 @@ def test_lz_alphabet_relabeling_invariant():
     assert lz_entropy(x).value == lz_entropy(relabel[x]).value
 
 
-SYMBOLS = st.sampled_from([0, 1, 2, -5, 2**62])  # lz_entropy accepts any int64
-RUNS = st.lists(st.tuples(SYMBOLS, st.integers(2, 10)), min_size=1, max_size=5).map(
-    lambda runs: [v for v, n in runs for _ in range(n)]
-)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(
@@ -275,7 +324,7 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
     # 40-event sequence in a chunk of its own
     corpus = corpus[:at] + [long] + corpus[at:]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entropy, "LZ_CHUNK_SYMBOLS", 24)
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
         ests = lz_entropies([np.array(x, dtype=np.int64) for x in corpus])
     assert len(ests) == len(corpus)
     for x, est in zip(corpus, ests):
@@ -353,11 +402,11 @@ def rowwise_perm_entropy(x, d, tau):
     st.integers(min_value=1, max_value=4),
 )
 def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_set, tau):
-    # a 16-vector budget puts chunk boundaries all through the corpus, and the
-    # long sequence (more vectors than the budget at any d and tau) in a chunk of its own
+    # a 16-event budget puts chunk boundaries all through the corpus, and the
+    # long sequence in a chunk of its own
     corpus = corpus[:at] + [long] + corpus[at:] + [[2, 1, 0, 1]]  # the last: too short at any d
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entropy, "PERM_CHUNK_WINDOWS", 16)
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 16)
         table = perm_entropies([np.array(x, dtype=np.int64) for x in corpus], d_set, tau)
     assert table.shape == (len(corpus), len(d_set))
     for x, row in zip(corpus, table.tolist()):

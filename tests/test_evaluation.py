@@ -228,6 +228,24 @@ def test_consistency_validation():
         consistency_report(scores_from([("a", 0.2, 0.1), ("b", 0.5, None)]))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("c", float("nan"), 0.3), "c under epl: predictability nan is not in"),
+        (("c", 7.0, 0.3), "c under epl: predictability 7.0 is not in"),
+        (("c", 0.0, 0.3), "c under epl: predictability 0.0 is not in"),
+        (("c", -0.2, None), "c under epl: predictability -0.2 is not in"),
+        (("c", 0.4, float("nan")), "c under epl: reference accuracy nan is not finite"),
+        (("c", 0.4, float("inf")), "c under epl: reference accuracy inf is not finite"),
+        (("a", 0.4, 0.3), "a under epl: listed twice"),
+    ],
+)
+def test_consistency_rejects_a_bad_row(bad, message):
+    good = [("a", 0.2, 0.1), ("b", 0.5, 0.6), ("d", 1.0, 0.9)]
+    with pytest.raises(ValueError, match=message):
+        consistency_report(scores_from(good[:2] + [bad] + good[2:]))
+
+
 # sweep harnesses (small-scale behavior; full-scale runs live in the acceptance suite)
 
 
@@ -361,5 +379,7 @@ def test_score_log_rejects_what_the_method_does_not_read():
         score_log(log, "epl")
     with pytest.raises(ValueError, match="no entropy estimate for user 0"):
         score_log(log, "epl", {})
+    with pytest.raises(ValueError, match="estimate for user -3, who is not in the log"):
+        score_log(log, "epl", {**est, 7: est[0], -3: est[0]})
     with pytest.raises(ValueError, match="unknown method"):
         score_log(log, "magic", est)
