@@ -163,7 +163,11 @@ def cmd_synth(args) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    return _read_per_user(path, lambda row: float(row["value"]), "score")
+    scores = _read_per_user(path, lambda row: float(row["value"]), "score")
+    bad = [u for u, v in scores.items() if not 0.0 < v <= 1.0]  # NaN too
+    if bad:
+        raise ValueError(f"{path}: score {scores[bad[0]]!r} of user {bad[0]} is not in (0, 1]")
+    return scores
 
 
 def cmd_cohort(args) -> int:

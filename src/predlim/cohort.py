@@ -83,20 +83,11 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> list[UserFe
     counts = log.vocabulary.counts.astype(float)
     pop = counts / counts.sum()
     tail = _tail_items(log.vocabulary.counts, tail_mass)
-    features = []
-    for seq in log.sequences:
-        items = seq.items
-        novelty = float(np.mean(-np.log(pop[items])))
-        exposure = float(np.mean(tail[items]))
-        features.append(
-            UserFeature(
-                user_index=seq.user_index,
-                novelty=novelty,
-                longtail_exposure=exposure,
-                activity=seq.length,
-            )
-        )
-    return features
+    return [
+        UserFeature(seq.user_index, novelty=float(np.mean(-np.log(pop[seq.items]))),
+                    longtail_exposure=float(np.mean(tail[seq.items])), activity=seq.length)
+        for seq in log.sequences
+    ]
 
 
 def _group_stats(label: str, members: list[tuple[int, float]]) -> CohortGroup:

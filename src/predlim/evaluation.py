@@ -284,12 +284,14 @@ def score_log(
     if method == "epl":
         return [epl(e) for e in ests]
     if method == "fano":
-        return [fano_invert(e, len(log.vocabulary)) for e in ests]
-    if (n_scope or spec.scopes[0]) == "pooled":
-        n_r = [transition_fanout(sequences)] * len(sequences)
+        ns = [len(log.vocabulary)] * len(sequences)
+    elif (n_scope or spec.scopes[0]) == "pooled":
+        ns = [max(transition_fanout(sequences), 2)] * len(sequences)
     else:
-        n_r = [transition_fanout([s]) for s in sequences]
-    return [replace(fano_invert(e, max(n, 2)), method="fano_nr") for e, n in zip(ests, n_r)]
+        ns = [max(transition_fanout([s]), 2) for s in sequences]
+    keys = [(e.bits, n) for e, n in zip(ests, ns)]  # a Fano value depends on these alone
+    value = {key: fano_invert(e, key[1]) for key, e in dict(zip(keys, ests)).items()}
+    return [replace(value[key], method=method, entropy=e) for key, e in zip(keys, ests)]
 
 
 def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[str, float]:

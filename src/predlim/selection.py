@@ -47,9 +47,9 @@ def build_plan(
 
     Eligibility requires length >= max(min_length, 2): an eval user must have
     a prefix and a final instance. The eval set is a seeded draw of
-    round(eval_fraction * eligible) users from substream (seed, 1); scores
-    must cover every candidate (extra entries are ignored, since callers
-    cannot know the partition in advance). k = round(budget_fraction * pool).
+    round(eval_fraction * eligible) users from substream (seed, 1). scores must
+    cover every candidate and may hold other users of the log (callers cannot know
+    the partition), but a user the log lacks raises. k = round(budget_fraction * pool).
     high_pi and low_pi take opposite ends of one (score, user_index) ordering,
     so at 2k <= pool they never overlap; random draws k from substream
     (seed, 2), keeping the partition itself strategy-independent.
@@ -60,6 +60,9 @@ def build_plan(
         raise ValueError("budget_fraction must lie in (0, 1]")
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError("eval_fraction must lie in (0, 1)")
+    extra = scores.keys() - {s.user_index for s in log.sequences}
+    if extra:
+        raise ValueError(f"score for user {min(extra)}, who is not in the log")
     eligible = np.array(
         [s.user_index for s in log.sequences if s.length >= max(min_length, 2)],
         dtype=np.int64,

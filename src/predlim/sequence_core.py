@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -104,21 +105,21 @@ def ingest_csv(
 ) -> InteractionLog:
     """Read a (user_id, item_id, timestamp) CSV into an InteractionLog.
 
-    A UTF-8 byte-order mark before the header is skipped. Rows are sorted by
-    timestamp with file order breaking ties. If max_events is set, only the
-    first max_events rows of the sorted stream are kept. With dedup, a row
-    repeating the previous surviving (user, item, timestamp) row of the same
-    user is dropped. Users with fewer than min_length events are then removed;
-    item indices are assigned in first-appearance order over the surviving rows
-    so that vocabulary counts sum to the log's interactions.
+    A UTF-8 byte-order mark before the header is skipped. Ids are kept as integer
+    codes while reading, and a timestamp may be any integer. Rows are sorted by
+    timestamp with file order breaking ties. If max_events is set, only the first
+    max_events rows of the sorted stream are kept. With dedup, a row repeating the
+    previous surviving (user, item, timestamp) row of the same user is dropped.
+    Users with fewer than min_length events are then removed; item indices are
+    assigned in first-appearance order over the surviving rows so that vocabulary
+    counts sum to the log's interactions.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
     if max_events is not None and max_events < 0:
         raise ValueError("max_events must be >= 0")
-    users: list[str] = []
-    items: list[str] = []
-    stamps: list[int] = []
+    user_code, item_code = {}, {}  # id -> integer code, numbered in file order
+    users, items, stamps = array("q"), array("q"), []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -137,26 +138,38 @@ def ingest_csv(
                 raise ValueError(
                     f"{path}: line {lineno}: timestamp {row[2]!r} is not an integer"
                 ) from None
-            users.append(row[0])
-            items.append(row[1])
+            users.append(user_code.setdefault(row[0], len(user_code)))
+            items.append(item_code.setdefault(row[1], len(item_code)))
 
     # stable: file order breaks timestamp ties; max_events None keeps every row
-    order = sorted(range(len(stamps)), key=stamps.__getitem__)[:max_events]
-    by_user: dict[str, list[int]] = {}  # each user's row indices, time order
-    for r in order:
-        rows = by_user.setdefault(users[r], [])
-        if dedup and rows and items[rows[-1]] == items[r] and stamps[rows[-1]] == stamps[r]:
-            continue
-        rows.append(r)
-    kept = {u: rows for u, rows in by_user.items() if len(rows) >= min_length}
-    if not kept:
+    rows = sorted(range(len(stamps)), key=stamps.__getitem__)[:max_events]
+    if dedup:  # each row's timestamp rank, in time order
+        stamps = list(map(stamps.__getitem__, rows))
+        tick = np.cumsum([False, *map(int.__ne__, stamps[1:], stamps[:-1])])
+    order = np.array(rows, dtype=np.int64)
+    del rows, stamps  # the Python ints, freed before the numpy steps to keep the peak down
+    user, item = np.frombuffer(users, np.int64)[order], np.frombuffer(items, np.int64)[order]
+    at = np.argsort(user, kind="stable")  # time positions, grouped by user code
+    user, grouped = user[at], item[at]
+    if dedup:  # drop a row equal to its predecessor in (user, item, timestamp rank)
+        keep = np.any([np.diff(a, prepend=-1) != 0 for a in (user, grouped, tick[at])], axis=0)
+        user, grouped, at = user[keep], grouped[keep], at[keep]
+    counts = np.bincount(user, minlength=len(user_code))
+    long = counts >= min_length
+    if not long.any():
         raise ValueError(f"{path}: no interactions left after filtering")
-    index: dict[str, int] = {}
-    for r in order:  # a row dedup dropped repeats an item its user kept
-        if users[r] in kept:
-            index.setdefault(items[r], len(index))
-    arrays = [np.array([index[items[r]] for r in rows], dtype=np.int64) for rows in kept.values()]
-    return _make_log(arrays, list(index), list(kept))
+    grouped, at, ends = grouped[long[user]], at[long[user]], np.cumsum(counts[long])
+    by_first = np.argsort(at[ends - counts[long]])  # kept users in order of their first event
+    # kept rows in time order; a row dedup dropped repeats an item its user kept before it
+    seen, first = np.unique(item[np.sort(at)], return_index=True)
+    item_order = seen[np.argsort(first)]  # kept items in order of first appearance
+    place = np.zeros(len(item_code), dtype=np.int64)
+    place[item_order] = np.arange(len(item_order))
+    arrays = np.split(place[grouped], ends[:-1])
+    user_ids, item_ids = list(user_code), list(item_code)
+    return _make_log([arrays[k] for k in by_first.tolist()],
+                     [item_ids[k] for k in item_order.tolist()],
+                     [user_ids[k] for k in np.flatnonzero(long)[by_first].tolist()])
 
 
 def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None) -> InteractionLog:
@@ -175,17 +188,15 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:
-    payload = {
-        "schema": LOG_SCHEMA,
-        "items": log.vocabulary.reverse,
-        "counts": log.vocabulary.counts.tolist(),
-        "users": [
-            {"user_id": s.user_id, "items": s.items.tolist()} for s in log.sequences
-        ],
-        "stats": log.stats,
-    }
+    """Write the log as json.dump would, one user at a time through json.dumps's C encoder."""
+    head = {"schema": LOG_SCHEMA, "items": log.vocabulary.reverse,
+            "counts": log.vocabulary.counts.tolist(), "users": []}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(head)[:-2])  # up to the opening bracket of the users list
+        for k, s in enumerate(log.sequences):  # only this user's items are Python ints
+            user = json.dumps({"user_id": s.user_id, "items": s.items.tolist()})
+            fh.write(f", {user}" if k else user)
+        fh.write("], " + json.dumps({"stats": log.stats})[1:])
 
 
 def log_from_json(path: str) -> InteractionLog:

@@ -664,3 +664,47 @@ def test_cohort_reads_tail_mass_for_longtail_only(tmp_path, capsys):
         assert not out.exists()
     code, _, out = cohort("longtail", "--tail-mass", "0.8")
     assert code == 0 and out.read_bytes() == cohort("longtail")[2].read_bytes()
+
+
+def _scored_corpus(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = tmp_path / "scores.csv"
+    run_cli(capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+            "--output", str(scores))
+    return log_path, scores.read_text().splitlines()
+
+
+def _cohort_and_select(tmp_path, capsys, log_path, lines):
+    """Each command's (exit code, stderr, whether it wrote output) on the given score rows."""
+    scores = tmp_path / "edited.csv"
+    scores.write_text("\n".join(lines) + "\n")
+    cohort, selection = tmp_path / "cohort.json", tmp_path / "selection"
+    results = []
+    for argv, out in (
+        (("cohort", "--dimension", "novelty", "--output", str(cohort)), cohort),
+        (("select", "--strategy", "highpi", "--budget", "0.5", "--min-length", "2",
+          "--output-dir", str(selection)), selection),
+    ):
+        code, _, stderr = run_cli(capsys, *argv, "--log", log_path, "--scores", str(scores))
+        results.append((code, stderr, out.exists()))
+    return results
+
+
+def test_cohort_and_select_reject_a_score_outside_the_unit_interval(tmp_path, capsys):
+    log_path, lines = _scored_corpus(tmp_path, capsys)
+    for bad in ("0.0", "-0.25", "1.5", "nan", "inf"):
+        edited = list(lines)
+        user, method, _, *rest = edited[2].split(",")
+        edited[2] = ",".join([user, method, bad, *rest])
+        where = tmp_path / "edited.csv"
+        error = f"error: {where}: score {float(bad)!r} of user {user} is not in (0, 1]\n"
+        assert _cohort_and_select(tmp_path, capsys, log_path, edited) == [(1, error, False)] * 2
+    assert [r[0] for r in _cohort_and_select(tmp_path, capsys, log_path, lines)] == [0, 0]
+
+
+def test_cohort_and_select_reject_scores_for_users_the_log_lacks(tmp_path, capsys):
+    log_path, lines = _scored_corpus(tmp_path, capsys)
+    extra = lines + [",".join(["7", *lines[1].split(",")[1:]])]
+    cohort, select = _cohort_and_select(tmp_path, capsys, log_path, extra)
+    assert cohort[0] == 1 and not cohort[2]
+    assert select == (1, "error: score for user 7, who is not in the log\n", False)

@@ -2,7 +2,9 @@
 
 A seeded CSV in the benchmark fixture's shape (uniform users, Zipf items,
 uniform timestamps), scaled down to a few thousand events, goes through
-ingest, estimate, score, cohort and select; synth makes one corpus. Each
+ingest, estimate, score, cohort and select. A second CSV, with few users and
+coarse timestamps so that ties and repeated rows are common, goes through
+ingest --dedup --max-events; synth makes one corpus. Each
 file's sha256 must equal the value recorded in GOLDEN, so a refactor that
 changes any output byte fails here. A change meant to alter an output records
 the new hash, and says why, in the same change.
@@ -19,7 +21,9 @@ GOLDEN = {
     "estimate-lz.csv": "79290bbd4532e755bf30b2e9be2b2995e06a5d0d715e54ec321b9e5da457c033",
     "estimate-perm.csv": "660c38988886a244cc62ab259bdf400192b2e71bbe7c91baefabdfdef7926ac9",
     "estimate-sampen.csv": "9a3630884e2a03680772089df3e4b89bf0754f642ac845e8a5657b44c76a8a29",
+    "events-ties.csv": "d16c66b4f216012ce1772e726960a3ee86890c9da9929ac691369cabaa9a4ee9",
     "events.csv": "b774d3a75368da45c557776c76654e9eaf0a597d8abd4ea9fcf5c0b2ea69337f",
+    "log-dedup.json": "67b18fe8cdb61f44d54f5bf3ed009f3abe7ec9ef3c2398a250ba8f202ef4bf54",
     "log.json": "c9e3c59210238411860340e053c60240a0e14c0a82c14c22490e5a6563648bf6",
     "score-epl.csv": "ec9b81a9b91b561e0149d5eb093d5356271d030e0373d7f7201d5e1ae920a87d",
     "score-fano.csv": "a686b3ab338e611817d225f10f906cd325382fe1d7f214cc3b344e08ac4962d7",
@@ -35,11 +39,11 @@ GOLDEN = {
 }
 
 
-def write_events(path, n_events=4000, n_users=150, seed=0):
+def write_events(path, n_events=4000, n_users=150, seed=0, span=10**9):
     rng = np.random.default_rng(seed)
     users = rng.integers(0, n_users, n_events)
     items = rng.zipf(1.3, n_events) % 2000
-    stamps = rng.integers(0, 10**9, n_events)
+    stamps = rng.integers(0, span, n_events)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,item_id,timestamp\n")
         fh.writelines(
@@ -52,9 +56,12 @@ def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys):
         return str(tmp_path / name)
 
     write_events(p("events.csv"))
+    write_events(p("events-ties.csv"), n_users=40, seed=1, span=30)  # ties and repeated rows
     log, sampen = p("log.json"), p("estimate-sampen.csv")
     steps = [
         ("ingest", "--input", p("events.csv"), "--min-length", "5", "--output", log),
+        ("ingest", "--input", p("events-ties.csv"), "--dedup", "--max-events", "3000",
+         "--output", p("log-dedup.json")),
         ("estimate", "--log", log, "--estimator", "sampen", "--m", "2", "--output", sampen),
         ("estimate", "--log", log, "--estimator", "lz", "--output", p("estimate-lz.csv")),
         ("estimate", "--log", log, "--estimator", "perm", "--output", p("estimate-perm.csv")),

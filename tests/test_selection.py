@@ -157,11 +157,26 @@ def test_missing_candidate_score_errors():
 
 
 def test_extra_scores_are_ignored():
+    # scores for log users outside the candidate pool (eval users) are allowed and unread
     log = toy_log()
     scores = toy_scores(log)
-    scores[999] = 0.42
     plan = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
-    assert 999 not in set(map(int, plan.selected))
+    pool_only = {int(u): scores[int(u)] for u in plan.candidate_users}
+    for u in plan.eval_users:
+        scores[int(u)] = 2.0  # would top the high_pi order if it were read
+    again = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
+    assert np.array_equal(again.selected, plan.selected)
+    trimmed = build_plan(log, pool_only, budget_fraction=0.5, strategy="high_pi", seed=2)
+    assert np.array_equal(trimmed.selected, plan.selected)
+
+
+@pytest.mark.parametrize("user", [999, -1])
+def test_scores_for_users_the_log_lacks_are_rejected(user):
+    log = toy_log()
+    scores = toy_scores(log)
+    scores[user] = 0.42
+    with pytest.raises(ValueError, match=f"score for user {user}, who is not in the log"):
+        build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
 
 
 def test_short_sequences_are_excluded():

@@ -328,6 +328,10 @@ def test_ingest_matches_a_reference_parser(
         with pytest.raises(ValueError, match="max_events"):
             ingest()
         return
+    assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
+
+
+def assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup):
     seqs, vocabulary = reference_ingest(text, min_length, max_events, dedup)
     if not seqs:
         with pytest.raises(ValueError, match="filtering"):
@@ -341,3 +345,59 @@ def test_ingest_matches_a_reference_parser(
     assert dict(zip(reverse, log.vocabulary.counts.tolist())) == Counter(
         item for seq in seqs.values() for item in seq
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 59),
+            st.integers(0, 79),
+            st.one_of(st.integers(0, 4), st.integers(-(2**70), 2**70)),  # heavy ties, or huge
+        ),
+        max_size=300,
+    ),
+    repeats=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 1)), max_size=60),
+    min_length=st.integers(1, 6),
+    max_events=st.one_of(st.none(), st.integers(0, 400)),
+    dedup=st.booleans(),
+)
+def test_ingest_matches_a_reference_parser_on_many_users_and_items(
+    tmp_path_factory, rows, repeats, min_length, max_events, dedup
+):
+    for k, later in repeats:
+        if rows:  # a row given twice in a row, which dedup drops, or one tick later
+            user, item, stamp = rows[k % len(rows)]
+            rows.insert(k % len(rows), (user, item, stamp + later))
+    body = io.StringIO()
+    writer = csv.writer(body)
+    writer.writerow(["user_id", "item_id", "timestamp"])
+    writer.writerows((f"u{u}", f"i,{i}" if i % 7 else f'"{i}', t) for u, i, t in rows)
+    text = body.getvalue()
+    path = tmp_path_factory.getbasetemp() / "many.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def ingest():
+        return ingest_csv(str(path), min_length=min_length, max_events=max_events, dedup=dedup)
+
+    assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
+
+
+def test_log_to_json_writes_the_bytes_json_dump_wrote(tmp_path):
+    rows = [("ü,1", 'é"x', 3), ('u"2', "a,b", 1), ("ü,1", "日本", 2), ('u"2', 'é"x', 5),
+            ("ü,1", "a,b", 4)]
+    with open(tmp_path / "events.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("user_id", "item_id", "timestamp"), *rows])
+    log = ingest_csv(str(tmp_path / "events.csv"))
+    log_to_json(log, str(tmp_path / "log.json"))
+    payload = {
+        "schema": "predlim-log-v1",
+        "items": log.vocabulary.reverse,
+        "counts": log.vocabulary.counts.tolist(),
+        "users": [{"user_id": s.user_id, "items": s.items.tolist()} for s in log.sequences],
+        "stats": log.stats,
+    }
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert (tmp_path / "log.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert log.vocabulary.reverse == ['a,b', "日本", 'é"x']
