@@ -261,17 +261,7 @@ def cmd_select(args) -> int:
     selection.write_selection_csv(train, os.path.join(args.output_dir, "train.csv"))
     selection.write_selection_csv(test, os.path.join(args.output_dir, "test.csv"))
     with open(os.path.join(args.output_dir, "plan.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "strategy": plan.strategy,
-                "budget_fraction": plan.budget_fraction,
-                "seed": plan.seed,
-                "eval_users": plan.eval_users.tolist(),
-                "candidate_users": plan.candidate_users.tolist(),
-                "selected": plan.selected.tolist(),
-            },
-            fh,
-        )
+        json.dump(dataclasses.asdict(plan), fh, default=lambda array: array.tolist())
     print(
         f"{plan.strategy}: selected {len(plan.selected)} of {len(plan.candidate_users)} "
         f"candidates; {len(plan.eval_users)} eval users"

@@ -121,9 +121,11 @@ def split_and_aggregate(
         raise ValueError(f"dimension must be one of {tuple(DIMENSIONS)}")
     if len(features) < 2:
         raise ValueError("need at least 2 users to split")
-    feature_users = {f.user_index for f in features}
-    if feature_users != set(scores):
-        raise ValueError("features and scores must cover identical user sets")
+    extra = scores.keys() - {f.user_index for f in features}
+    offenders = [f"score for user {u}, who is not in the log" for u in sorted(extra)] + [
+        f"no score for user {f.user_index}" for f in features if f.user_index not in scores]
+    if offenders:
+        raise ValueError(f"features and scores must cover identical user sets: {offenders[0]}")
 
     keyed = [(getattr(f, DIMENSIONS[dimension]), f.user_index) for f in features]
     reverse = dimension == "activity"  # Q1 = more active

@@ -90,16 +90,8 @@ def aggregate_dataset(scores, weights) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(len(values), dtype=float)
-    positions = np.arange(1, len(values) + 1, dtype=float)
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or sorted_vals[i] != sorted_vals[start]:
-            ranks[order[start:i]] = positions[start:i].mean()
-            start = i
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(a, b) -> float:
@@ -110,6 +102,8 @@ def spearman(a, b) -> float:
         raise ValueError("length mismatch")
     if len(x) < 2:
         raise ValueError("need at least 2 points")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("NaN has no rank")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     dx = rx - rx.mean()
@@ -316,11 +310,12 @@ def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:
     return int(np.random.SeedSequence([base_seed, grid_index, rep]).generate_state(1, np.uint64)[0])
 
 
-def _sweep(kind, grid, config_at, methods, reps, seed, estimator, m) -> SweepTable:
+def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, estimator,
+           m) -> SweepTable:
     """The grid x rep loop shared by both sweeps.
 
-    config_at(value) gives the corpus configuration at one grid point, noise
-    inverted once; each rep regenerates it under its own seed substream.
+    At each (grid value, n, target) point the noise is inverted once to pin the oracle
+    ceiling at target over n items; each rep regenerates the corpus under its own seed.
     """
     methods = list(methods)
     for meth in methods:
@@ -331,8 +326,9 @@ def _sweep(kind, grid, config_at, methods, reps, seed, estimator, m) -> SweepTab
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rows: list[SweepRow] = []
-    for gi, value in enumerate(grid):
-        config = config_at(value)
+    for gi, (value, n, target) in enumerate(points):
+        params = params_for(mechanism, invert_noise(mechanism, target, n=n, **fixed), **fixed)
+        config = GeneratorConfig(mechanism, int(n), users, length, seed, params)
         rep_vals: dict[str, list[float]] = {meth: [] for meth in methods}
         for rep in range(reps):
             corpus = generate(replace(config, seed=_rep_seed(seed, gi, rep)))
@@ -371,15 +367,10 @@ def run_difficulty_sweep(
     None takes the mechanism's default from synth.MECHANISMS, and one the
     mechanism does not read is ignored; m is sampen's template length.
     """
-    fixed = dict(m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
-
-    def config_at(target: float) -> GeneratorConfig:
-        noise = invert_noise(mechanism, target, n=n, **fixed)
-        params = params_for(mechanism, noise, **fixed)
-        return GeneratorConfig(mechanism, n, users, length, seed, params)
-
     methods = list(methods)
-    table = _sweep("difficulty", targets, config_at, methods, reps, seed, estimator, m)
+    fixed = dict(m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
+    table = _sweep("difficulty", mechanism, [(t, n, t) for t in targets], fixed, methods, reps,
+                   users, length, seed, estimator, m)
     for meth in methods:
         means = [mean for _, mean in table.means(meth)]
         table.rmse_by_method[meth] = rmse(means, list(targets))
@@ -407,11 +398,5 @@ def run_n_sweep(
     estimate should stay flat across the grid. Defaults as in
     run_difficulty_sweep.
     """
-    fixed = dict(c=c, m_c=m_c, s=s)
-
-    def config_at(n) -> GeneratorConfig:
-        eps = invert_noise("context_switch", target_hit1, n=n, **fixed)
-        params = params_for("context_switch", eps, **fixed)
-        return GeneratorConfig("context_switch", int(n), users, length, seed, params)
-
-    return _sweep("n", n_grid, config_at, methods, reps, seed, estimator, m)
+    return _sweep("n", "context_switch", [(n, n, target_hit1) for n in n_grid],
+                  dict(c=c, m_c=m_c, s=s), methods, reps, users, length, seed, estimator, m)

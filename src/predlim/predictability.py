@@ -138,15 +138,13 @@ def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
     if s_bits >= math.log2(n):
         return PredictabilityScore(value=lo_pi, method="fano", entropy=s, n=n)
     lo, hi = lo_pi, 1.0  # S_F(lo) = log2 n > s_bits > 0 = S_F(hi)
-    for _ in range(200):
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            break
         if fano_forward(mid, n) > s_bits:
             lo = mid
         else:
             hi = mid
-    return PredictabilityScore(value=mid, method="fano", entropy=s, n=n)
+    return PredictabilityScore(value=0.5 * (lo + hi), method="fano", entropy=s, n=n)
 
 
 def fano_nr(s: EntropyEstimate, sequences: list[UserSequence]) -> PredictabilityScore:

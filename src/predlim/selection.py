@@ -26,11 +26,11 @@ STRATEGIES = ("high_pi", "random", "low_pi")
 
 @dataclass
 class SelectionPlan:
+    strategy: str
+    budget_fraction: float
+    seed: int
     eval_users: np.ndarray       # user indices, ascending
     candidate_users: np.ndarray  # user indices, ascending; disjoint from eval
-    budget_fraction: float
-    strategy: str
-    seed: int
     selected: np.ndarray         # subset of candidate_users, ascending
 
 
@@ -80,8 +80,6 @@ def build_plan(
     if missing:
         raise ValueError(f"scores missing for candidate users {missing[:5]}")
     k = round(budget_fraction * len(candidates))
-    if k > len(candidates):
-        raise ValueError("budget exceeds candidate pool")
 
     order = sorted(candidates, key=lambda u: (scores[int(u)], int(u)))
     if strategy == "high_pi":

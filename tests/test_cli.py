@@ -324,6 +324,28 @@ def test_score_rejects_entropy_rows_for_users_the_log_lacks(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    perm = tmp_path / "perm.csv"
+    run_cli(capsys, "estimate", "--log", log_path, "--estimator", "perm", "--output", str(perm))
+    empty, raw = tmp_path / "empty.csv", tmp_path / "raw.csv"
+    empty.write_text("")
+    write_raw_csv(raw)
+    cases = [
+        (("ingest", "--input", str(empty)), f"{empty}: empty file"),
+        (("ingest", "--input", str(raw), "--min-length", "0"), "min_length must be >= 1"),
+        (("synth", "--mechanism", "repeat-last", "--n", "1", "--users", "4", "--length", "30",
+          "--p", "0.5"), "n must be >= 2"),
+        (("score", "--log", log_path, "--method", "epl", "--entropy", str(perm)),
+         f"{perm}: no usable entropy rows"),
+    ]
+    out = tmp_path / "out"
+    for argv, message in cases:
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n"), argv
+        assert not out.exists()
+
+
 def test_score_n_scope_defaults_to_the_methods_own(tmp_path, capsys):
     log_path, est_path = _session_corpus(tmp_path, capsys)
 
@@ -706,5 +728,9 @@ def test_cohort_and_select_reject_scores_for_users_the_log_lacks(tmp_path, capsy
     log_path, lines = _scored_corpus(tmp_path, capsys)
     extra = lines + [",".join(["7", *lines[1].split(",")[1:]])]
     cohort, select = _cohort_and_select(tmp_path, capsys, log_path, extra)
-    assert cohort[0] == 1 and not cohort[2]
+    cover = "error: features and scores must cover identical user sets: "
+    assert cohort == (1, f"{cover}score for user 7, who is not in the log\n", False)
     assert select == (1, "error: score for user 7, who is not in the log\n", False)
+    last = lines[-1].split(",")[0]
+    cohort, _ = _cohort_and_select(tmp_path, capsys, log_path, lines[:-1])
+    assert cohort == (1, f"{cover}no score for user {last}\n", False)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from predlim.evaluation import (
     DatasetScore,
+    _average_ranks,
     aggregate_dataset,
     consistency_report,
     estimate_entropies,
@@ -113,6 +114,7 @@ def test_spearman_matches_brute_force_with_ties():
         if len(set(a)) < 2 or len(set(b)) < 2:
             continue
         assert spearman(a, b) == pytest.approx(brute_spearman(a, b), abs=1e-12)
+        assert np.array_equal(_average_ranks(a), scipy.stats.rankdata(a))  # exact half-integers
         checked += 1
 
 
@@ -142,6 +144,9 @@ def test_spearman_degenerate_input_errors():
         spearman([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
         spearman([1], [2])
+    for a, b in (([math.nan, 1, 2], [1, 2, 3]), ([1, 2, 3], [3, math.nan, 1])):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman(a, b)
 
 
 # rmse
