@@ -76,19 +76,14 @@ def cmd_estimate(args) -> int:
     opts = {**defaults, **_given(args, f"estimator {args.estimator}", defaults, every)}
     log = log_from_json(args.log)
     if args.estimator == "perm":
-        table = perm_entropies([seq.items for seq in log.sequences], opts["d"], opts["tau"])
-        rows = [[seq.user_index, "perm_normalized", repr(v), "", f"d={d}"]
-                for seq, row in zip(log.sequences, table) for d, v in zip(opts["d"], row.tolist())
+        table = perm_entropies(log.items, log.offsets, opts["d"], opts["tau"])
+        rows = [[u, "perm_normalized", repr(v), "", f"d={d}"]
+                for u, row in enumerate(table.tolist()) for d, v in zip(opts["d"], row)
                 if v == v]  # NaN at a d the user is too short for
     else:
-        ests = evaluation.estimate_entropies(
-            [seq.items for seq in log.sequences], args.estimator, opts.get("m")
-        )
-        rows = []
-        for seq, est in zip(log.sequences, ests):
-            est = est.to(opts["unit"])
-            flags = ";".join(est.flags)
-            rows.append([seq.user_index, est.estimator, repr(est.value), est.unit, flags])
+        ests = evaluation.estimate_entropies(log.items, log.offsets, args.estimator, opts.get("m"))
+        rows = [[u, est.estimator, repr(est.value), est.unit, ";".join(est.flags)]
+                for u, est in enumerate(e.to(opts["unit"]) for e in ests)]
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "estimator", "value", "unit", "flags"])
@@ -97,18 +92,17 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_per_user(path: str, parse, what: str) -> dict:
+def _read_per_user(path: str, parse, what: str, columns) -> dict:
     """One parsed value per user_index; parse returns None for a row to skip."""
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            value = parse(row)
-            if value is None:
-                continue
-            u = int(row["user_index"])
-            if u in out:
-                raise ValueError(f"{path}: multiple {what} rows for user {u}")
-            out[u] = value
+    for row in evaluation.csv_rows(path, ("user_index", *columns)):
+        value = parse(row)
+        if value is None:
+            continue
+        u = int(row["user_index"])
+        if u in out:
+            raise ValueError(f"{path}: multiple {what} rows for user {u}")
+        out[u] = value
     if not out:
         raise ValueError(f"{path}: no usable {what} rows")
     return out
@@ -126,14 +120,15 @@ def cmd_score(args) -> int:
     if METHODS[args.method].reads_entropy != bool(args.entropy):
         need = "required" if not args.entropy else "not read"
         raise ValueError(f"--entropy is {need} for method {args.method}")
-    estimates = _read_per_user(args.entropy, _entropy_row, "entropy") if args.entropy else None
+    estimates = None if not args.entropy else _read_per_user(
+        args.entropy, _entropy_row, "entropy", ("estimator", "value", "unit", "flags"))
     scores = evaluation.score_log(log, args.method, estimates, args.n_scope, args.d, args.tau)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "method", "value", "effective_size", "n_used"])
-        for seq, sc in zip(log.sequences, scores):
+        for u, sc in enumerate(scores):
             size = "" if sc.effective_size is None else repr(sc.effective_size)
-            writer.writerow([seq.user_index, sc.method, repr(sc.value), size, sc.n or ""])
+            writer.writerow([u, sc.method, repr(sc.value), size, sc.n or ""])
     print(f"wrote {len(scores)} scores to {args.output}")
     return 0
 
@@ -163,7 +158,7 @@ def cmd_synth(args) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    scores = _read_per_user(path, lambda row: float(row["value"]), "score")
+    scores = _read_per_user(path, lambda row: float(row["value"]), "score", ("value",))
     bad = [u for u, v in scores.items() if not 0.0 < v <= 1.0]  # NaN too
     if bad:
         raise ValueError(f"{path}: score {scores[bad[0]]!r} of user {bad[0]} is not in (0, 1]")
@@ -221,17 +216,16 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     reference = evaluation.load_reference(args.reference)
     by_method: dict[str, list[evaluation.DatasetScore]] = {}
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ref = reference.get(row["dataset_id"])
-            by_method.setdefault(row["method"], []).append(
-                evaluation.DatasetScore(
-                    dataset_id=row["dataset_id"],
-                    predictability=float(row["predictability"]),
-                    method=row["method"],
-                    reference_accuracy=ref["hit20"] if ref else None,
-                )
+    for row in evaluation.csv_rows(args.scores, ("dataset_id", "method", "predictability")):
+        ref = reference.get(row["dataset_id"])
+        by_method.setdefault(row["method"], []).append(
+            evaluation.DatasetScore(
+                dataset_id=row["dataset_id"],
+                predictability=float(row["predictability"]),
+                method=row["method"],
+                reference_accuracy=ref["hit20"] if ref else None,
             )
+        )
     reports = {method: evaluation.consistency_report(scores)
                for method, scores in sorted(by_method.items())}  # each checked before any output
     payload = {}

@@ -76,18 +76,18 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> list[UserFe
     natural log. tail_mass is the share of interactions the head set must
     cover; items outside that head are the long tail.
     """
-    if not log.sequences:
+    if not log.num_users:
         raise ValueError("empty log")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
     counts = log.vocabulary.counts.astype(float)
     pop = counts / counts.sum()
     tail = _tail_items(log.vocabulary.counts, tail_mass)
-    return [
-        UserFeature(seq.user_index, novelty=float(np.mean(-np.log(pop[seq.items]))),
-                    longtail_exposure=float(np.mean(tail[seq.items])), activity=seq.length)
-        for seq in log.sequences
-    ]
+    starts, lengths = log.offsets[:-1], np.diff(log.offsets)
+    novelty = np.add.reduceat(-np.log(pop[log.items]), starts) / lengths
+    exposure = np.add.reduceat(tail[log.items], starts, dtype=np.int64) / lengths
+    return [UserFeature(u, *values) for u, values in
+            enumerate(zip(novelty.tolist(), exposure.tolist(), lengths.tolist()))]
 
 
 def _group_stats(label: str, members: list[tuple[int, float]]) -> CohortGroup:

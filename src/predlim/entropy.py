@@ -6,7 +6,7 @@ categorical ids), a match-length estimator in the Lempel-Ziv family, and
 normalized permutation entropy over ordinal patterns. Sample entropy and the
 match-length estimator measure the sequence's conditional surprise and carry a
 unit (nats or bits); permutation entropy is normalized to [0, 1] and is
-deliberately unitless.
+deliberately unitless. The *_entropies take a log's (items, offsets) arrays.
 """
 
 from __future__ import annotations
@@ -132,30 +132,29 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     the discrete metric). Degenerate inputs return the cap ln(pair count):
     flags carry "saturated", plus "no_regularity" when even B is zero.
     """
-    return sampen_entropies([items], m)[0]
+    return sampen_entropies(items, np.array([0, len(items)]), m)[0]
 
 
-def sampen_entropies(arrays: list[np.ndarray], m: int = 2) -> list[EntropyEstimate]:
-    """sampen of each item array, in order; m below 1 or an array shorter than m + 2 raises.
+def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> list[EntropyEstimate]:
+    """sampen of each user's items, in order; m below 1 or a user shorter than m + 2 raises.
 
-    Arrays are batched whole into chunks of at most CHUNK_SYMBOLS events. In a
-    chunk of n events, items relabelled densely, each (array, window) is named
+    Users are batched whole into chunks of at most CHUNK_SYMBOLS events. In a
+    chunk of n events, items relabelled densely, each (user, window) is named
     by extension: names at width w rank name[w-1] * n + code densely, from the
-    array index at width 0, so keys stay below n^2 for any m and any item ids.
-    An array's pairs at widths m and m+1 come from its first T-m starts' name
-    counts. A and B are integers, so each value is the array's alone, to the bit.
+    user index at width 0, so keys stay below n^2 for any m and any item ids.
+    A user's pairs at widths m and m+1 come from its first T-m starts' name
+    counts. A and B are integers, so each value is the user's alone, to the bit.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    lengths = np.diff(offsets)
     short = lengths[lengths < m + 2]
     if len(short):
         raise ValueError(f"sequence length {short[0]} is below m + 2 = {m + 2}")
-    pairs = np.zeros((2, len(arrays)), dtype=np.int64)  # B, then A
+    pairs = np.zeros((2, len(lengths)), dtype=np.int64)  # B, then A
     for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
         t = lengths[lo:hi]
-        x = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays[lo:hi]])
-        code = np.unique(x, return_inverse=True)[1]
+        code = np.unique(items[offsets[lo]:offsets[hi]], return_inverse=True)[1]
         n = len(code)
         starts = np.flatnonzero(np.arange(n) < np.repeat(np.cumsum(t) - m, t))  # first T-m each
         bounds = np.cumsum(t - m) - (t - m)
@@ -262,27 +261,26 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     longest previous match, so Lambda = lpf + 1 with Lambda_1 = 1. The estimate
     is T log2(T) / sum_i Lambda_i.
     """
-    return lz_entropies([items])[0]
+    return lz_entropies(items, np.array([0, len(items)]))[0]
 
 
-def lz_entropies(arrays: list[np.ndarray]) -> list[EntropyEstimate]:
-    """lz_entropy of each item array, in order; an array of fewer than 2 events raises.
+def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> list[EntropyEstimate]:
+    """lz_entropy of each user's items, in order; a user of fewer than 2 events raises.
 
-    Arrays are batched whole into chunks of at most CHUNK_SYMBOLS symbols,
-    events and separators; a longer array is a chunk of its own. A chunk
-    joins its arrays, items relabelled densely, each followed by a separator
-    of its own above every item, so one suffix sort serves every array in it
-    and no match crosses an array's end. Lambda sums are integers, so each
-    value is what the array alone gives, to the bit.
+    Users are batched whole into chunks of at most CHUNK_SYMBOLS symbols,
+    events and separators; a longer user is a chunk of its own. A chunk holds
+    its users' items, relabelled densely, each user's followed by a separator
+    of its own above every item, so one suffix sort serves every user in it
+    and no match crosses a user's end. Lambda sums are integers, so each
+    value is what the user alone gives, to the bit.
     """
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    lengths = np.diff(offsets)
     if np.any(lengths < 2):
         raise ValueError("need at least 2 events")
-    sums = np.zeros(len(arrays), dtype=np.int64)
-    for lo, hi in _chunks(lengths + 1, CHUNK_SYMBOLS):  # one separator after each array
+    sums = np.zeros(len(lengths), dtype=np.int64)
+    for lo, hi in _chunks(lengths + 1, CHUNK_SYMBOLS):  # one separator after each user
         t = lengths[lo:hi]
-        x = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays[lo:hi]])
-        vocab, codes = np.unique(x, return_inverse=True)
+        vocab, codes = np.unique(items[offsets[lo]:offsets[hi]], return_inverse=True)
         s = np.insert(codes, np.cumsum(t), len(vocab) + np.arange(len(t)))
         lpf = _longest_previous_match(s, np.repeat(np.arange(len(t)), t + 1))
         starts = np.cumsum(t + 1) - (t + 1)
@@ -300,7 +298,7 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     patterns by ascending stable sort, so equal values rank by position. The
     Shannon entropy of the pattern frequencies is divided by log(d!).
     """
-    value = perm_entropies([items], (d,), tau)[0, 0]
+    value = perm_entropies(np.asarray(items), np.array([0, len(items)]), (d,), tau)[0, 0]
     if math.isnan(value):
         n_vec = max(len(items) - (d - 1) * tau, 0)
         raise ValueError(
@@ -309,39 +307,40 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     return EntropyEstimate(float(value), None, "perm_normalized", {"d": d, "tau": tau})
 
 
-def perm_entropies(arrays: list[np.ndarray], d_set, tau: int = 1) -> np.ndarray:
-    """perm_entropy's value for each item array (rows) at each d in d_set (columns).
+def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) -> np.ndarray:
+    """perm_entropy's value for each user's items (rows) at each d in d_set (columns).
 
-    NaN marks a d the array is too short for; an empty d_set, a d outside
+    NaN marks a d the user is too short for; an empty d_set, a d outside
     {3, 4, 5} or a tau below 1 raises. A stable argsort row p is coded as the
-    integer sum_k p[k] d^(d-1-k), which sorts as the rows do. Arrays are
-    batched whole into chunks of at most CHUNK_SYMBOLS events (a longer array
-    is a chunk of its own); one np.unique over packed (array, code) keys
-    counts a chunk, and each array sums its own slice of the frequency terms
-    in code order, as counting it alone would.
+    integer sum_k p[k] d^(d-1-k), which sorts as the rows do. Users are
+    batched whole into chunks of at most CHUNK_SYMBOLS events (a longer user
+    is a chunk of its own; one too short at d has no windows); one np.unique
+    over packed (user, code) keys counts a chunk, and each user sums its own
+    slice of the frequency terms in code order, as counting it alone would.
     """
     if not d_set or any(d not in (3, 4, 5) for d in d_set):
         raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    out = np.full((len(arrays), len(d_set)), np.nan)
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    lengths = np.diff(offsets)
+    out = np.full((len(lengths), len(d_set)), np.nan)
     for k, d in enumerate(d_set):
         span = (d - 1) * tau + 1
         n_vec = lengths - (span - 1)
-        feasible = np.flatnonzero((n_vec >= 5) & (n_vec >= tau + 1))  # the latter: T >= d*tau + 1
+        n_vec[(n_vec < 5) | (n_vec < tau + 1)] = 0  # the latter: T >= d*tau + 1
         norm = math.log(math.factorial(d))
-        for lo, hi in _chunks(lengths[feasible], CHUNK_SYMBOLS):
-            chunk = feasible[lo:hi]
-            x = np.concatenate([np.asarray(arrays[u], dtype=np.int64) for u in chunk])
-            owner = np.repeat(np.arange(len(chunk)), n_vec[chunk])
-            rows = np.arange(len(owner)) + (span - 1) * owner  # skip windows across two arrays
-            vectors = np.lib.stride_tricks.sliding_window_view(x, span)[rows, ::tau]
+        for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
+            v = n_vec[lo:hi]
+            owner = np.repeat(np.arange(hi - lo), v)
+            # each window's start in items; none runs across two users
+            rows = np.arange(len(owner)) + (offsets[lo:hi] - (np.cumsum(v) - v))[owner]
+            vectors = items[rows[:, None] + np.arange(0, span, tau)]
             codes = np.argsort(vectors, axis=1, kind="stable") @ d ** np.arange(d - 1, -1, -1)
             keys, counts = np.unique(owner * d**d + codes, return_counts=True)
-            freqs = counts / n_vec[chunk][keys // d**d]
+            freqs = counts / v[keys // d**d]
             terms = freqs * np.log(freqs)
-            bounds = np.searchsorted(keys, np.arange(len(chunk) + 1) * d**d).tolist()
-            for u, a, b in zip(chunk.tolist(), bounds, bounds[1:]):
-                out[u, k] = min(max(float(-terms[a:b].sum()) / norm, 0.0), 1.0)
+            bounds = np.searchsorted(keys, np.arange(hi - lo + 1) * d**d).tolist()
+            for u, a, b in zip(range(lo, hi), bounds, bounds[1:]):
+                if a < b:  # a user too short at d has no terms and stays NaN
+                    out[u, k] = min(max(float(-terms[a:b].sum()) / norm, 0.0), 1.0)
     return out

@@ -125,6 +125,22 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
+def csv_rows(path, columns):
+    """Each non-blank row of the CSV file at path as a dict; a header lacking one of
+    columns, or a row not as wide as the header, raises naming the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: the header has no {missing[0]} column")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
+                                 f"fields as in the header, got {len(row)}")
+            yield dict(zip(header, row))
+
+
 def load_reference(path: str | None = None) -> dict[str, dict]:
     """Best-model reference accuracies shipped with the package.
 
@@ -132,13 +148,9 @@ def load_reference(path: str | None = None) -> dict[str, dict]:
     not something the toolkit recomputes.
     """
     if path is None:
-        ref = resources.files("predlim").joinpath("reference/best_models.csv")
-        text = ref.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = resources.files("predlim").joinpath("reference/best_models.csv")
     out = {}
-    for row in csv.DictReader(text.splitlines()):
+    for row in csv_rows(path, ("dataset_id", "best_model", "hit1", "hit20")):
         out[row["dataset_id"]] = {
             "best_model": row["best_model"],
             "hit1": float(row["hit1"]),
@@ -229,12 +241,12 @@ class SweepTable:
         return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
 
 
-def estimate_entropies(arrays, estimator: str, m: int | None = None) -> list[EntropyEstimate]:
-    """Each item array's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
+def estimate_entropies(items, offsets, estimator: str, m=None) -> list[EntropyEstimate]:
+    """Each user's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
     if estimator == "sampen":
-        return sampen_entropies(arrays, ESTIMATORS["sampen"]["m"] if m is None else m)
+        return sampen_entropies(items, offsets, ESTIMATORS["sampen"]["m"] if m is None else m)
     if estimator == "lz":
-        return lz_entropies(arrays)
+        return lz_entropies(items, offsets)
     raise ValueError(f"unknown sequence estimator {estimator!r}")
 
 
@@ -260,29 +272,27 @@ def score_log(
     if n_scope is not None and n_scope not in spec.scopes:
         takes = " or ".join(spec.scopes) or "no n_scope"
         raise ValueError(f"method {method} takes {takes}, not n_scope {n_scope!r}")
-    sequences = log.sequences
     if not spec.reads_entropy:
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
-        return perm_predictabilities([s.items for s in sequences], **given)
+        return perm_predictabilities(log.items, log.offsets, **given)
     if d_set is not None or tau is not None:
         raise ValueError(f"method {method} takes no d_set or tau")
     if estimates is None:
         raise ValueError(f"method {method} needs entropy estimates")
-    missing = [s.user_index for s in sequences if s.user_index not in estimates]
-    if missing:
-        raise ValueError(f"no entropy estimate for user {missing[0]}")
-    extra = estimates.keys() - {s.user_index for s in sequences}
+    ests = [estimates.get(u) for u in range(log.num_users)]
+    if None in ests:
+        raise ValueError(f"no entropy estimate for user {ests.index(None)}")
+    extra = estimates.keys() - set(range(log.num_users))
     if extra:
         raise ValueError(f"entropy estimate for user {min(extra)}, who is not in the log")
-    ests = [estimates[s.user_index] for s in sequences]
     if method == "epl":
         return [epl(e) for e in ests]
     if method == "fano":
-        ns = [len(log.vocabulary)] * len(sequences)
+        ns = [len(log.vocabulary)] * len(ests)
     elif (n_scope or spec.scopes[0]) == "pooled":
-        ns = [max(transition_fanout(sequences), 2)] * len(sequences)
+        ns = [max(transition_fanout(log.sequences), 2)] * len(ests)
     else:
-        ns = [max(transition_fanout([s]), 2) for s in sequences]
+        ns = [max(transition_fanout([s]), 2) for s in log.sequences]
     keys = [(e.bits, n) for e, n in zip(ests, ns)]  # a Fano value depends on these alone
     value = {key: fano_invert(e, key[1]) for key, e in dict(zip(keys, ests)).items()}
     return [replace(value[key], method=method, entropy=e) for key, e in zip(keys, ests)]
@@ -297,8 +307,7 @@ def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[
     """
     estimates = None
     if any(METHODS[meth].reads_entropy for meth in methods):
-        ests = estimate_entropies([s.items for s in log.sequences], estimator, m)
-        estimates = {s.user_index: est for s, est in zip(log.sequences, ests)}
+        estimates = dict(enumerate(estimate_entropies(log.items, log.offsets, estimator, m)))
     return {
         meth: float(np.mean([score.value for score in score_log(log, meth, estimates)]))
         for meth in methods
@@ -325,6 +334,8 @@ def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, e
         raise ValueError(f"a method is listed twice in {methods}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not points or len({value for value, _, _ in points}) < len(points):
+        raise ValueError("a sweep grid needs one or more values, each listed once")
     rows: list[SweepRow] = []
     for gi, (value, n, target) in enumerate(points):
         params = params_for(mechanism, invert_noise(mechanism, target, n=n, **fixed), **fixed)

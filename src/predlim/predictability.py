@@ -166,12 +166,12 @@ def perm_predictability(items, d_set=_PERM["d"], tau=_PERM["tau"]) -> Predictabi
     value of exactly 0 (all feasible scales exactly pattern-uniform) is clamped
     to the smallest positive float to stay within (0, 1].
     """
-    return perm_predictabilities([items], d_set, tau)[0]
+    return perm_predictabilities(np.asarray(items), np.array([0, len(items)]), d_set, tau)[0]
 
 
-def perm_predictabilities(arrays: list[np.ndarray], d_set=_PERM["d"], tau=_PERM["tau"]) -> list:
-    """perm_predictability of every item array, from one perm_entropies table."""
-    table = perm_entropies(arrays, d_set, tau)
+def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) -> list:
+    """perm_predictability of each user's items, in order, from one perm_entropies table."""
+    table = perm_entropies(items, offsets, d_set, tau)
     if np.isnan(table).all(axis=1).any():
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
     best = np.nanargmin(table, axis=1)  # the first d on ties

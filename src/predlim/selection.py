@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,13 +61,10 @@ def build_plan(
         raise ValueError("budget_fraction must lie in (0, 1]")
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError("eval_fraction must lie in (0, 1)")
-    extra = scores.keys() - {s.user_index for s in log.sequences}
+    extra = scores.keys() - set(range(log.num_users))
     if extra:
         raise ValueError(f"score for user {min(extra)}, who is not in the log")
-    eligible = np.array(
-        [s.user_index for s in log.sequences if s.length >= max(min_length, 2)],
-        dtype=np.int64,
-    )
+    eligible = np.flatnonzero(np.diff(log.offsets) >= max(min_length, 2))
     if len(eligible) < 2:
         raise ValueError("need at least 2 eligible users")
     rng = np.random.default_rng([seed, 1])
@@ -109,20 +107,15 @@ def materialize(
     final item. Rows are (user_id, item_id, timestamp) with the within-user
     position as timestamp, ordered by user_index then position.
     """
-    by_index = {s.user_index: s for s in log.sequences}
-    reverse = log.vocabulary.reverse
+    reverse, ids, offsets = log.vocabulary.reverse, log.user_ids, log.offsets.tolist()
     train: list[tuple[str, str, int]] = []
-    test: list[tuple[str, str, int]] = []
-    eval_set = set(int(v) for v in plan.eval_users)
-    selected = set(int(u) for u in plan.selected)
-    for u in sorted(eval_set | selected):
-        seq = by_index[u]
-        upto = seq.length - 1 if u in eval_set else seq.length
-        for pos in range(upto):
-            train.append((seq.user_id, reverse[int(seq.items[pos])], pos))
-    for u in plan.eval_users:
-        seq = by_index[int(u)]
-        test.append((seq.user_id, reverse[int(seq.items[-1])], seq.length - 1))
+    eval_set = set(plan.eval_users.tolist())
+    for u in sorted(eval_set.union(plan.selected.tolist())):
+        start, end = offsets[u], offsets[u + 1] - (u in eval_set)
+        names = map(reverse.__getitem__, log.items[start:end].tolist())
+        train.extend(zip(repeat(ids[u]), names, range(end - start)))
+    test = [(ids[u], reverse[log.items[offsets[u + 1] - 1]], offsets[u + 1] - offsets[u] - 1)
+            for u in plan.eval_users.tolist()]
     return train, test
 
 

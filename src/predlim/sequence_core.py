@@ -57,44 +57,50 @@ class UserSequence:
 @dataclass
 class InteractionLog:
     vocabulary: ItemVocabulary
-    sequences: list[UserSequence]
+    items: np.ndarray  # every user's item indices, user after user, each in time order
+    offsets: np.ndarray  # user u's items are items[offsets[u]:offsets[u + 1]]
+    user_ids: list[str]
     stats: dict
 
     @property
+    def sequences(self) -> list[UserSequence]:
+        """Each user's UserSequence, built on each access; its items are views into items."""
+        bounds = self.offsets.tolist()
+        return [UserSequence(u, uid, self.items[a:b])
+                for u, (uid, a, b) in enumerate(zip(self.user_ids, bounds, bounds[1:]))]
+
+    @property
     def num_users(self) -> int:
-        return len(self.sequences)
+        return len(self.user_ids)
 
     @property
     def num_items(self) -> int:
         return len(self.vocabulary)
 
 
-def _make_log(arrays: list[np.ndarray], item_ids: list[str], user_ids: list[str]) -> InteractionLog:
-    """The one constructor of an InteractionLog: user u is user_ids[u].
+def _make_log(items, lengths, item_ids: list[str], user_ids: list[str]) -> InteractionLog:
+    """The one constructor of an InteractionLog: user u is user_ids[u], with lengths[u] events.
 
-    arrays[u] holds u's indices into item_ids in time order; counts and stats come from them.
+    items holds indices into item_ids, user after user; counts and stats come from them.
     """
-    if not arrays:
+    if not len(lengths):
         raise ValueError("no sequences")
-    if any(len(a) == 0 for a in arrays):
+    if not lengths.all():
         raise ValueError("empty user sequence")
     if len(set(user_ids)) < len(user_ids):
         twice = next(uid for uid, n in Counter(user_ids).items() if n > 1)
         raise ValueError(f"user id {twice!r} is given twice")
-    flat = np.concatenate(arrays)
-    if flat.min() < 0 or flat.max() >= len(item_ids):
+    if items.min() < 0 or items.max() >= len(item_ids):
         raise ValueError("item index out of vocabulary range")
-    counts = np.bincount(flat, minlength=len(item_ids))
-    del flat  # freed before the per-user objects are made, to keep the peak down
-    sequences = [UserSequence(u, uid, a) for u, (uid, a) in enumerate(zip(user_ids, arrays))]
-    n_inter = int(counts.sum())
+    counts = np.bincount(items, minlength=len(item_ids))
     stats = {
-        "num_users": len(sequences),
+        "num_users": len(user_ids),
         "num_items": len(item_ids),
-        "num_interactions": n_inter,
-        "avg_length": n_inter / len(sequences),
+        "num_interactions": len(items),
+        "avg_length": len(items) / len(user_ids),
     }
-    return InteractionLog(ItemVocabulary(item_ids, counts), sequences, stats)
+    offsets = np.r_[0, np.cumsum(lengths)]
+    return InteractionLog(ItemVocabulary(item_ids, counts), items, offsets, user_ids, stats)
 
 
 def ingest_csv(
@@ -149,7 +155,11 @@ def ingest_csv(
     order = np.array(rows, dtype=np.int64)
     del rows, stamps  # the Python ints, freed before the numpy steps to keep the peak down
     user, item = np.frombuffer(users, np.int64)[order], np.frombuffer(items, np.int64)[order]
-    at = np.argsort(user, kind="stable")  # time positions, grouped by user code
+    first = np.full(len(user_code), len(user))  # each user code's first time position
+    np.minimum.at(first, user, np.arange(len(user)))
+    by_first = np.argsort(first)  # user codes in order of their first event, absent ones last
+    user = np.argsort(by_first)[user]  # each row's user, ranked by first event
+    at = np.argsort(user, kind="stable")  # time positions, grouped by user rank
     user, grouped = user[at], item[at]
     if dedup:  # drop a row equal to its predecessor in (user, item, timestamp rank)
         keep = np.any([np.diff(a, prepend=-1) != 0 for a in (user, grouped, tick[at])], axis=0)
@@ -158,18 +168,15 @@ def ingest_csv(
     long = counts >= min_length
     if not long.any():
         raise ValueError(f"{path}: no interactions left after filtering")
-    grouped, at, ends = grouped[long[user]], at[long[user]], np.cumsum(counts[long])
-    by_first = np.argsort(at[ends - counts[long]])  # kept users in order of their first event
+    grouped, at = grouped[long[user]], at[long[user]]
     # kept rows in time order; a row dedup dropped repeats an item its user kept before it
-    seen, first = np.unique(item[np.sort(at)], return_index=True)
-    item_order = seen[np.argsort(first)]  # kept items in order of first appearance
+    kept, first = np.unique(item[np.sort(at)], return_index=True)
+    item_order = kept[np.argsort(first)]  # kept items in order of first appearance
     place = np.zeros(len(item_code), dtype=np.int64)
     place[item_order] = np.arange(len(item_order))
-    arrays = np.split(place[grouped], ends[:-1])
     user_ids, item_ids = list(user_code), list(item_code)
-    return _make_log([arrays[k] for k in by_first.tolist()],
-                     [item_ids[k] for k in item_order.tolist()],
-                     [user_ids[k] for k in np.flatnonzero(long)[by_first].tolist()])
+    return _make_log(place[grouped], counts[long], [item_ids[k] for k in item_order.tolist()],
+                     [user_ids[k] for k in by_first[long].tolist()])
 
 
 def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None) -> InteractionLog:
@@ -180,11 +187,12 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
     generator's full item space, or the swept candidate size for Fano).
     Intended for synthetic corpora and tests.
     """
-    arrays = [np.asarray(a, dtype=np.int64) for a in item_arrays]
+    items = np.concatenate([np.zeros(0, np.int64), *item_arrays]).astype(np.int64, copy=False)
     if n_items is None:  # _make_log rejects no arrays and an empty one
-        n_items = max((int(a.max()) for a in arrays if len(a)), default=-1) + 1
-    user_ids = [f"u{u}" for u in range(len(arrays))]
-    return _make_log(arrays, [str(k) for k in range(n_items)], user_ids)
+        n_items = int(items.max(initial=-1)) + 1
+    lengths = np.array([len(a) for a in item_arrays], dtype=np.int64)
+    user_ids = [f"u{u}" for u in range(len(item_arrays))]
+    return _make_log(items, lengths, [str(k) for k in range(n_items)], user_ids)
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:
@@ -193,9 +201,10 @@ def log_to_json(log: InteractionLog, path: str) -> None:
             "counts": log.vocabulary.counts.tolist(), "users": []}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-2])  # up to the opening bracket of the users list
-        for k, s in enumerate(log.sequences):  # only this user's items are Python ints
-            user = json.dumps({"user_id": s.user_id, "items": s.items.tolist()})
-            fh.write(f", {user}" if k else user)
+        bounds = log.offsets.tolist()
+        for k, (uid, a, b) in enumerate(zip(log.user_ids, bounds, bounds[1:])):
+            user = json.dumps({"user_id": uid, "items": log.items[a:b].tolist()})
+            fh.write(f", {user}" if k else user)  # only this user's items are Python ints
         fh.write("], " + json.dumps({"stats": log.stats})[1:])
 
 
@@ -218,15 +227,17 @@ def log_from_json(path: str) -> InteractionLog:
             raise ValueError(f"{what} {bad[0]!r} is not a string")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
+    lists = [entry["items"] for entry in users]
     # exact types, since numpy would truncate a float and cast a bool (an int subclass)
-    if set(map(type, chain.from_iterable(entry["items"] for entry in users))) - {int}:
-        bad = next(v for entry in users for v in entry["items"] if type(v) is not int)
+    if set(map(type, chain.from_iterable(lists))) - {int}:
+        bad = next(v for v in chain.from_iterable(lists) if type(v) is not int)
         raise ValueError(f"item index {bad!r} is not an integer")
-    try:
-        arrays = [np.array(entry["items"], dtype=np.int64) for entry in users]
+    lengths = np.array([len(x) for x in lists], dtype=np.int64)
+    try:  # counted, so numpy allocates the array once
+        items = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
     except OverflowError:  # beyond int64, so beyond any vocabulary
         raise ValueError("item index out of vocabulary range") from None
-    log = _make_log(arrays, item_ids, user_ids)
+    log = _make_log(items, lengths, item_ids, user_ids)
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")
     if log.vocabulary.counts.tolist() != payload["counts"]:

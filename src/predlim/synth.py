@@ -250,20 +250,12 @@ def simulate_oracle(corpus: SynthCorpus) -> float:
     """
     if corpus.latent_trace is None:
         raise ValueError("corpus has no latent trace")
-    config = corpus.config
-    trace = corpus.latent_trace
-    hits = 0
-    events = 0
-    for u, seq in enumerate(corpus.log.sequences):
-        x = seq.items
-        if config.mechanism == "repeat_last":
-            predicted = x[:-1]
-        elif config.mechanism == "session_reset":
-            period = trace["period"][u]
-            predicted = trace["sets"][u].min(axis=1)[period[1:]]
-        else:
-            cid = trace["context"][u]
-            predicted = trace["contexts"].min(axis=1)[cid[1:]]
-        hits += int((predicted == x[1:]).sum())
-        events += len(x) - 1
-    return hits / events
+    config, trace = corpus.config, corpus.latent_trace
+    x = corpus.log.items.reshape(config.users, config.length)  # every user has length events
+    if config.mechanism == "repeat_last":
+        predicted = x[:, :-1]
+    elif config.mechanism == "session_reset":
+        predicted = np.array([s.min(axis=1)[p[1:]] for s, p in zip(trace["sets"], trace["period"])])
+    else:
+        predicted = trace["contexts"].min(axis=1)[np.array(trace["context"])[:, 1:]]
+    return float(np.mean(predicted == x[:, 1:]))

@@ -226,6 +226,23 @@ def test_sweep_n_small(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def test_sweep_rejects_an_empty_or_repeated_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    small = ("--methods", "epl", "--reps", "1", "--users", "6", "--length", "40")
+    for grid, given in (("--n-grid", ","), ("--n-grid", "20,20")):
+        code, stdout, stderr = run_cli(capsys, "sweep", "--kind", "n", grid, given, *small,
+                                       "--output", str(out))
+        assert (code, stdout) == (1, "") and stderr.startswith("error: a sweep grid needs")
+        assert not out.exists()
+    for targets in (",", "0.3,0.30"):
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "--kind", "difficulty", "--mechanism", "repeat-last", "--n", "30",
+            "--targets", targets, *small, "--output", str(out),
+        )
+        assert (code, stdout) == (1, "") and stderr.startswith("error: a sweep grid needs")
+        assert not out.exists()
+
+
 def test_sweep_difficulty_needs_mechanism(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "sweep", "--kind", "difficulty", "--targets", "0.5",
@@ -284,6 +301,54 @@ def test_report_rejects_a_bad_row(tmp_path, capsys):
         )
         assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
         assert not out.exists()
+
+
+def test_a_short_row_or_a_missing_column_in_an_input_csv_is_one_error_line(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = tmp_path / "scores.csv"
+    run_cli(capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+            "--output", str(scores))
+    entropy_lines = open(est_path).read().splitlines()
+    score_lines = scores.read_text().splitlines()
+    datasets = ["dataset_id,method,predictability", "AOTM,epl,0.1", "Bridge,epl,0.7"]
+    reference = ["dataset_id,best_model,hit1,hit20", "AOTM,SASRec,0.0,0.1"]
+
+    def edited(name, lines, k, row):
+        path = tmp_path / name
+        path.write_text("\n".join(lines[:k] + [row] + lines[k + 1:]) + "\n")
+        return str(path)
+
+    no_flags = edited("e1.csv", entropy_lines, 2, entropy_lines[2].rsplit(",", 1)[0])
+    no_flags_column = edited("e2.csv", entropy_lines, 0, "user_index,estimator,value,unit,extra")
+    no_value = edited("s1.csv", score_lines, 3, score_lines[3].split(",")[0])
+    no_predictability = edited("d1.csv", datasets, 2, "Bridge,epl")
+    too_wide = edited("d2.csv", datasets, 1, "AOTM,epl,0.1,x")
+    no_hit20 = edited("r1.csv", reference, 0, "dataset_id,best_model,hit1")
+    score = ("score", "--log", log_path, "--method", "epl", "--entropy")
+    cases = [
+        ((*score, no_flags), f"{no_flags}: line 3: expected 5 fields as in the header, got 4"),
+        ((*score, no_flags_column), f"{no_flags_column}: line 1: the header has no flags column"),
+        (("cohort", "--log", log_path, "--dimension", "novelty", "--scores", no_value),
+         f"{no_value}: line 4: expected 5 fields as in the header, got 1"),
+        (("report", "--scores", no_predictability),
+         f"{no_predictability}: line 3: expected 3 fields as in the header, got 2"),
+        (("report", "--scores", too_wide), f"{too_wide}: line 2: expected 3 fields as in the "
+                                           "header, got 4"),
+        (("report", "--scores", edited("d3.csv", datasets, 0, "dataset_id,predictability")),
+         f"{tmp_path / 'd3.csv'}: line 1: the header has no method column"),
+        (("report", "--scores", str(tmp_path / "d3.csv"), "--reference", no_hit20),
+         f"{no_hit20}: line 1: the header has no hit20 column"),
+    ]
+    out = tmp_path / "out"
+    for argv, message in cases:
+        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n"), argv
+        assert not out.exists()
+    code, _, stderr = run_cli(capsys, "select", "--log", log_path, "--scores", no_value,
+                              "--strategy", "highpi", "--budget", "0.5", "--output-dir", str(out))
+    assert (code, stderr) == (1, f"error: {no_value}: line 4: expected 5 fields as in the header, "
+                                 "got 1\n")
+    assert not out.exists()
 
 
 def test_module_entry_point_help():

@@ -23,6 +23,12 @@ from predlim.entropy import (
 # literal route so they share nothing with the library code paths.
 
 
+def flat(corpus):
+    """A corpus of item lists as the cores take it: every item in one array, and offsets."""
+    items = np.array([v for x in corpus for v in x], dtype=np.int64)
+    return items, np.cumsum([0, *map(len, corpus)])
+
+
 def brute_sampen_counts(x, m):
     """Match-pair counts via explicit O(T^2) pair enumeration."""
     x = list(x)
@@ -240,7 +246,7 @@ def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
     corpus = corpus[:at] + [long] + corpus[at:]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
-        ests = sampen_entropies([np.array(x, dtype=np.int64) for x in corpus], m)
+        ests = sampen_entropies(*flat(corpus), m)
     assert len(ests) == len(corpus)
     for x, est in zip(corpus, ests):
         a, b = brute_sampen_counts(x, m)
@@ -256,11 +262,11 @@ def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
 
 
 def test_sampen_entropies_reject_a_short_sequence_anywhere():
-    assert sampen_entropies([], 2) == []
+    assert sampen_entropies(*flat([]), 2) == []
     with pytest.raises(ValueError, match="length 3 is below m \\+ 2 = 4"):
-        sampen_entropies([np.arange(6), np.arange(3)], 2)
+        sampen_entropies(*flat([range(6), range(3)]), 2)
     with pytest.raises(ValueError, match="m must be >= 1"):
-        sampen_entropies([np.arange(6)], 0)
+        sampen_entropies(*flat([range(6)]), 0)
 
 
 # match-length estimator
@@ -325,7 +331,7 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
     corpus = corpus[:at] + [long] + corpus[at:]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
-        ests = lz_entropies([np.array(x, dtype=np.int64) for x in corpus])
+        ests = lz_entropies(*flat(corpus))
     assert len(ests) == len(corpus)
     for x, est in zip(corpus, ests):
         assert est.params == {"lambda_sum": sum(brute_match_lengths(x))}
@@ -335,9 +341,9 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
 
 
 def test_lz_entropies_reject_a_single_event_anywhere():
-    assert lz_entropies([]) == []
+    assert lz_entropies(*flat([])) == []
     with pytest.raises(ValueError, match="at least 2 events"):
-        lz_entropies([np.array([0, 1, 0]), np.array([4])])
+        lz_entropies(*flat([[0, 1, 0], [4]]))
 
 
 # permutation entropy
@@ -400,14 +406,21 @@ def rowwise_perm_entropy(x, d, tau):
     st.integers(min_value=0, max_value=12),
     st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=3),
     st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=14),
+                  st.lists(st.integers(min_value=0, max_value=3), max_size=6)),
+        max_size=4,
+    ),
 )
-def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_set, tau):
+def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_set, tau, shorts):
     # a 16-event budget puts chunk boundaries all through the corpus, and the
     # long sequence in a chunk of its own
     corpus = corpus[:at] + [long] + corpus[at:] + [[2, 1, 0, 1]]  # the last: too short at any d
+    for k, short in shorts:  # at most 6 events, too short at any d, wherever a chunk may span it
+        corpus.insert(k, short)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "CHUNK_SYMBOLS", 16)
-        table = perm_entropies([np.array(x, dtype=np.int64) for x in corpus], d_set, tau)
+        table = perm_entropies(*flat(corpus), d_set, tau)
     assert table.shape == (len(corpus), len(d_set))
     for x, row in zip(corpus, table.tolist()):
         for d, got in zip(d_set, row):
@@ -423,9 +436,9 @@ def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_se
 
 
 def test_perm_entropies_of_no_sequences_is_an_empty_table():
-    assert perm_entropies([], (3, 5)).shape == (0, 2)
+    assert perm_entropies(*flat([]), (3, 5)).shape == (0, 2)
     with pytest.raises(ValueError):
-        perm_entropies([], (6,))
+        perm_entropies(*flat([]), (6,))
 
 
 def test_perm_strictly_increasing_is_zero():

@@ -309,16 +309,21 @@ def test_sweep_csv_round_trip(tmp_path):
 
 
 def test_sweep_rejects_unknown_method():
-    for methods, reps, match in (
-        (("epl", "magic"), 1, "unknown method"),
-        (("epl", "perm", "epl"), 1, "listed twice"),
-        (("epl",), 0, "reps must be >= 1"),
+    for methods, reps, targets, match in (
+        (("epl", "magic"), 1, (0.5,), "unknown method"),
+        (("epl", "perm", "epl"), 1, (0.5,), "listed twice"),
+        (("epl",), 0, (0.5,), "reps must be >= 1"),
+        (("epl",), 1, (), "one or more values, each listed once"),
+        (("epl",), 1, (0.5, 0.3, 0.5), "one or more values, each listed once"),
     ):
         with pytest.raises(ValueError, match=match):
             run_difficulty_sweep(
-                "repeat_last", targets=(0.5,), methods=methods, reps=reps,
+                "repeat_last", targets=targets, methods=methods, reps=reps,
                 n=30, users=5, length=30,
             )
+    for n_grid in ((), (20, 40, 20)):
+        with pytest.raises(ValueError, match="each listed once"):
+            run_n_sweep(n_grid=n_grid, methods=("epl",), reps=1, users=5, length=30)
 
 
 # score_log against the public per-user functions
@@ -347,7 +352,9 @@ def test_score_log_matches_per_user_functions(users, estimator):
     seqs = log.sequences
     # users shorter than m + 2 = 4 have no sampen estimate; lz covers them
     estimates = {
-        s.user_index: estimate_entropies([s.items], estimator if s.length >= 4 else "lz", 2)[0]
+        s.user_index: estimate_entropies(
+            s.items, [0, s.length], estimator if s.length >= 4 else "lz", 2
+        )[0]
         for s in seqs
     }
     ests = [estimates[s.user_index] for s in seqs]
@@ -373,7 +380,7 @@ def test_score_log_matches_per_user_functions(users, estimator):
 
 def test_score_log_rejects_what_the_method_does_not_read():
     log = log_from_sequences([np.array([0, 1, 2, 0, 1, 2, 0, 1])])
-    est = {0: estimate_entropies([log.sequences[0].items], "lz", 2)[0]}
+    est = {0: estimate_entropies(log.items, log.offsets, "lz", 2)[0]}
     with pytest.raises(ValueError, match="n_scope"):
         score_log(log, "fano_nr", est, n_scope="global")
     with pytest.raises(ValueError, match="n_scope"):

@@ -197,11 +197,13 @@ def test_perm_predictability_takes_the_first_d_on_ties():
 def test_perm_predictabilities_equal_each_sequence_scored_alone():
     rng = np.random.default_rng(3)
     arrays = [rng.integers(0, k, size=t) for k, t in ((3, 9), (5, 60), (2, 12), (9, 300), (4, 10))]
+    log = log_from_sequences(arrays)
     for d_set, tau in (((3, 4, 5), 1), ((5, 3), 2), ((4,), 1)):
         alone = [perm_predictability(x, d_set, tau) for x in arrays]
-        assert perm_predictabilities(arrays, d_set, tau) == alone
+        assert perm_predictabilities(log.items, log.offsets, d_set, tau) == alone
+    short = log_from_sequences(arrays + [np.arange(6)])
     with pytest.raises(ValueError, match="feasible"):
-        perm_predictabilities(arrays + [np.arange(6)])
+        perm_predictabilities(short.items, short.offsets)
 
 
 def test_perm_predictability_takes_minimum_entropy():

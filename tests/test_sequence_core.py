@@ -15,6 +15,7 @@ from predlim.sequence_core import (
     log_to_json,
     transition_fanout,
 )
+from predlim.synth import GeneratorConfig, generate
 
 
 def fanout_table(sequences):
@@ -148,6 +149,26 @@ def test_json_round_trip(tmp_path):
     for a, b in zip(loaded.sequences, log.sequences):
         assert a.user_id == b.user_id
         assert np.array_equal(a.items, b.items)
+
+
+def test_each_user_sequence_is_a_view_of_the_log_items(tmp_path):
+    rows = [("u2", "b", 4), ("u1", "a", 1), ("u1", "b", 4), ("u3", "c", 2), ("u2", "a", 5)]
+    path = write_csv(tmp_path / "log.csv", rows)
+    log_to_json(ingest_csv(path), str(tmp_path / "log.json"))
+    logs = [
+        ingest_csv(path),
+        log_from_json(str(tmp_path / "log.json")),
+        log_from_sequences([np.array([0, 3]), np.array([2]), np.array([1, 1, 1])]),
+        generate(GeneratorConfig("repeat_last", 20, 4, 30, 1, {"p": 0.5})).log,
+    ]
+    for log in logs:
+        assert log.offsets[0] == 0
+        assert log.offsets[-1] == log.stats["num_interactions"] == len(log.items)
+        assert [s.user_index for s in log.sequences] == list(range(log.num_users))
+        assert [s.user_id for s in log.sequences] == log.user_ids
+        for s, start, end in zip(log.sequences, log.offsets, log.offsets[1:]):
+            assert np.shares_memory(s.items, log.items)
+            assert np.array_equal(s.items, log.items[start:end]) and s.length == end - start
 
 
 def _saved_payload(tmp_path):
