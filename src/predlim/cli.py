@@ -92,14 +92,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_per_user(path: str, parse, what: str, columns) -> dict:
+def _read_per_user(path: str, parse, what: str, columns: dict) -> dict:
     """One parsed value per user_index; parse returns None for a row to skip."""
     out = {}
-    for row in evaluation.csv_rows(path, ("user_index", *columns)):
+    for row in evaluation.csv_rows(path, {"user_index": int, **columns}):
         value = parse(row)
         if value is None:
             continue
-        u = int(row["user_index"])
+        u = row["user_index"]
         if u in out:
             raise ValueError(f"{path}: multiple {what} rows for user {u}")
         out[u] = value
@@ -112,7 +112,7 @@ def _entropy_row(row: dict) -> EntropyEstimate | None:
     if row["estimator"] == "perm_normalized":
         return None  # not mappable by epl or the Fano routes
     flags = tuple(f for f in row["flags"].split(";") if f)
-    return EntropyEstimate(float(row["value"]), row["unit"], row["estimator"], flags=flags)
+    return EntropyEstimate(row["value"], row["unit"], row["estimator"], flags=flags)
 
 
 def cmd_score(args) -> int:
@@ -121,7 +121,8 @@ def cmd_score(args) -> int:
         need = "required" if not args.entropy else "not read"
         raise ValueError(f"--entropy is {need} for method {args.method}")
     estimates = None if not args.entropy else _read_per_user(
-        args.entropy, _entropy_row, "entropy", ("estimator", "value", "unit", "flags"))
+        args.entropy, _entropy_row, "entropy",
+        {"estimator": str, "value": float, "unit": str, "flags": str})
     scores = evaluation.score_log(log, args.method, estimates, args.n_scope, args.d, args.tau)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -158,7 +159,7 @@ def cmd_synth(args) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    scores = _read_per_user(path, lambda row: float(row["value"]), "score", ("value",))
+    scores = _read_per_user(path, lambda row: row["value"], "score", {"value": float})
     bad = [u for u, v in scores.items() if not 0.0 < v <= 1.0]  # NaN too
     if bad:
         raise ValueError(f"{path}: score {scores[bad[0]]!r} of user {bad[0]} is not in (0, 1]")
@@ -216,12 +217,13 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     reference = evaluation.load_reference(args.reference)
     by_method: dict[str, list[evaluation.DatasetScore]] = {}
-    for row in evaluation.csv_rows(args.scores, ("dataset_id", "method", "predictability")):
+    columns = {"dataset_id": str, "method": str, "predictability": float}
+    for row in evaluation.csv_rows(args.scores, columns):
         ref = reference.get(row["dataset_id"])
         by_method.setdefault(row["method"], []).append(
             evaluation.DatasetScore(
                 dataset_id=row["dataset_id"],
-                predictability=float(row["predictability"]),
+                predictability=row["predictability"],
                 method=row["method"],
                 reference_accuracy=ref["hit20"] if ref else None,
             )

@@ -125,9 +125,10 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def csv_rows(path, columns):
-    """Each non-blank row of the CSV file at path as a dict; a header lacking one of
-    columns, or a row not as wide as the header, raises naming the line."""
+def csv_rows(path, columns: dict):
+    """Each non-blank row of the CSV file at path as a dict, each of columns parsed by its
+    type (str, int or float); a header lacking one of columns, a row not as wide as the
+    header or a field its type cannot parse raises naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -138,7 +139,15 @@ def csv_rows(path, columns):
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
                                  f"fields as in the header, got {len(row)}")
-            yield dict(zip(header, row))
+            fields = dict(zip(header, row))
+            for column, kind in columns.items():
+                try:
+                    fields[column] = kind(fields[column])
+                except ValueError:
+                    noun = "an integer" if kind is int else "a number"
+                    raise ValueError(f"{path}: line {reader.line_num}: {column} "
+                                     f"{fields[column]!r} is not {noun}") from None
+            yield fields
 
 
 def load_reference(path: str | None = None) -> dict[str, dict]:
@@ -150,12 +159,9 @@ def load_reference(path: str | None = None) -> dict[str, dict]:
     if path is None:
         path = resources.files("predlim").joinpath("reference/best_models.csv")
     out = {}
-    for row in csv_rows(path, ("dataset_id", "best_model", "hit1", "hit20")):
-        out[row["dataset_id"]] = {
-            "best_model": row["best_model"],
-            "hit1": float(row["hit1"]),
-            "hit20": float(row["hit20"]),
-        }
+    columns = {"dataset_id": str, "best_model": str, "hit1": float, "hit20": float}
+    for row in csv_rows(path, columns):
+        out[row["dataset_id"]] = {k: row[k] for k in ("best_model", "hit1", "hit20")}
     return out
 
 
@@ -289,10 +295,10 @@ def score_log(
         return [epl(e) for e in ests]
     if method == "fano":
         ns = [len(log.vocabulary)] * len(ests)
-    elif (n_scope or spec.scopes[0]) == "pooled":
-        ns = [max(transition_fanout(log.sequences), 2)] * len(ests)
     else:
-        ns = [max(transition_fanout([s]), 2) for s in log.sequences]
+        per_user = (n_scope or spec.scopes[0]) == "per-user"
+        n_r = transition_fanout(log.items, log.offsets, log.num_items, per_user)
+        ns = np.maximum(n_r, 2).tolist() if per_user else [max(n_r, 2)] * len(ests)
     keys = [(e.bits, n) for e, n in zip(ests, ns)]  # a Fano value depends on these alone
     value = {key: fano_invert(e, key[1]) for key, e in dict(zip(keys, ests)).items()}
     return [replace(value[key], method=method, entropy=e) for key, e in zip(keys, ests)]

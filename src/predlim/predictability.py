@@ -21,7 +21,7 @@ import numpy as np
 
 from .entropy import EntropyEstimate, perm_entropies
 from .entropy import perm_entropy  # noqa: F401  (the benchmark's tracer wraps it here)
-from .sequence_core import UserSequence, transition_fanout
+from .sequence_core import transition_fanout
 
 __all__ = [
     "PredictabilityScore",
@@ -147,14 +147,16 @@ def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
     return PredictabilityScore(value=0.5 * (lo + hi), method="fano", entropy=s, n=n)
 
 
-def fano_nr(s: EntropyEstimate, sequences: list[UserSequence]) -> PredictabilityScore:
+def fano_nr(s: EntropyEstimate, items, offsets, n: int) -> PredictabilityScore:
     """Fano inversion against the observed successor fan-out.
 
-    N_r comes from transition_fanout over the given sequences ([s] for user s
-    alone); a fan-out of 1 is clamped to 2 where the Fano relation is defined
-    (a deterministic sequence still maps to Pi = 1 through the S <= 0 clamp).
+    N_r is transition_fanout's pooled N_r over the users (items, offsets),
+    with every item below n: pass a log's arrays, or one user's items and
+    [0, len(items)] for that user alone. A fan-out of 1 is clamped to 2 where
+    the Fano relation is defined (a deterministic sequence still maps to
+    Pi = 1 through the S <= 0 clamp).
     """
-    n_r = transition_fanout(sequences)
+    n_r = transition_fanout(items, offsets, n)
     return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
 
 

@@ -245,18 +245,42 @@ def log_from_json(path: str) -> InteractionLog:
     return log
 
 
-def transition_fanout(sequences: list[UserSequence]) -> int:
-    """Maximum observed successor fan-out N_r over the given sequences.
+def transition_fanout(items: np.ndarray, offsets: np.ndarray, n: int, per_user: bool = False):
+    """Maximum successor fan-out N_r of the users (items, offsets), every item below n.
 
-    For each current item x, N(x) is the set of distinct items observed
-    immediately after x in any of the sequences, and N_r is the largest |N(x)|.
-    Pass a log's sequences for the pooled N_r, or [s] for user s's own.
+    N(x) is the set of distinct items seen right after x within a user, and N_r
+    the largest |N(x)|: pooled over all users (an int), or per_user each user's
+    own (an int64 array). A scope without transitions raises, as per user does a
+    one-event user. A transition a -> b is the key a * n + b (per user plus
+    owner * n^2, in chunks of users that keep keys below 2^63); once sorted and
+    deduplicated, a state's distinct successors are a run of equal key // n.
     """
-    succ: dict[int, set[int]] = {}
-    for s in sequences:
-        items = s.items.tolist()
-        for a, b in zip(items, items[1:]):
-            succ.setdefault(a, set()).add(b)
-    if not succ:
+    n = int(n)
+    if n * n >= 1 << 63:
+        raise ValueError(f"item bound {n} is too large for int64 transition keys")
+    items, offsets = np.asarray(items, np.int64), np.asarray(offsets)
+    lengths = np.diff(offsets)
+    keys = np.delete(items[:-1] * n + items[1:], offsets[1:-1] - 1)  # none straddles two users
+    if not per_user:
+        if not len(keys):
+            raise ValueError("no transitions in scope")
+        return int(_runs(keys, n)[1].max())
+    if np.any(lengths < 2):
         raise ValueError("no transitions in scope")
-    return max(len(nexts) for nexts in succ.values())
+    fanout = np.zeros(len(lengths), dtype=np.int64)
+    starts = offsets - np.arange(len(offsets))  # user u's keys are keys[starts[u]:starts[u + 1]]
+    step = ((1 << 63) - 1) // (n * n)  # users per chunk
+    for lo in range(0, len(lengths), step):
+        hi = min(lo + step, len(lengths))
+        owner = np.repeat(np.arange(hi - lo), lengths[lo:hi] - 1)
+        states, runs = _runs(owner * (n * n) + keys[starts[lo]:starts[hi]], n)
+        np.maximum.at(fanout[lo:hi], states // n, runs)
+    return fanout
+
+
+def _runs(keys: np.ndarray, n: int):
+    """Each distinct key // n and the number of distinct keys that share it."""
+    keys = np.sort(keys)  # np.unique hashes int64 keys first, several times slower here
+    states = keys[np.diff(keys, prepend=-1) != 0] // n
+    first = np.flatnonzero(np.diff(states, prepend=-1))
+    return states[first], np.diff(first, append=len(states))

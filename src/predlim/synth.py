@@ -163,9 +163,10 @@ def _generate_session_reset(config: GeneratorConfig):
         resets[0] = True  # the first set must exist
         period = np.cumsum(resets) - 1
         n_periods = int(period[-1]) + 1
-        sets = np.empty((n_periods, m), dtype=np.int64)
-        for pd in range(n_periods):
-            sets[pd] = rng.choice(n, size=m, replace=False)
+        if m == 1:  # choice(n, 1, replace=False) draws as integers(0, n) does, stream and all
+            sets = rng.integers(0, n, (n_periods, 1))
+        else:
+            sets = np.array([rng.choice(n, size=m, replace=False) for _ in range(n_periods)])
         member = rng.integers(0, m, size=t)
         noise = rng.random(t) < eps
         uniform = rng.integers(0, n, size=t)

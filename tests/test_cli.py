@@ -799,3 +799,74 @@ def test_cohort_and_select_reject_scores_for_users_the_log_lacks(tmp_path, capsy
     last = lines[-1].split(",")[0]
     cohort, _ = _cohort_and_select(tmp_path, capsys, log_path, lines[:-1])
     assert cohort == (1, f"{cover}no score for user {last}\n", False)
+
+
+def _edited_copy(path, out, line, column, value):
+    """A copy of the CSV at path with one field, at a 1-based line and a column name, replaced."""
+    rows = list(csv.reader(open(path, newline="")))
+    rows[line - 1][rows[0].index(column)] = value
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(out)
+
+
+def _fails_with_one_line(capsys, argv, out, message):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n"), argv
+    assert not out.exists()
+
+
+def test_a_non_integer_user_index_is_one_error_line(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    bad = _edited_copy(est_path, tmp_path / "e.csv", 3, "user_index", "x")
+    out = tmp_path / "scores.csv"
+    _fails_with_one_line(capsys, ("score", "--log", log_path, "--entropy", bad, "--method",
+                                  "epl", "--output", str(out)),
+                         out, f"{bad}: line 3: user_index 'x' is not an integer")
+
+
+def test_a_non_numeric_entropy_value_is_one_error_line(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    bad = _edited_copy(est_path, tmp_path / "e.csv", 2, "value", "abc")
+    out = tmp_path / "scores.csv"
+    for method in ("epl", "fano_nr"):
+        _fails_with_one_line(capsys, ("score", "--log", log_path, "--entropy", bad, "--method",
+                                      method, "--output", str(out)),
+                             out, f"{bad}: line 2: value 'abc' is not a number")
+
+
+def test_a_non_numeric_score_value_is_one_error_line(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = tmp_path / "scores.csv"
+    run_cli(capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+            "--output", str(scores))
+    bad = _edited_copy(scores, tmp_path / "s.csv", 4, "value", "abc")
+    message = f"{bad}: line 4: value 'abc' is not a number"
+    out = tmp_path / "cohort.json"
+    _fails_with_one_line(capsys, ("cohort", "--log", log_path, "--scores", bad, "--dimension",
+                                  "novelty", "--output", str(out)), out, message)
+    out = tmp_path / "selection"
+    _fails_with_one_line(capsys, ("select", "--log", log_path, "--scores", bad, "--strategy",
+                                  "highpi", "--budget", "0.5", "--output-dir", str(out)),
+                         out, message)
+
+
+def test_a_non_numeric_predictability_in_report_is_one_error_line(tmp_path, capsys):
+    scores = tmp_path / "datasets.csv"
+    scores.write_text("dataset_id,method,predictability\nAOTM,epl,0.1\nBridge,epl,high\n")
+    out = tmp_path / "report.json"
+    _fails_with_one_line(capsys, ("report", "--scores", str(scores), "--output", str(out)),
+                         out, f"{scores}: line 3: predictability 'high' is not a number")
+
+
+def test_a_non_numeric_reference_accuracy_is_one_error_line(tmp_path, capsys):
+    scores = tmp_path / "datasets.csv"
+    scores.write_text("dataset_id,method,predictability\nAOTM,epl,0.1\nBridge,epl,0.7\n")
+    reference = tmp_path / "reference.csv"
+    out = tmp_path / "report.json"
+    for column, line in (("hit1", "AOTM,SASRec,n/a,0.1"), ("hit20", "AOTM,SASRec,0.0,")):
+        reference.write_text(f"dataset_id,best_model,hit1,hit20\nBridge,GRU4Rec,0.1,0.9\n{line}\n")
+        value = line.split(",")[2 if column == "hit1" else 3]
+        _fails_with_one_line(capsys, ("report", "--scores", str(scores), "--reference",
+                                      str(reference), "--output", str(out)),
+                             out, f"{reference}: line 3: {column} {value!r} is not a number")

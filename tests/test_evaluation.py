@@ -362,9 +362,10 @@ def test_score_log_matches_per_user_functions(users, estimator):
         ("epl", None): lambda: [epl(e) for e in ests],
         ("fano", None): lambda: [fano_invert(e, 8) for e in ests],
         ("fano", "global"): lambda: [fano_invert(e, 8) for e in ests],
-        ("fano_nr", None): lambda: [fano_nr(e, seqs) for e in ests],
-        ("fano_nr", "pooled"): lambda: [fano_nr(e, seqs) for e in ests],
-        ("fano_nr", "per-user"): lambda: [fano_nr(e, [s]) for e, s in zip(ests, seqs)],
+        ("fano_nr", None): lambda: [fano_nr(e, log.items, log.offsets, 8) for e in ests],
+        ("fano_nr", "pooled"): lambda: [fano_nr(e, log.items, log.offsets, 8) for e in ests],
+        ("fano_nr", "per-user"): lambda: [fano_nr(e, s.items, [0, s.length], 8)
+                                          for e, s in zip(ests, seqs)],
     }
     for (method, scope), reference in expected.items():
         got = outcome(lambda: score_log(log, method, estimates, n_scope=scope))

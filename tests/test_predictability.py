@@ -133,7 +133,7 @@ def test_fano_monotone_in_n_at_fixed_entropy():
 
 def test_fano_nr_constant_sequence():
     log = log_from_sequences([np.zeros(10, dtype=int)], n_items=5)
-    score = fano_nr(nats(0.0), log.sequences)
+    score = fano_nr(nats(0.0), log.items, log.offsets, log.num_items)
     assert score.value == 1.0
     assert score.method == "fano_nr"
     assert score.n == 2  # fan-out 1 clamps to 2
@@ -142,15 +142,15 @@ def test_fano_nr_constant_sequence():
 def test_fano_nr_binary_entropy_inverse():
     # N_r = 2 and 1 bit of entropy solve h2(pi) = 1 at pi = 0.5
     log = log_from_sequences([np.array([0, 1, 0, 1, 1, 0])])
-    score = fano_nr(bits(1.0), log.sequences)
+    score = fano_nr(bits(1.0), log.items, log.offsets, log.num_items)
     assert score.n == 2
     assert abs(score.value - 0.5) < 1e-6
 
 
 def test_fano_nr_scope_changes_candidate_size():
     log = log_from_sequences([np.array([0, 1, 0, 2]), np.array([0, 3, 0, 4])])
-    pooled = fano_nr(bits(1.0), log.sequences)
-    per_user = [fano_nr(bits(1.0), [s]) for s in log.sequences]
+    pooled = fano_nr(bits(1.0), log.items, log.offsets, log.num_items)
+    per_user = [fano_nr(bits(1.0), s.items, [0, s.length], 5) for s in log.sequences]
     assert pooled.n == 4 and [sc.n for sc in per_user] == [2, 2]
     # at fixed entropy the Fano relation is monotone in the candidate size
     assert all(pooled.value > sc.value for sc in per_user)

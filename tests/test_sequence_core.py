@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predlim.sequence_core import (
+    UserSequence,
     ingest_csv,
     log_from_json,
     log_from_sequences,
@@ -226,29 +228,44 @@ def test_json_rejects_unknown_schema(tmp_path):
         log_from_json(str(path))
 
 
+def fanouts(log, per_user=False):
+    return transition_fanout(log.items, log.offsets, log.num_items, per_user)
+
+
 def test_fanout_direct_enumeration():
     log = log_from_sequences([np.array([0, 1, 0, 2])])
-    assert transition_fanout(log.sequences) == 2
+    assert fanouts(log) == 2
     assert fanout_table(log.sequences) == {0: 2, 1: 1}
 
 
 def test_fanout_constant_sequence():
     log = log_from_sequences([np.array([0, 0, 0])])
-    assert transition_fanout(log.sequences) == 1
+    assert fanouts(log) == 1
 
 
 def test_fanout_pooled_vs_per_user():
     log = log_from_sequences([np.array([0, 1]), np.array([0, 2])])
-    assert transition_fanout(log.sequences) == 2
-    assert [transition_fanout([s]) for s in log.sequences] == [1, 1]
+    assert fanouts(log) == 2
+    assert fanouts(log, per_user=True).tolist() == [1, 1]
+
+
+def test_fanout_ignores_pairs_across_users():
+    # 0 -> 2 and 0 -> 3 would only follow 0 across a user boundary
+    log = log_from_sequences([np.array([0, 1, 0]), np.array([2, 5, 0]), np.array([3, 4])])
+    assert fanouts(log) == 1 == fanout_oracle(log.sequences, "pooled")
+    assert fanouts(log, per_user=True).tolist() == [1, 1, 1]
 
 
 def test_fanout_requires_transitions():
     log = log_from_sequences([np.array([0]), np.array([1])])
     with pytest.raises(ValueError, match="transitions"):
-        transition_fanout(log.sequences)
+        fanouts(log)
     with pytest.raises(ValueError, match="transitions"):
-        transition_fanout(log.sequences[:1])
+        transition_fanout(log.items[:1], np.array([0, 1]), log.num_items)
+    mixed = log_from_sequences([np.array([0, 1, 0]), np.array([1])])
+    assert fanouts(mixed) == 1
+    with pytest.raises(ValueError, match="transitions"):
+        fanouts(mixed, per_user=True)  # one event is no transition of its own
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,8 +278,8 @@ def test_fanout_requires_transitions():
 )
 def test_fanout_bounds_property(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=7)
-    pooled = transition_fanout(log.sequences)
-    per_user = max(transition_fanout([s]) for s in log.sequences)
+    pooled = fanouts(log)
+    per_user = max(fanouts(log, per_user=True))
     assert 1 <= per_user <= pooled <= len(log.vocabulary)
 
 
@@ -286,9 +303,27 @@ def test_log_from_sequences_pads_vocabulary():
 )
 def test_fanout_matches_enumeration_oracle(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=6)
-    assert transition_fanout(log.sequences) == fanout_oracle(log.sequences, "pooled")
-    per_user = max(transition_fanout([s]) for s in log.sequences if s.length >= 2)
+    assert fanouts(log) == fanout_oracle(log.sequences, "pooled")
+    two = log_from_sequences([np.array(u) for u in user_lists if len(u) >= 2], n_items=6)
+    per_user = max(fanouts(two, per_user=True))
     assert per_user == fanout_oracle(log.sequences, "per_user")
+    each = [fanout_oracle([s], "pooled") for s in two.sequences]
+    assert fanouts(two, per_user=True).tolist() == each
+
+
+@pytest.mark.parametrize("n", [1 << 31, math.isqrt(((1 << 63) - 1) // 3)])
+def test_fanout_near_the_int64_key_limit(n):
+    # one user per key chunk at n = 2^31, three at the second n; items up to n - 1
+    rng = np.random.default_rng(7)
+    values = np.array([0, 1, n - 2, n - 1])
+    arrays = [values[rng.integers(0, 4, int(t))] for t in rng.integers(2, 30, 7)]
+    items, offsets = np.concatenate(arrays), np.cumsum([0] + [len(a) for a in arrays])
+    seqs = [UserSequence(u, f"u{u}", a) for u, a in enumerate(arrays)]
+    assert transition_fanout(items, offsets, n) == fanout_oracle(seqs, "pooled")
+    got = transition_fanout(items, offsets, n, per_user=True).tolist()
+    assert got == [fanout_oracle([s], "pooled") for s in seqs]
+    with pytest.raises(ValueError, match="too large"):
+        transition_fanout(items, offsets, 1 << 32)
 
 
 def reference_ingest(text, min_length, max_events, dedup):

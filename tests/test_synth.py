@@ -128,6 +128,42 @@ def test_user_substreams_do_not_depend_on_corpus_size():
         assert np.array_equal(small.log.sequences[u].items, large.log.sequences[u].items)
 
 
+def session_reset_by_choice(cfg):
+    """Each user's sequence and sets as drawn with one rng.choice per period, on (seed, 0, u)."""
+    n, t, m, rho, eps = cfg.n, cfg.length, cfg.params["m"], cfg.params["rho"], cfg.params["eps"]
+    sequences, sets_trace = [], []
+    for u in range(cfg.users):
+        rng = np.random.default_rng([cfg.seed, 0, u])
+        resets = rng.random(t) < rho
+        resets[0] = True
+        period = np.cumsum(resets) - 1
+        sets = np.array([rng.choice(n, m, replace=False) for _ in range(period[-1] + 1)])
+        member = rng.integers(0, m, size=t)
+        noise = rng.random(t) < eps
+        uniform = rng.integers(0, n, size=t)
+        sequences.append(np.where(noise, uniform, sets[period, member]))
+        sets_trace.append(sets)
+    return sequences, sets_trace
+
+
+@pytest.mark.parametrize("n", [2, 100, 10**4, 10**5])
+def test_session_reset_single_sets_draw_as_choice(n):
+    # one integers draw per user for every m = 1 set leans on numpy's stream layout
+    for seed in range(200):
+        corpus = generate(config("session_reset", n=n, m=1, rho=0.2, eps=0.3, users=2,
+                                 length=40, seed=seed))
+        sequences, sets = session_reset_by_choice(corpus.config)
+        assert all(np.array_equal(s.items, x) for s, x in zip(corpus.log.sequences, sequences))
+        assert all(np.array_equal(a, b) for a, b in zip(corpus.latent_trace["sets"], sets))
+
+
+def test_session_reset_larger_sets_draw_as_choice():
+    corpus = generate(config("session_reset", n=100, m=3, rho=0.2, eps=0.3, seed=9))
+    sequences, sets = session_reset_by_choice(corpus.config)
+    assert all(np.array_equal(s.items, x) for s, x in zip(corpus.log.sequences, sequences))
+    assert all(np.array_equal(a, b) for a, b in zip(corpus.latent_trace["sets"], sets))
+
+
 def test_full_noise_is_uniform_chi_square():
     n = 20
     corpus = generate(config("session_reset", n=n, m=1, rho=0.05, eps=1.0, users=40, length=250, seed=2))
