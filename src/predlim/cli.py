@@ -174,7 +174,7 @@ def cmd_cohort(args) -> int:
     features = compute_features(log, **given)
     report = split_and_aggregate(features, scores, args.dimension)
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=vars)
     g1, g2 = report.groups
     print(
         f"{report.dimension}: Q1 mean {g1.mean_predictability:.4f} ({g1.user_count} users), "

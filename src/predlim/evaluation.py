@@ -154,13 +154,15 @@ def load_reference(path: str | None = None) -> dict[str, dict]:
     """Best-model reference accuracies shipped with the package.
 
     Returns {dataset_id: {best_model, hit1, hit20}}. These values are inputs,
-    not something the toolkit recomputes.
+    not something the toolkit recomputes. A dataset_id listed twice raises.
     """
     if path is None:
         path = resources.files("predlim").joinpath("reference/best_models.csv")
     out = {}
     columns = {"dataset_id": str, "best_model": str, "hit1": float, "hit20": float}
     for row in csv_rows(path, columns):
+        if row["dataset_id"] in out:
+            raise ValueError(f"{path}: dataset_id {row['dataset_id']!r} is listed twice")
         out[row["dataset_id"]] = {k: row[k] for k in ("best_model", "hit1", "hit20")}
     return out
 

@@ -21,6 +21,7 @@ in what order they are produced.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,19 +44,76 @@ __all__ = [
 class Mechanism:
     noise: str  # the free parameter invert_noise solves for, always the last
     fixed: dict  # the fixed parameters and their defaults, in params order
+    draw: Callable  # (user rng, config, shared) -> (the user's items, their trace entries)
     set_size: str | None = None  # the size k of the active set; None for k = 1
+    shared: Callable | None = None  # (corpus rng, config) -> the trace entries users share
+
+
+def _emit(rng, config, table, row) -> np.ndarray:
+    """Each step's item: a uniform member of table[row], or with chance eps any of n items."""
+    member = rng.integers(0, table.shape[1], size=config.length)
+    noise = rng.random(config.length) < config.params["eps"]
+    uniform = rng.integers(0, config.n, size=config.length)
+    return np.where(noise, uniform, table[row, member])
+
+
+def _session_reset(rng, config, shared):
+    n, t, m = config.n, config.length, config.params["m"]
+    resets = rng.random(t) < config.params["rho"]
+    resets[0] = True  # the first set must exist
+    period = np.cumsum(resets) - 1
+    n_periods = int(period[-1]) + 1
+    if m == 1:  # choice(n, 1, replace=False) draws as integers(0, n) does, stream and all
+        sets = rng.integers(0, n, (n_periods, 1))
+    else:
+        sets = np.array([rng.choice(n, size=m, replace=False) for _ in range(n_periods)])
+    return _emit(rng, config, sets, period), {"period": period, "sets": sets}
+
+
+def _repeat_last(rng, config, shared):
+    t = config.length
+    uniform = rng.integers(0, config.n, size=t)
+    fresh = np.concatenate(([True], rng.random(t - 1) >= config.params["p"]))
+    # source index per step: the most recent fresh draw
+    return uniform[np.maximum.accumulate(np.where(fresh, np.arange(t), 0))], {}
+
+
+def _context_pool(rng, config):
+    c, m_c = config.params["c"], config.params["m_c"]
+    return {"contexts": np.array([rng.choice(config.n, m_c, replace=False) for _ in range(c)])}
+
+
+def _context_switch(rng, config, shared):
+    c, t = config.params["c"], config.length
+    c0 = int(rng.integers(0, c))
+    switch = rng.random(t) < config.params["s"]
+    switch[0] = False
+    delta = rng.integers(1, c, size=t)  # switch always lands elsewhere
+    cid = (c0 + np.cumsum(np.where(switch, delta, 0))) % c
+    return _emit(rng, config, shared["contexts"], cid), {"context": cid}
 
 
 # Every mechanism. p is the chance of repeating the previous item, which the
 # oracle predicts; eps is the chance of a uniform draw over all n items.
 MECHANISMS = {
-    "session_reset": Mechanism("eps", {"m": 1, "rho": 0.05}, set_size="m"),
-    "repeat_last": Mechanism("p", {}),
-    "context_switch": Mechanism("eps", {"c": 5, "m_c": 5, "s": 0.05}, set_size="m_c"),
+    "session_reset": Mechanism("eps", {"m": 1, "rho": 0.05}, _session_reset, set_size="m"),
+    "repeat_last": Mechanism("p", {}, _repeat_last),
+    "context_switch": Mechanism("eps", {"c": 5, "m_c": 5, "s": 0.05}, _context_switch,
+                                set_size="m_c", shared=_context_pool),
 }
 # The range of every generator parameter; "n" stands for the item-space size.
 PARAM_RANGES = {"m": (1, "n"), "m_c": (1, "n"), "c": (2, math.inf),
                 "rho": (0, 1), "s": (0, 1), "eps": (0, 1), "p": (0, 1)}
+
+
+def _check_ranges(n: int, params: dict) -> None:
+    """Raise naming the first of n and params outside its range."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    for name, value in params.items():
+        lo, hi = PARAM_RANGES[name]
+        if not lo <= value <= (n if hi == "n" else hi):
+            raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +127,6 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         expected = set(params_for(self.mechanism, None))
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
         if self.users < 1 or self.length < 2:
             raise ValueError("need users >= 1 and length >= 2")
         if self.seed < 0:
@@ -79,10 +135,7 @@ class GeneratorConfig:
             raise ValueError(
                 f"{self.mechanism} needs params {sorted(expected)}, got {sorted(self.params)}"
             )
-        for name, value in self.params.items():
-            lo, hi = PARAM_RANGES[name]
-            if not lo <= value <= (self.n if hi == "n" else hi):
-                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        _check_ranges(self.n, self.params)
 
 
 @dataclass
@@ -118,6 +171,8 @@ def invert_noise(mechanism: str, target_hit1: float, n: int, **fixed) -> float:
     """
     params = params_for(mechanism, None, **fixed)
     spec = MECHANISMS[mechanism]
+    del params[spec.noise]
+    _check_ranges(n, params)
     k = params[spec.set_size] if spec.set_size else 1
     lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
     if spec.noise == "p":
@@ -145,101 +200,23 @@ def params_for(mechanism: str, noise: float | None, **fixed) -> dict:
     return {**params, spec.noise: noise}
 
 
-def _user_rng(seed: int, user_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 0, user_index])
-
-
-def _corpus_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 1])
-
-
-def _generate_session_reset(config: GeneratorConfig):
-    n, t = config.n, config.length
-    m, rho, eps = config.params["m"], config.params["rho"], config.params["eps"]
-    sequences, period_trace, set_trace = [], [], []
-    for u in range(config.users):
-        rng = _user_rng(config.seed, u)
-        resets = rng.random(t) < rho
-        resets[0] = True  # the first set must exist
-        period = np.cumsum(resets) - 1
-        n_periods = int(period[-1]) + 1
-        if m == 1:  # choice(n, 1, replace=False) draws as integers(0, n) does, stream and all
-            sets = rng.integers(0, n, (n_periods, 1))
-        else:
-            sets = np.array([rng.choice(n, size=m, replace=False) for _ in range(n_periods)])
-        member = rng.integers(0, m, size=t)
-        noise = rng.random(t) < eps
-        uniform = rng.integers(0, n, size=t)
-        x = np.where(noise, uniform, sets[period, member])
-        sequences.append(x)
-        period_trace.append(period)
-        set_trace.append(sets)
-    trace = {"period": period_trace, "sets": set_trace}
-    return sequences, trace
-
-
-def _generate_repeat_last(config: GeneratorConfig):
-    n, t = config.n, config.length
-    p = config.params["p"]
-    sequences = []
-    for u in range(config.users):
-        rng = _user_rng(config.seed, u)
-        uniform = rng.integers(0, n, size=t)
-        repeat = rng.random(t - 1) < p
-        fresh = np.empty(t, dtype=bool)
-        fresh[0] = True
-        fresh[1:] = ~repeat
-        # source index per step: the most recent fresh draw
-        source = np.maximum.accumulate(np.where(fresh, np.arange(t), 0))
-        sequences.append(uniform[source])
-    return sequences, {}
-
-
-def _generate_context_switch(config: GeneratorConfig):
-    n, t = config.n, config.length
-    c = config.params["c"]
-    m_c, s, eps = config.params["m_c"], config.params["s"], config.params["eps"]
-    crng = _corpus_rng(config.seed)
-    contexts = np.empty((c, m_c), dtype=np.int64)
-    for ci in range(c):
-        contexts[ci] = crng.choice(n, size=m_c, replace=False)
-    sequences, context_trace = [], []
-    for u in range(config.users):
-        rng = _user_rng(config.seed, u)
-        c0 = int(rng.integers(0, c))
-        switch = rng.random(t) < s
-        switch[0] = False
-        delta = rng.integers(1, c, size=t)  # switch always lands elsewhere
-        cid = (c0 + np.cumsum(np.where(switch, delta, 0))) % c
-        member = rng.integers(0, m_c, size=t)
-        noise = rng.random(t) < eps
-        uniform = rng.integers(0, n, size=t)
-        x = np.where(noise, uniform, contexts[cid, member])
-        sequences.append(x)
-        context_trace.append(cid)
-    trace = {"context": context_trace, "contexts": contexts}
-    return sequences, trace
-
-
 def generate(config: GeneratorConfig) -> SynthCorpus:
     """Generate a corpus plus the latent trace its oracle needs.
 
-    User u draws from substream (seed, 0, u) and the shared context pool from
-    (seed, 1), so output is identical across runs and independent of user
-    order. Reset and switch events take effect before the step's emission. The
-    log uses an identity vocabulary of size n: unseen items keep count 0, so
-    the vocabulary size equals the configured item-space size.
+    User u draws from substream (seed, 0, u) and what all users share, the
+    context pool, from (seed, 1), so output is identical across runs and
+    independent of user order. Reset and switch events take effect before the
+    step's emission. The log uses an identity vocabulary of size n: unseen items
+    keep count 0, so the vocabulary size equals the configured item-space size.
     """
-    builder = {
-        "session_reset": _generate_session_reset,
-        "repeat_last": _generate_repeat_last,
-        "context_switch": _generate_context_switch,
-    }[config.mechanism]
-    sequences, trace = builder(config)
-    log = log_from_sequences(sequences, n_items=config.n)
-    return SynthCorpus(
-        log=log, config=config, oracle_hit1=oracle_hit1(config), latent_trace=trace
-    )
+    spec = MECHANISMS[config.mechanism]
+    shared = spec.shared(np.random.default_rng([config.seed, 1]), config) if spec.shared else {}
+    draws = [spec.draw(np.random.default_rng([config.seed, 0, u]), config, shared)
+             for u in range(config.users)]
+    trace = {key: [entries[key] for _, entries in draws] for key in draws[0][1]}
+    log = log_from_sequences([items for items, _ in draws], n_items=config.n)
+    return SynthCorpus(log=log, config=config, oracle_hit1=oracle_hit1(config),
+                       latent_trace={**trace, **shared})
 
 
 def simulate_oracle(corpus: SynthCorpus) -> float:

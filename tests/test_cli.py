@@ -870,3 +870,40 @@ def test_a_non_numeric_reference_accuracy_is_one_error_line(tmp_path, capsys):
         _fails_with_one_line(capsys, ("report", "--scores", str(scores), "--reference",
                                       str(reference), "--output", str(out)),
                              out, f"{reference}: line 3: {column} {value!r} is not a number")
+
+
+def test_a_reference_listing_a_dataset_twice_is_one_error_line(tmp_path, capsys):
+    scores = tmp_path / "datasets.csv"
+    scores.write_text("dataset_id,method,predictability\nAOTM,epl,0.1\nBridge,epl,0.7\n")
+    reference = tmp_path / "reference.csv"
+    reference.write_text("dataset_id,best_model,hit1,hit20\nAOTM,SASRec,0.0,0.1\n"
+                         "Bridge,GRU4Rec,0.1,0.9\nAOTM,GRU4Rec,0.0,0.2\n")
+    out = tmp_path / "report.json"
+    _fails_with_one_line(capsys, ("report", "--scores", str(scores), "--reference",
+                                  str(reference), "--output", str(out)),
+                         out, f"{reference}: dataset_id 'AOTM' is listed twice")
+
+
+def test_generator_parameters_are_checked_before_the_target_is_inverted(tmp_path, capsys):
+    def synth(mechanism, *extra):
+        return ("synth", "--mechanism", mechanism, "--users", "4", "--length", "30",
+                "--target-hit1", "0.5", *extra, "--output", str(tmp_path / "out"))
+
+    def sweep(kind, *extra):
+        return ("sweep", "--kind", kind, *SMALL_SWEEP, *extra, "--output", str(tmp_path / "out"))
+
+    difficulty = ("--mechanism", "session-reset", "--targets", "0.3")
+    cases = [
+        (synth("session-reset", "--n", "300", "--m", "0"), "m must lie in [1, n], got 0"),
+        (synth("session-reset", "--n", "300", "--m", "-1"), "m must lie in [1, n], got -1"),
+        (synth("context-switch", "--n", "300", "--m-c", "0"), "m_c must lie in [1, n], got 0"),
+        (synth("repeat-last", "--n", "0"), "n must be >= 2"),
+        (synth("repeat-last", "--n", "1"), "n must be >= 2"),
+        (sweep("difficulty", *difficulty, "--n", "30", "--m-latent", "0"),
+         "m must lie in [1, n], got 0"),
+        (sweep("difficulty", *difficulty, "--n", "0"), "n must be >= 2"),
+        (sweep("n", "--n-grid", "100", "--m-c", "0"), "m_c must lie in [1, n], got 0"),
+        (sweep("n", "--n-grid", "0"), "n must be >= 2"),
+    ]
+    for argv, message in cases:
+        _fails_with_one_line(capsys, argv, tmp_path / "out", message)

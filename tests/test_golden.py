@@ -4,12 +4,12 @@ A seeded CSV in the benchmark fixture's shape (uniform users, Zipf items,
 uniform timestamps), scaled down to a few thousand events, goes through
 ingest, estimate, score, cohort and select. A second CSV, with few users and
 coarse timestamps so that ties and repeated rows are common, goes through
-ingest --dedup --max-events; synth makes one corpus. A small difficulty sweep
-and a small item-space sweep write their tables, and report compares a
-hand-written dataset-score CSV with the shipped reference accuracies. Each
-file's sha256 must equal the value recorded in GOLDEN, so a refactor that
-changes any output byte fails here. A change meant to alter an output records
-the new hash, and says why, in the same change.
+ingest --dedup --max-events; synth makes one corpus per mechanism. A small
+difficulty sweep and a small item-space sweep write their tables, and report
+compares a hand-written dataset-score CSV with the shipped reference
+accuracies. Each file's sha256 must equal the value recorded in GOLDEN, so a
+refactor that changes any output byte fails here. A change meant to alter an
+output records the new hash, and says why, in the same change.
 """
 
 import hashlib
@@ -39,6 +39,12 @@ GOLDEN = {
     "selection/train.csv": "1f409e561cb21e457ab0c55f6d9196868a0e76e252f851f0e0ce58f48902c31a",
     "sweep-difficulty.csv": "1799e9b8748640fbda937ad611fcc77c42547be297469dc7c78a64247598b47a",
     "sweep-n.csv": "18fafc1b975b6cecd64117839fe05c9d2ec692497fe99600319ec30a72da3f1a",
+    "synth-context-switch/latent.json": "d4161d11cb3769ddad4b93129a3e5c64952a4af17a44a611bf4c4b26527fd9d9",
+    "synth-context-switch/log.json": "41fffb0a6a8ff64d66b4a6333ba39a8f3110c2660ecf0a1fd4520ce1e3e02cbc",
+    "synth-context-switch/oracle.json": "6f811d785499ea4e099c568f95f0f4d57d31a0ee5d67fa0690443e32d079d3c0",
+    "synth-repeat-last/latent.json": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    "synth-repeat-last/log.json": "edbb60dd5a27877b4ec81ef699cd8883c3391f520cd49f22d9b1f099d69b9aa8",
+    "synth-repeat-last/oracle.json": "93605d393c76530769d6b087a8680b13db52a0fc0b97de70293cdf26b060abb5",
     "synth/latent.json": "6a16e383096b3797061069f6ac2b4faef2a1de907a3af81e93f4144af2115579",
     "synth/log.json": "349efc39fe5d3ac4dc7118b6ff11c777f35f9910cc691c8c2c1cd8eb1229885d",
     "synth/oracle.json": "1024e4c16e74e768b3a568a353d6efee4c12068aac9c647f1f35b5ccc2225c75",
@@ -99,6 +105,11 @@ def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys):
          "--budget", "0.3", "--seed", "0", "--output-dir", p("selection")),
         ("synth", "--mechanism", "session-reset", "--n", "300", "--users", "12", "--length", "80",
          "--seed", "5", "--target-hit1", "0.4", "--output", p("synth")),
+        ("synth", "--mechanism", "repeat-last", "--n", "50", "--users", "9", "--length", "60",
+         "--seed", "3", "--target-hit1", "0.5", "--output", p("synth-repeat-last")),
+        ("synth", "--mechanism", "context-switch", "--n", "200", "--users", "10", "--length", "70",
+         "--seed", "4", "--c", "4", "--m-c", "3", "--s", "0.1", "--eps", "0.2",
+         "--output", p("synth-context-switch")),
     ]
     sweep = ("--methods", "epl,fano,fano_nr,perm", "--reps", "2", "--users", "6",
              "--length", "40", "--seed", "2")

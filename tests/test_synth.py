@@ -249,3 +249,20 @@ def test_simulate_oracle_validates_general_m_session_form():
     cfg = config("session_reset", n=500, m=3, rho=0.1, eps=0.25, users=300, length=200, seed=4)
     h = oracle_hit1(cfg)
     assert abs(simulate_oracle(generate(cfg)) - h) <= se3(h, 300 * 199)
+
+
+def test_invert_checks_parameter_ranges_first():
+    # each of these once divided by zero or named a nonsense feasible interval
+    for mechanism, n, fixed, name in [
+        ("session_reset", 100, {"m": 0}, "m"),
+        ("session_reset", 100, {"m": -1}, "m"),
+        ("session_reset", 100, {"m": 101}, "m"),
+        ("session_reset", 100, {"rho": 1.5}, "rho"),
+        ("context_switch", 100, {"m_c": 0}, "m_c"),
+        ("context_switch", 100, {"c": 1}, "c"),
+        ("repeat_last", 0, {}, "n"),
+        ("repeat_last", 1, {}, "n"),
+        ("context_switch", 1, {}, "n"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            invert_noise(mechanism, 0.5, n=n, **fixed)
