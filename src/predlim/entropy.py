@@ -65,22 +65,27 @@ class EntropyEstimate:
 
     def to(self, unit: str) -> "EntropyEstimate":
         """Convert between nats and bits (bits = nats / ln 2)."""
+        value = self._in(unit)
+        if unit == self.unit:
+            return self
+        return EntropyEstimate(value, unit, self.estimator, dict(self.params), self.flags)
+
+    def _in(self, unit: str) -> float:
         if unit not in UNITS:
             raise ValueError(f"unit must be one of {UNITS}, got {unit!r}")
         if self.unit is None:
             raise ValueError("normalized permutation entropy has no convertible unit")
         if unit == self.unit:
-            return self
-        value = self.value / LN2 if unit == "bits" else self.value * LN2
-        return EntropyEstimate(value, unit, self.estimator, dict(self.params), self.flags)
+            return self.value
+        return self.value / LN2 if unit == "bits" else self.value * LN2
 
     @property
     def nats(self) -> float:
-        return self.to("nats").value
+        return self._in("nats")
 
     @property
     def bits(self) -> float:
-        return self.to("bits").value
+        return self._in("bits")
 
 
 @dataclass(frozen=True)
@@ -307,12 +312,32 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     return EntropyEstimate(float(value), None, "perm_normalized", {"d": d, "tau": tau})
 
 
+def _pattern_codes(columns: list[np.ndarray]) -> np.ndarray:
+    """The ordinal pattern code of each window, given as its d columns.
+
+    Value i's rank counts the values below it and the equal ones before it, as
+    a stable ascending sort ranks them, from the d(d-1)/2 pairwise comparisons.
+    The code sum_i i d^(d-1-rank_i) is the stable argsort row p coded as
+    sum_k p[k] d^(d-1-k).
+    """
+    d = len(columns)
+    ranks = [np.zeros(len(columns[0]), dtype=np.int64) for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            later_below = columns[j] < columns[i]
+            ranks[i] += later_below
+            ranks[j] += ~later_below
+    power = d ** np.arange(d - 1, -1, -1)
+    return sum(i * power[ranks[i]] for i in range(1, d))
+
+
 def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) -> np.ndarray:
     """perm_entropy's value for each user's items (rows) at each d in d_set (columns).
 
     NaN marks a d the user is too short for; an empty d_set, a d outside
-    {3, 4, 5} or a tau below 1 raises. A stable argsort row p is coded as the
-    integer sum_k p[k] d^(d-1-k), which sorts as the rows do. Users are
+    {3, 4, 5}, a d listed twice or a tau below 1 raises. Each window's pattern,
+    its stable argsort row p, is coded as the integer sum_k p[k] d^(d-1-k),
+    which sorts as the rows do, from pairwise comparisons. Users are
     batched whole into chunks of at most CHUNK_SYMBOLS events (a longer user
     is a chunk of its own; one too short at d has no windows); one np.unique
     over packed (user, code) keys counts a chunk, and each user sums its own
@@ -320,6 +345,8 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
     """
     if not d_set or any(d not in (3, 4, 5) for d in d_set):
         raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
+    if len(set(d_set)) < len(d_set):
+        raise ValueError(f"each d must be listed once, got {list(d_set)}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     lengths = np.diff(offsets)
@@ -334,8 +361,7 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
             owner = np.repeat(np.arange(hi - lo), v)
             # each window's start in items; none runs across two users
             rows = np.arange(len(owner)) + (offsets[lo:hi] - (np.cumsum(v) - v))[owner]
-            vectors = items[rows[:, None] + np.arange(0, span, tau)]
-            codes = np.argsort(vectors, axis=1, kind="stable") @ d ** np.arange(d - 1, -1, -1)
+            codes = _pattern_codes([items[rows + i * tau] for i in range(d)])
             keys, counts = np.unique(owner * d**d + codes, return_counts=True)
             freqs = counts / v[keys // d**d]
             terms = freqs * np.log(freqs)

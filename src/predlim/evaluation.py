@@ -23,9 +23,9 @@ import numpy as np
 
 from .entropy import EntropyEstimate, lz_entropies, sampen_entropies
 from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer wraps them)
-from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_invert
+from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_values
 from .predictability import perm_predictabilities
-from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
+from .predictability import fano_invert, perm_predictability  # noqa: F401  (the tracer wraps them)
 from .sequence_core import InteractionLog, transition_fanout
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
@@ -296,14 +296,13 @@ def score_log(
     if method == "epl":
         return [epl(e) for e in ests]
     if method == "fano":
-        ns = [len(log.vocabulary)] * len(ests)
+        n = len(log.vocabulary)
     else:
         per_user = (n_scope or spec.scopes[0]) == "per-user"
-        n_r = transition_fanout(log.items, log.offsets, log.num_items, per_user)
-        ns = np.maximum(n_r, 2).tolist() if per_user else [max(n_r, 2)] * len(ests)
-    keys = [(e.bits, n) for e, n in zip(ests, ns)]  # a Fano value depends on these alone
-    value = {key: fano_invert(e, key[1]) for key, e in dict(zip(keys, ests)).items()}
-    return [replace(value[key], method=method, entropy=e) for key, e in zip(keys, ests)]
+        n = np.maximum(transition_fanout(log.items, log.offsets, log.num_items, per_user), 2)
+    values = fano_values([e.bits for e in ests], n).tolist()
+    ns = np.broadcast_to(n, len(ests)).tolist()
+    return [PredictabilityScore(v, method, e, k) for v, e, k in zip(values, ests, ns)]
 
 
 def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[str, float]:

@@ -4,7 +4,7 @@ Three routes from uncertainty to a score in (0, 1]:
 
 - epl: exp(-S) with S in nats, the reciprocal of the effective candidate size
   exp(S). A lower bound on attainable accuracy that needs no candidate count.
-- fano_invert / fano_nr: numerically invert the Fano relation
+- fano_values / fano_invert / fano_nr: numerically invert the Fano relation
   S_F(Pi) = -Pi log2 Pi - (1-Pi) log2(1-Pi) + (1-Pi) log2(N-1)
   for Pi given a candidate-set size N (the global vocabulary, or the observed
   successor fan-out N_r).
@@ -29,6 +29,7 @@ __all__ = [
     "fano_forward",
     "fano_invert",
     "fano_nr",
+    "fano_values",
     "perm_predictability",
     "perm_predictabilities",
 ]
@@ -105,46 +106,66 @@ def epl(s: EntropyEstimate) -> PredictabilityScore:
     )
 
 
-def fano_forward(pi: float, n: int) -> float:
-    """S_F(Pi) in bits, with 0 log 0 = 0 at both endpoints."""
-    if n < 2:
+_TINY = np.finfo(float).tiny  # below every positive 1 - Pi
+
+
+def fano_forward(pi, n):
+    """S_F(Pi) in bits for each (Pi, n), with 0 log 0 = 0 at both endpoints."""
+    pi, n = np.asarray(pi, dtype=float), np.asarray(n)
+    if n.min(initial=2) < 2:
         raise ValueError("n must be >= 2")
-    if not (0.0 < pi <= 1.0):
+    if not (pi.min(initial=1.0) > 0.0 and pi.max(initial=1.0) <= 1.0):  # NaN fails too
         raise ValueError("Pi must lie in (0, 1]")
-    h = 0.0
-    if 0.0 < pi < 1.0:
-        h = -pi * math.log2(pi) - (1.0 - pi) * math.log2(1.0 - pi)
-    return h + (1.0 - pi) * math.log2(n - 1) if pi < 1.0 else 0.0
+    q = 1.0 - pi  # 0 only at Pi = 1, where the floor below keeps 0 * log2 q at 0
+    h = -pi * np.log2(pi) - q * np.log2(np.maximum(q, _TINY))
+    return (h + q * _log2(n - 1))[()]
+
+
+def _log2(n: np.ndarray):
+    """math.log2 of each integer in n; np.log2 can be an ulp off (log2(1621), for one)."""
+    if n.size == 1:
+        return math.log2(n.item())
+    distinct, inverse = np.unique(n, return_inverse=True)
+    return np.array([math.log2(k) for k in distinct.tolist()])[inverse].reshape(n.shape)
+
+
+def fano_values(s_bits, n) -> np.ndarray:
+    """For each entropy in bits, the unique Pi in [1/n, 1] with S_F(Pi) equal to it.
+
+    n is one candidate size for every entropy, or one per entropy. S_F is
+    strictly decreasing on [1/n, 1] for n >= 2, so bisection converges
+    unconditionally. All entropies are bisected at once, one fano_forward call
+    per step; each narrows its bracket from [1/n, 1] to width <= 1e-12 and
+    stops. S_F flattens toward the uniform endpoint, so a residual-based stop
+    there could leave Pi errors far above the width-based bound; running to
+    full width keeps round-trips accurate everywhere on (1/n, 1).
+    Out-of-range entropies clamp: S <= 0 gives Pi = 1, S >= log2 n gives 1/n.
+    """
+    s_bits, n = np.asarray(s_bits, dtype=float), np.asarray(n, dtype=np.int64).reshape(-1)
+    if n.min(initial=2) < 2:
+        raise ValueError("n must be >= 2")
+    if not np.isfinite(s_bits).all():
+        raise ValueError("entropy must be finite")
+    out = np.where(s_bits <= 0.0, 1.0, 1.0 / n)
+    idx = np.flatnonzero((s_bits > 0.0) & (s_bits < _log2(n)))
+    lo, hi, s_bits = out[idx], np.ones(len(idx)), s_bits[idx]  # S_F(lo) = log2 n > s_bits
+    n = n if n.size == 1 else n[idx]
+    while len(idx):
+        mid = 0.5 * (lo + hi)
+        above = fano_forward(mid, n) > s_bits
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, mid, where=~above)
+        done = hi - lo <= 1e-12
+        if np.count_nonzero(done):
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            idx, lo, hi, s_bits = (a[~done] for a in (idx, lo, hi, s_bits))
+            n = n if n.size == 1 else n[~done]
+    return out
 
 
 def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
-    """The unique Pi in [1/n, 1] with S_F(Pi) equal to the estimate, in bits.
-
-    S_F is strictly decreasing on [1/n, 1] for n >= 2, so bisection converges
-    unconditionally. The bracket is narrowed to width <= 1e-12: S_F flattens
-    toward the uniform endpoint, so a residual-based stop there could leave Pi
-    errors far above the width-based bound; running to full width keeps
-    round-trips accurate everywhere on (1/n, 1).
-    Out-of-range entropies clamp: S <= 0 gives Pi = 1, S >= log2 n gives 1/n.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s_bits = s.bits
-    if not math.isfinite(s_bits):
-        raise ValueError("entropy must be finite")
-    lo_pi = 1.0 / n
-    if s_bits <= 0.0:
-        return PredictabilityScore(value=1.0, method="fano", entropy=s, n=n)
-    if s_bits >= math.log2(n):
-        return PredictabilityScore(value=lo_pi, method="fano", entropy=s, n=n)
-    lo, hi = lo_pi, 1.0  # S_F(lo) = log2 n > s_bits > 0 = S_F(hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if fano_forward(mid, n) > s_bits:
-            lo = mid
-        else:
-            hi = mid
-    return PredictabilityScore(value=0.5 * (lo + hi), method="fano", entropy=s, n=n)
+    """The Fano score of one estimate at candidate size n: fano_values of its bits."""
+    return PredictabilityScore(float(fano_values([s.bits], n)[0]), "fano", s, n)
 
 
 def fano_nr(s: EntropyEstimate, items, offsets, n: int) -> PredictabilityScore:

@@ -14,6 +14,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -192,7 +193,12 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
         n_items = int(items.max(initial=-1)) + 1
     lengths = np.array([len(a) for a in item_arrays], dtype=np.int64)
     user_ids = [f"u{u}" for u in range(len(item_arrays))]
-    return _make_log(items, lengths, [str(k) for k in range(n_items)], user_ids)
+    return _make_log(items, lengths, list(_identity_names(n_items)), user_ids)
+
+
+@lru_cache(maxsize=1)  # a sweep generates corpus after corpus at one n
+def _identity_names(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:

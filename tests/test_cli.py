@@ -441,6 +441,7 @@ def test_score_rejects_options_the_method_does_not_read(tmp_path, capsys):
         ("fano_nr", *entropy, "--tau", "2"),
         ("perm", *entropy),
         ("perm", "--d", "3,7"),
+        ("perm", "--d", "3,3"),
         ("perm", "--tau", "0"),
     ]
     for method, *extra in cases:
@@ -465,6 +466,7 @@ def test_estimate_rejects_options_the_estimator_does_not_read(tmp_path, capsys):
         ("perm", "--unit", "bits"),
         ("perm", "--d", "7"),
         ("perm", "--d", "3,7"),
+        ("perm", "--d", "3,3"),
         ("perm", "--tau", "0"),
     ]
     for estimator, *extra in cases:

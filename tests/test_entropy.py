@@ -404,7 +404,7 @@ def rowwise_perm_entropy(x, d, tau):
     st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=40), max_size=12),
     st.lists(st.integers(min_value=0, max_value=2), min_size=40, max_size=90),
     st.integers(min_value=0, max_value=12),
-    st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=3, unique=True),
     st.integers(min_value=1, max_value=4),
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=14),

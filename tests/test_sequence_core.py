@@ -287,6 +287,10 @@ def test_log_from_sequences_pads_vocabulary():
     log = log_from_sequences([np.array([0, 3])], n_items=10)
     assert log.num_items == 10
     assert int(log.vocabulary.counts.sum()) == 2
+    assert log.vocabulary.reverse == [str(k) for k in range(10)]
+    other = log_from_sequences([np.array([1])], n_items=10)  # names built once per n
+    other.vocabulary.reverse[0] = "renamed"
+    assert log.vocabulary.reverse[0] == "0"  # but no two logs share a list
     with pytest.raises(ValueError):
         log_from_sequences([np.array([11])], n_items=10)
     with pytest.raises(ValueError):
