@@ -39,7 +39,6 @@ from .predictability import (
 from .selection import SelectionPlan, build_plan, materialize
 from .sequence_core import (
     InteractionLog,
-    ItemVocabulary,
     UserSequence,
     ingest_csv,
     log_from_json,
@@ -59,7 +58,6 @@ __all__ = [
     "EntropyEstimate",
     "GeneratorConfig",
     "InteractionLog",
-    "ItemVocabulary",
     "PredictabilityScore",
     "SelectionPlan",
     "SweepTable",

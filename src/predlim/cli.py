@@ -62,11 +62,9 @@ def cmd_ingest(args) -> int:
         args.input, min_length=args.min_length, max_events=args.max_events, dedup=args.dedup
     )
     log_to_json(log, args.output)
-    s = log.stats
-    print(
-        f"ingested {s['num_users']} users, {s['num_items']} items, "
-        f"{s['num_interactions']} interactions (avg length {s['avg_length']:.2f})"
-    )
+    events = len(log.items)
+    print(f"ingested {log.num_users} users, {log.num_items} items, "
+          f"{events} interactions (avg length {events / log.num_users:.2f})")
     return 0
 
 
@@ -239,15 +237,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+_STRATEGIES = {name.replace("_", ""): name for name in selection.STRATEGIES}  # highpi: high_pi
+
+
 def cmd_select(args) -> int:
     log = log_from_json(args.log)
     scores = _read_scores_csv(args.scores)
-    strategy = {"highpi": "high_pi", "random": "random", "lowpi": "low_pi"}[args.strategy]
     plan = selection.build_plan(
         log,
         scores,
         budget_fraction=args.budget,
-        strategy=strategy,
+        strategy=_STRATEGIES[args.strategy],
         seed=args.seed,
         eval_fraction=args.eval_fraction,
         min_length=args.min_length,
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="materialize a budgeted training-data selection")
     p.add_argument("--log", required=True)
     p.add_argument("--scores", required=True)
-    p.add_argument("--strategy", choices=["highpi", "random", "lowpi"], required=True)
+    p.add_argument("--strategy", choices=list(_STRATEGIES), required=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--eval-fraction", type=float, default=0.5)
     p.add_argument("--min-length", type=int, default=5)

@@ -80,9 +80,9 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> list[UserFe
         raise ValueError("empty log")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
-    counts = log.vocabulary.counts.astype(float)
+    counts = log.counts
     pop = counts / counts.sum()
-    tail = _tail_items(log.vocabulary.counts, tail_mass)
+    tail = _tail_items(counts, tail_mass)
     starts, lengths = log.offsets[:-1], np.diff(log.offsets)
     novelty = np.add.reduceat(-np.log(pop[log.items]), starts) / lengths
     exposure = np.add.reduceat(tail[log.items], starts, dtype=np.int64) / lengths

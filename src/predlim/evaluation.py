@@ -296,10 +296,10 @@ def score_log(
     if method == "epl":
         return [epl(e) for e in ests]
     if method == "fano":
-        n = len(log.vocabulary)
+        n = log.num_items
     else:
         per_user = (n_scope or spec.scopes[0]) == "per-user"
-        n = np.maximum(transition_fanout(log.items, log.offsets, log.num_items, per_user), 2)
+        n = np.maximum(transition_fanout(log.items, log.offsets, per_user), 2)
     values = fano_values([e.bits for e in ests], n).tolist()
     ns = np.broadcast_to(n, len(ests)).tolist()
     return [PredictabilityScore(v, method, e, k) for v, e, k in zip(values, ests, ns)]

@@ -67,7 +67,7 @@ METHODS = {
 class PredictabilityScore:
     """A predictability value in (0, 1] tagged with the producing method.
 
-    effective_size = 1 / value is recorded for epl only; n is the candidate
+    effective_size = exp(S) is recorded for epl only; n is the candidate
     size used by the Fano methods (absent otherwise).
     """
 
@@ -93,20 +93,21 @@ def epl(s: EntropyEstimate) -> PredictabilityScore:
     """Entropy-induced lower bound exp(-S), with S converted to nats.
 
     Rejects normalized permutation input: its value is not an entropy in nats,
-    so exponentiating it would be meaningless.
+    so exponentiating it would be meaningless. So is an entropy whose exp(S)
+    overflows a float (above about 709.78 nats).
     """
     if s.unit is None:
         raise ValueError("normalized permutation entropy cannot be mapped by epl")
     s_nats = s.nats
-    return PredictabilityScore(
-        value=math.exp(-s_nats),
-        method="epl",
-        entropy=s,
-        effective_size=math.exp(s_nats),
-    )
+    try:
+        size = math.exp(s_nats)
+    except OverflowError:
+        raise ValueError(f"entropy {s.value!r} {s.unit} is too large for epl: "
+                         "exp(S) overflows a float") from None
+    return PredictabilityScore(math.exp(-s_nats), "epl", s, effective_size=size)
 
 
-_TINY = np.finfo(float).tiny  # below every positive 1 - Pi
+_TINY = np.finfo(float).tiny  # the smallest normal float, below every positive 1 - Pi
 
 
 def fano_forward(pi, n):
@@ -168,16 +169,16 @@ def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
     return PredictabilityScore(float(fano_values([s.bits], n)[0]), "fano", s, n)
 
 
-def fano_nr(s: EntropyEstimate, items, offsets, n: int) -> PredictabilityScore:
+def fano_nr(s: EntropyEstimate, items, offsets) -> PredictabilityScore:
     """Fano inversion against the observed successor fan-out.
 
-    N_r is transition_fanout's pooled N_r over the users (items, offsets),
-    with every item below n: pass a log's arrays, or one user's items and
-    [0, len(items)] for that user alone. A fan-out of 1 is clamped to 2 where
-    the Fano relation is defined (a deterministic sequence still maps to
-    Pi = 1 through the S <= 0 clamp).
+    N_r is transition_fanout's pooled N_r over the users (items, offsets):
+    pass a log's arrays, or one user's items and [0, len(items)] for that
+    user alone. A fan-out of 1 is clamped to 2 where the Fano relation is
+    defined (a deterministic sequence still maps to Pi = 1 through the
+    S <= 0 clamp).
     """
-    n_r = transition_fanout(items, offsets, n)
+    n_r = transition_fanout(items, offsets)
     return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
 
 
@@ -199,9 +200,8 @@ def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) ->
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
     best = np.nanargmin(table, axis=1)  # the first d on ties
     values = table[np.arange(len(table)), best].tolist()
-    tiny = np.finfo(float).tiny
     scores = []
     for j, v in zip(best.tolist(), values):
         entropy = EntropyEstimate(v, None, "perm_normalized", {"d": d_set[j], "tau": tau})
-        scores.append(PredictabilityScore(max(1.0 - v, tiny), "perm", entropy))
+        scores.append(PredictabilityScore(max(1.0 - v, _TINY), "perm", entropy))
     return scores

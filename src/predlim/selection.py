@@ -107,7 +107,7 @@ def materialize(
     final item. Rows are (user_id, item_id, timestamp) with the within-user
     position as timestamp, ordered by user_index then position.
     """
-    reverse, ids, offsets = log.vocabulary.reverse, log.user_ids, log.offsets.tolist()
+    reverse, ids, offsets = log.item_ids, log.user_ids, log.offsets.tolist()
     train: list[tuple[str, str, int]] = []
     eval_set = set(plan.eval_users.tolist())
     for u in sorted(eval_set.union(plan.selected.tolist())):

@@ -20,7 +20,6 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
-    "ItemVocabulary",
     "UserSequence",
     "InteractionLog",
     "ingest_csv",
@@ -31,17 +30,6 @@ __all__ = [
 ]
 
 LOG_SCHEMA = "predlim-log-v1"
-
-
-@dataclass
-class ItemVocabulary:
-    """Dense item encoding: reverse[index] is the item id at that index."""
-
-    reverse: list[str]
-    counts: np.ndarray  # interactions per item index
-
-    def __len__(self) -> int:
-        return len(self.reverse)
 
 
 @dataclass
@@ -57,11 +45,10 @@ class UserSequence:
 
 @dataclass
 class InteractionLog:
-    vocabulary: ItemVocabulary
+    item_ids: list[str]  # item_ids[k] is the id of item index k
     items: np.ndarray  # every user's item indices, user after user, each in time order
     offsets: np.ndarray  # user u's items are items[offsets[u]:offsets[u + 1]]
     user_ids: list[str]
-    stats: dict
 
     @property
     def sequences(self) -> list[UserSequence]:
@@ -76,13 +63,23 @@ class InteractionLog:
 
     @property
     def num_items(self) -> int:
-        return len(self.vocabulary)
+        return len(self.item_ids)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Interactions per item index."""
+        return np.bincount(self.items, minlength=self.num_items)
+
+    @property
+    def stats(self) -> dict:
+        return {"num_users": self.num_users, "num_items": self.num_items,
+                "num_interactions": len(self.items), "avg_length": len(self.items) / self.num_users}
 
 
 def _make_log(items, lengths, item_ids: list[str], user_ids: list[str]) -> InteractionLog:
     """The one constructor of an InteractionLog: user u is user_ids[u], with lengths[u] events.
 
-    items holds indices into item_ids, user after user; counts and stats come from them.
+    items holds indices into item_ids, user after user.
     """
     if not len(lengths):
         raise ValueError("no sequences")
@@ -93,15 +90,7 @@ def _make_log(items, lengths, item_ids: list[str], user_ids: list[str]) -> Inter
         raise ValueError(f"user id {twice!r} is given twice")
     if items.min() < 0 or items.max() >= len(item_ids):
         raise ValueError("item index out of vocabulary range")
-    counts = np.bincount(items, minlength=len(item_ids))
-    stats = {
-        "num_users": len(user_ids),
-        "num_items": len(item_ids),
-        "num_interactions": len(items),
-        "avg_length": len(items) / len(user_ids),
-    }
-    offsets = np.r_[0, np.cumsum(lengths)]
-    return InteractionLog(ItemVocabulary(item_ids, counts), items, offsets, user_ids, stats)
+    return InteractionLog(item_ids, items, np.r_[0, np.cumsum(lengths)], user_ids)
 
 
 def ingest_csv(
@@ -203,8 +192,8 @@ def _identity_names(n: int) -> tuple[str, ...]:
 
 def log_to_json(log: InteractionLog, path: str) -> None:
     """Write the log as json.dump would, one user at a time through json.dumps's C encoder."""
-    head = {"schema": LOG_SCHEMA, "items": log.vocabulary.reverse,
-            "counts": log.vocabulary.counts.tolist(), "users": []}
+    head = {"schema": LOG_SCHEMA, "items": log.item_ids, "counts": log.counts.tolist(),
+            "users": []}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-2])  # up to the opening bracket of the users list
         bounds = log.offsets.tolist()
@@ -246,25 +235,28 @@ def log_from_json(path: str) -> InteractionLog:
     log = _make_log(items, lengths, item_ids, user_ids)
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")
-    if log.vocabulary.counts.tolist() != payload["counts"]:
+    if log.counts.tolist() != payload["counts"]:
         raise ValueError("stored vocabulary counts disagree with sequences")
     return log
 
 
-def transition_fanout(items: np.ndarray, offsets: np.ndarray, n: int, per_user: bool = False):
-    """Maximum successor fan-out N_r of the users (items, offsets), every item below n.
+def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = False):
+    """Maximum successor fan-out N_r of the users (items, offsets).
 
     N(x) is the set of distinct items seen right after x within a user, and N_r
     the largest |N(x)|: pooled over all users (an int), or per_user each user's
     own (an int64 array). A scope without transitions raises, as per user does a
-    one-event user. A transition a -> b is the key a * n + b (per user plus
-    owner * n^2, in chunks of users that keep keys below 2^63); once sorted and
-    deduplicated, a state's distinct successors are a run of equal key // n.
+    one-event user, and so does a negative item. With n = items.max() + 1 (N_r is
+    the same for any n above every item), a transition a -> b is the key a * n + b
+    (per user plus owner * n^2, in chunks of users that keep keys below 2^63); once
+    sorted and deduplicated, a state's distinct successors are a run of equal key // n.
     """
-    n = int(n)
-    if n * n >= 1 << 63:
-        raise ValueError(f"item bound {n} is too large for int64 transition keys")
     items, offsets = np.asarray(items, np.int64), np.asarray(offsets)
+    if items.min(initial=0) < 0:
+        raise ValueError(f"item {items.min()} is negative")
+    n = int(items.max(initial=0)) + 1
+    if n * n >= 1 << 63:
+        raise ValueError(f"item {n - 1} is too large for int64 transition keys")
     lengths = np.diff(offsets)
     keys = np.delete(items[:-1] * n + items[1:], offsets[1:-1] - 1)  # none straddles two users
     if not per_user:

@@ -110,6 +110,8 @@ def _check_ranges(n: int, params: dict) -> None:
     """Raise naming the first of n and params outside its range."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if n >= 1 << 63:  # the generators draw items as int64
+        raise ValueError(f"n must be below 2^63, got {n}")
     for name, value in params.items():
         lo, hi = PARAM_RANGES[name]
         if not lo <= value <= (n if hi == "n" else hi):

@@ -396,6 +396,11 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
     empty, raw = tmp_path / "empty.csv", tmp_path / "raw.csv"
     empty.write_text("")
     write_raw_csv(raw)
+    huge = {}  # entropies whose exp(S) overflows a float, user 0's of five
+    for value, unit in (("1000", "nats"), ("1e308", "bits")):
+        huge[unit] = tmp_path / f"huge_{unit}.csv"
+        rows = [f"{u},sampen,{value if u == 0 else '0.5'},{unit}," for u in range(5)]
+        huge[unit].write_text("\n".join(["user_index,estimator,value,unit,flags", *rows]) + "\n")
     cases = [
         (("ingest", "--input", str(empty)), f"{empty}: empty file"),
         (("ingest", "--input", str(raw), "--min-length", "0"), "min_length must be >= 1"),
@@ -403,6 +408,10 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
           "--p", "0.5"), "n must be >= 2"),
         (("score", "--log", log_path, "--method", "epl", "--entropy", str(perm)),
          f"{perm}: no usable entropy rows"),
+        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["nats"])),
+         "entropy 1000.0 nats is too large for epl: exp(S) overflows a float"),
+        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["bits"])),
+         "entropy 1e+308 bits is too large for epl: exp(S) overflows a float"),
     ]
     out = tmp_path / "out"
     for argv, message in cases:
@@ -895,6 +904,7 @@ def test_generator_parameters_are_checked_before_the_target_is_inverted(tmp_path
         return ("sweep", "--kind", kind, *SMALL_SWEEP, *extra, "--output", str(tmp_path / "out"))
 
     difficulty = ("--mechanism", "session-reset", "--targets", "0.3")
+    huge = "99999999999999999999"  # beyond int64, which the generators draw items as
     cases = [
         (synth("session-reset", "--n", "300", "--m", "0"), "m must lie in [1, n], got 0"),
         (synth("session-reset", "--n", "300", "--m", "-1"), "m must lie in [1, n], got -1"),
@@ -906,6 +916,10 @@ def test_generator_parameters_are_checked_before_the_target_is_inverted(tmp_path
         (sweep("difficulty", *difficulty, "--n", "0"), "n must be >= 2"),
         (sweep("n", "--n-grid", "100", "--m-c", "0"), "m_c must lie in [1, n], got 0"),
         (sweep("n", "--n-grid", "0"), "n must be >= 2"),
+        (synth("context-switch", "--n", huge), f"n must be below 2^63, got {huge}"),
+        (synth("repeat-last", "--n", huge), f"n must be below 2^63, got {huge}"),
+        (sweep("difficulty", *difficulty, "--n", huge), f"n must be below 2^63, got {huge}"),
+        (sweep("n", "--n-grid", huge), f"n must be below 2^63, got {huge}"),
     ]
     for argv, message in cases:
         _fails_with_one_line(capsys, argv, tmp_path / "out", message)

@@ -116,6 +116,19 @@ def test_unit_conversion_round_trip():
     assert e.to("nats") is e
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EntropyEstimate(1.0, "nats", "sampen").to("kelvin"), "unit must be one of"),
+        (lambda: Distribution(np.array([[0.5, 0.5]]), 2), "1-d"),
+        (lambda: Distribution(np.array([[0.5], [0.5]]), 2), "1-d"),
+    ],
+)
+def test_conversion_and_distribution_reject_bad_shapes_and_units(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         EntropyEstimate(-0.5, "nats", "sampen")

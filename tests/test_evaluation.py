@@ -362,9 +362,9 @@ def test_score_log_matches_per_user_functions(users, estimator):
         ("epl", None): lambda: [epl(e) for e in ests],
         ("fano", None): lambda: [fano_invert(e, 8) for e in ests],
         ("fano", "global"): lambda: [fano_invert(e, 8) for e in ests],
-        ("fano_nr", None): lambda: [fano_nr(e, log.items, log.offsets, 8) for e in ests],
-        ("fano_nr", "pooled"): lambda: [fano_nr(e, log.items, log.offsets, 8) for e in ests],
-        ("fano_nr", "per-user"): lambda: [fano_nr(e, s.items, [0, s.length], 8)
+        ("fano_nr", None): lambda: [fano_nr(e, log.items, log.offsets) for e in ests],
+        ("fano_nr", "pooled"): lambda: [fano_nr(e, log.items, log.offsets) for e in ests],
+        ("fano_nr", "per-user"): lambda: [fano_nr(e, s.items, [0, s.length])
                                           for e, s in zip(ests, seqs)],
     }
     for (method, scope), reference in expected.items():
@@ -377,6 +377,12 @@ def test_score_log_matches_per_user_functions(users, estimator):
     assert outcome(lambda: score_log(log, "perm", d_set=(3, 5), tau=2)) == outcome(
         lambda: [perm_predictability(s.items, d_set=(3, 5), tau=2) for s in seqs]
     )
+
+
+@pytest.mark.parametrize("estimator", ["perm", "plugin", "SAMPEN"])
+def test_estimate_entropies_rejects_a_non_sequence_estimator(estimator):
+    with pytest.raises(ValueError, match=f"unknown sequence estimator '{estimator}'"):
+        estimate_entropies(np.array([0, 1, 0, 1]), [0, 4], estimator)
 
 
 def test_score_log_rejects_what_the_method_does_not_read():

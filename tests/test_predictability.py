@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predlim.entropy import EntropyEstimate, perm_entropy
+from predlim.evaluation import score_log
 from predlim.predictability import (
     PredictabilityScore,
     epl,
@@ -71,6 +72,25 @@ def test_score_validation():
 def test_fano_forward_endpoints():
     assert fano_forward(1.0, 1000) == 0.0
     assert abs(fano_forward(1 / 1000, 1000) - math.log2(1000)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fano_forward(0.5, 1), "n must be >= 2"),
+        (lambda: fano_forward(0.5, [10, 1]), "n must be >= 2"),
+        (lambda: fano_forward(0.0, 10), "Pi must lie"),
+        (lambda: fano_forward(-0.1, 10), "Pi must lie"),
+        (lambda: fano_forward(1.5, 10), "Pi must lie"),
+        (lambda: fano_forward(float("nan"), 10), "Pi must lie"),
+        (lambda: fano_forward([0.5, float("nan")], 10), "Pi must lie"),
+        (lambda: fano_values([1.0, float("inf")], 10), "entropy must be finite"),
+        (lambda: fano_values([float("nan")], 10), "entropy must be finite"),
+    ],
+)
+def test_fano_forward_and_fano_values_reject_what_they_cannot_map(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_fano_forward_is_strictly_decreasing():
@@ -178,7 +198,7 @@ def test_fano_monotone_in_n_at_fixed_entropy():
 
 def test_fano_nr_constant_sequence():
     log = log_from_sequences([np.zeros(10, dtype=int)], n_items=5)
-    score = fano_nr(nats(0.0), log.items, log.offsets, log.num_items)
+    score = fano_nr(nats(0.0), log.items, log.offsets)
     assert score.value == 1.0
     assert score.method == "fano_nr"
     assert score.n == 2  # fan-out 1 clamps to 2
@@ -187,18 +207,30 @@ def test_fano_nr_constant_sequence():
 def test_fano_nr_binary_entropy_inverse():
     # N_r = 2 and 1 bit of entropy solve h2(pi) = 1 at pi = 0.5
     log = log_from_sequences([np.array([0, 1, 0, 1, 1, 0])])
-    score = fano_nr(bits(1.0), log.items, log.offsets, log.num_items)
+    score = fano_nr(bits(1.0), log.items, log.offsets)
     assert score.n == 2
     assert abs(score.value - 0.5) < 1e-6
 
 
 def test_fano_nr_scope_changes_candidate_size():
     log = log_from_sequences([np.array([0, 1, 0, 2]), np.array([0, 3, 0, 4])])
-    pooled = fano_nr(bits(1.0), log.items, log.offsets, log.num_items)
-    per_user = [fano_nr(bits(1.0), s.items, [0, s.length], 5) for s in log.sequences]
+    pooled = fano_nr(bits(1.0), log.items, log.offsets)
+    per_user = [fano_nr(bits(1.0), s.items, [0, s.length]) for s in log.sequences]
     assert pooled.n == 4 and [sc.n for sc in per_user] == [2, 2]
     # at fixed entropy the Fano relation is monotone in the candidate size
     assert all(pooled.value > sc.value for sc in per_user)
+
+
+def test_fano_nr_takes_its_key_base_from_the_items():
+    # state 0 has successors 1, 2 and 3; a stated item bound of 2 used to merge keys into 2
+    log = log_from_sequences([np.array([0, 1, 0, 2, 0, 3])])
+    (s,) = log.sequences
+    assert fano_nr(bits(1.0), log.items, log.offsets).n == 3
+    assert fano_nr(bits(1.0), s.items, [0, s.length]).n == 3
+    for scope in ("pooled", "per-user"):
+        assert [sc.n for sc in score_log(log, "fano_nr", {0: bits(1.0)}, scope)] == [3]
+    with pytest.raises(ValueError, match="negative"):
+        fano_nr(bits(1.0), np.array([-1, 1, -1, 2]), [0, 4])
 
 
 # permutation predictability

@@ -91,7 +91,7 @@ def test_materialize_row_counts_and_holdout():
     for user_id, item_id, ts in test:
         seq = by_id[user_id]
         assert ts == seq.length - 1
-        assert item_id == log.vocabulary.reverse[int(seq.items[-1])]
+        assert item_id == log.item_ids[int(seq.items[-1])]
     train_users = {row[0] for row in train}
     by_index = {seq.user_index: seq.user_id for seq in log.sequences}
     for u in plan.eval_users:

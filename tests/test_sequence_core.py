@@ -51,7 +51,7 @@ def test_shuffled_timestamps_sort_into_time_order(tmp_path):
     log = ingest_csv(path)
     assert log.num_users == 1
     seq = log.sequences[0]
-    assert [log.vocabulary.reverse[i] for i in seq.items] == ["a", "b", "c"]
+    assert [log.item_ids[i] for i in seq.items] == ["a", "b", "c"]
 
 
 def test_min_length_filter_drops_short_users(tmp_path):
@@ -66,14 +66,14 @@ def test_vocabulary_built_after_filtering(tmp_path):
     # u2's item c must not claim a vocabulary slot once u2 is dropped
     path = write_csv(tmp_path / "log.csv", [("u2", "c", 0), ("u1", "a", 1), ("u1", "b", 2)])
     log = ingest_csv(path, min_length=2)
-    assert log.vocabulary.reverse == ["a", "b"]
-    assert int(log.vocabulary.counts.sum()) == log.stats["num_interactions"]
+    assert log.item_ids == ["a", "b"]
+    assert int(log.counts.sum()) == log.stats["num_interactions"]
 
 
 def test_timestamp_ties_break_by_file_order(tmp_path):
     path = write_csv(tmp_path / "log.csv", [("u1", "x", 7), ("u1", "y", 7), ("u1", "z", 7)])
     log = ingest_csv(path)
-    assert [log.vocabulary.reverse[i] for i in log.sequences[0].items] == ["x", "y", "z"]
+    assert [log.item_ids[i] for i in log.sequences[0].items] == ["x", "y", "z"]
 
 
 def test_max_events_truncates_in_time_order(tmp_path):
@@ -81,7 +81,7 @@ def test_max_events_truncates_in_time_order(tmp_path):
     path = write_csv(tmp_path / "log.csv", rows)
     log = ingest_csv(path, max_events=2)
     assert log.stats["num_interactions"] == 2
-    assert [log.vocabulary.reverse[i] for i in log.sequences[0].items] == ["b", "c"]
+    assert [log.item_ids[i] for i in log.sequences[0].items] == ["b", "c"]
 
 
 def test_dedup_is_opt_in(tmp_path):
@@ -132,9 +132,8 @@ def test_ingestion_is_deterministic(tmp_path):
 def test_vocabulary_round_trip_and_stats(tmp_path):
     rows = [("u1", "a", 1), ("u1", "b", 2), ("u2", "b", 3), ("u2", "a", 4)]
     log = ingest_csv(write_csv(tmp_path / "log.csv", rows))
-    vocab = log.vocabulary
-    assert vocab.reverse == ["a", "b"]
-    assert vocab.counts.tolist() == [2, 2]
+    assert log.item_ids == ["a", "b"]
+    assert log.counts.tolist() == [2, 2]
     assert log.stats == {
         "num_users": 2, "num_items": 2, "num_interactions": 4, "avg_length": 2.0,
     }
@@ -146,7 +145,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "log.json"
     log_to_json(log, str(path))
     loaded = log_from_json(str(path))
-    assert loaded.vocabulary.reverse == log.vocabulary.reverse
+    assert loaded.item_ids == log.item_ids
     assert loaded.stats == log.stats
     for a, b in zip(loaded.sequences, log.sequences):
         assert a.user_id == b.user_id
@@ -229,7 +228,7 @@ def test_json_rejects_unknown_schema(tmp_path):
 
 
 def fanouts(log, per_user=False):
-    return transition_fanout(log.items, log.offsets, log.num_items, per_user)
+    return transition_fanout(log.items, log.offsets, per_user)
 
 
 def test_fanout_direct_enumeration():
@@ -261,7 +260,7 @@ def test_fanout_requires_transitions():
     with pytest.raises(ValueError, match="transitions"):
         fanouts(log)
     with pytest.raises(ValueError, match="transitions"):
-        transition_fanout(log.items[:1], np.array([0, 1]), log.num_items)
+        transition_fanout(log.items[:1], np.array([0, 1]))
     mixed = log_from_sequences([np.array([0, 1, 0]), np.array([1])])
     assert fanouts(mixed) == 1
     with pytest.raises(ValueError, match="transitions"):
@@ -280,17 +279,17 @@ def test_fanout_bounds_property(user_lists):
     log = log_from_sequences([np.array(u) for u in user_lists], n_items=7)
     pooled = fanouts(log)
     per_user = max(fanouts(log, per_user=True))
-    assert 1 <= per_user <= pooled <= len(log.vocabulary)
+    assert 1 <= per_user <= pooled <= log.num_items
 
 
 def test_log_from_sequences_pads_vocabulary():
     log = log_from_sequences([np.array([0, 3])], n_items=10)
     assert log.num_items == 10
-    assert int(log.vocabulary.counts.sum()) == 2
-    assert log.vocabulary.reverse == [str(k) for k in range(10)]
+    assert int(log.counts.sum()) == 2
+    assert log.item_ids == [str(k) for k in range(10)]
     other = log_from_sequences([np.array([1])], n_items=10)  # names built once per n
-    other.vocabulary.reverse[0] = "renamed"
-    assert log.vocabulary.reverse[0] == "0"  # but no two logs share a list
+    other.item_ids[0] = "renamed"
+    assert log.item_ids[0] == "0"  # but no two logs share a list
     with pytest.raises(ValueError):
         log_from_sequences([np.array([11])], n_items=10)
     with pytest.raises(ValueError):
@@ -317,17 +316,19 @@ def test_fanout_matches_enumeration_oracle(user_lists):
 
 @pytest.mark.parametrize("n", [1 << 31, math.isqrt(((1 << 63) - 1) // 3)])
 def test_fanout_near_the_int64_key_limit(n):
-    # one user per key chunk at n = 2^31, three at the second n; items up to n - 1
+    # one user per key chunk at n = 2^31, three at the second n; the largest item is n - 1,
+    # so the key base items.max() + 1 is n
     rng = np.random.default_rng(7)
     values = np.array([0, 1, n - 2, n - 1])
     arrays = [values[rng.integers(0, 4, int(t))] for t in rng.integers(2, 30, 7)]
+    arrays[0][-1] = n - 1
     items, offsets = np.concatenate(arrays), np.cumsum([0] + [len(a) for a in arrays])
     seqs = [UserSequence(u, f"u{u}", a) for u, a in enumerate(arrays)]
-    assert transition_fanout(items, offsets, n) == fanout_oracle(seqs, "pooled")
-    got = transition_fanout(items, offsets, n, per_user=True).tolist()
+    assert transition_fanout(items, offsets) == fanout_oracle(seqs, "pooled")
+    got = transition_fanout(items, offsets, per_user=True).tolist()
     assert got == [fanout_oracle([s], "pooled") for s in seqs]
     with pytest.raises(ValueError, match="too large"):
-        transition_fanout(items, offsets, 1 << 32)
+        transition_fanout(np.array([0, (1 << 32) - 1]), np.array([0, 2]))
 
 
 def reference_ingest(text, min_length, max_events, dedup):
@@ -398,11 +399,11 @@ def assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
             ingest()
         return
     log = ingest()
-    reverse = log.vocabulary.reverse
+    reverse = log.item_ids
     assert {s.user_id: [reverse[k] for k in s.items] for s in log.sequences} == seqs
     assert [s.user_id for s in log.sequences] == list(seqs)
     assert reverse == vocabulary
-    assert dict(zip(reverse, log.vocabulary.counts.tolist())) == Counter(
+    assert dict(zip(reverse, log.counts.tolist())) == Counter(
         item for seq in seqs.values() for item in seq
     )
 
@@ -452,12 +453,12 @@ def test_log_to_json_writes_the_bytes_json_dump_wrote(tmp_path):
     log_to_json(log, str(tmp_path / "log.json"))
     payload = {
         "schema": "predlim-log-v1",
-        "items": log.vocabulary.reverse,
-        "counts": log.vocabulary.counts.tolist(),
+        "items": log.item_ids,
+        "counts": log.counts.tolist(),
         "users": [{"user_id": s.user_id, "items": s.items.tolist()} for s in log.sequences],
         "stats": log.stats,
     }
     with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     assert (tmp_path / "log.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
-    assert log.vocabulary.reverse == ['a,b', "日本", 'é"x']
+    assert log.item_ids == ['a,b', "日本", 'é"x']

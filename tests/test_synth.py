@@ -184,7 +184,7 @@ def test_emitted_indices_within_item_space():
         corpus = generate(config(mech, n=17, users=6, length=60, seed=3, **params))
         for seq in corpus.log.sequences:
             assert seq.items.min() >= 0 and seq.items.max() < 17
-        assert len(corpus.log.vocabulary) == 17
+        assert corpus.log.num_items == 17
 
 
 def test_latent_sets_have_no_duplicates():
