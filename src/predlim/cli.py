@@ -15,10 +15,13 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import compress, repeat
+
+import numpy as np
 
 from . import evaluation, selection
 from .cohort import DIMENSIONS, compute_features, split_and_aggregate
-from .entropy import UNITS, EntropyEstimate, perm_entropies
+from .entropy import UNITS, Entropies, perm_entropies
 from .predictability import ESTIMATORS, METHODS
 from .sequence_core import ingest_csv, log_from_json, log_to_json
 from .synth import MECHANISMS, GeneratorConfig, generate, invert_noise, params_for
@@ -79,9 +82,10 @@ def cmd_estimate(args) -> int:
                 for u, row in enumerate(table.tolist()) for d, v in zip(opts["d"], row)
                 if v == v]  # NaN at a d the user is too short for
     else:
-        ests = evaluation.estimate_entropies(log.items, log.offsets, args.estimator, opts.get("m"))
-        rows = [[u, est.estimator, repr(est.value), est.unit, ";".join(est.flags)]
-                for u, est in enumerate(e.to(opts["unit"]) for e in ests)]
+        est = evaluation.estimate_entropies(log.items, log.offsets, args.estimator, opts.get("m"))
+        est = est.to(opts["unit"])
+        rows = list(zip(range(len(est)), repeat(est.estimator), map(repr, est.value.tolist()),
+                        repeat(est.unit), est.flags.tolist()))
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "estimator", "value", "unit", "flags"])
@@ -90,27 +94,37 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_per_user(path: str, parse, what: str, columns: dict) -> dict:
-    """One parsed value per user_index; parse returns None for a row to skip."""
-    out = {}
-    for row in evaluation.csv_rows(path, {"user_index": int, **columns}):
-        value = parse(row)
-        if value is None:
-            continue
-        u = row["user_index"]
-        if u in out:
-            raise ValueError(f"{path}: multiple {what} rows for user {u}")
-        out[u] = value
-    if not out:
+def _read_per_user(path: str, what: str, columns: dict, keep=None) -> dict[str, list]:
+    """columns and user_index of the CSV at path, over the rows that keep(columns) marks
+    (every row if keep is None); a user on two of them, or none kept, raises."""
+    cols = evaluation.csv_columns(path, {"user_index": int, **columns})
+    if keep is not None:
+        mask = keep(cols)
+        cols = {k: list(compress(v, mask)) for k, v in cols.items()}
+    users, seen = cols["user_index"], set()
+    if len(set(users)) < len(users):
+        twice = next(u for u in users if u in seen or seen.add(u))
+        raise ValueError(f"{path}: multiple {what} rows for user {twice}")
+    if not users:
         raise ValueError(f"{path}: no usable {what} rows")
-    return out
+    return cols
 
 
-def _entropy_row(row: dict) -> EntropyEstimate | None:
-    if row["estimator"] == "perm_normalized":
-        return None  # not mappable by epl or the Fano routes
-    flags = tuple(f for f in row["flags"].split(";") if f)
-    return EntropyEstimate(row["value"], row["unit"], row["estimator"], flags=flags)
+def _read_entropy(path: str, num_users: int) -> Entropies:
+    """The entropy CSV at path as columns in user order, one row for each user of the log;
+    perm_normalized rows, which epl and the Fano routes cannot map, are skipped."""
+    cols = _read_per_user(path, "entropy", {"estimator": str, "value": float, "unit": str,
+                                            "flags": str},
+                          keep=lambda c: [e != "perm_normalized" for e in c["estimator"]])
+    users = cols["user_index"]
+    missing = min(set(range(num_users)).difference(users), default=None)
+    if missing is not None:
+        raise ValueError(f"no entropy estimate for user {missing}")
+    if len(users) > num_users:
+        extra = min(set(users).difference(range(num_users)))
+        raise ValueError(f"entropy estimate for user {extra}, who is not in the log")
+    order = np.argsort(users)
+    return Entropies(*(np.array(cols[k])[order] for k in ("value", "unit", "estimator", "flags")))
 
 
 def cmd_score(args) -> int:
@@ -118,17 +132,18 @@ def cmd_score(args) -> int:
     if METHODS[args.method].reads_entropy != bool(args.entropy):
         need = "required" if not args.entropy else "not read"
         raise ValueError(f"--entropy is {need} for method {args.method}")
-    estimates = None if not args.entropy else _read_per_user(
-        args.entropy, _entropy_row, "entropy",
-        {"estimator": str, "value": float, "unit": str, "flags": str})
-    scores = evaluation.score_log(log, args.method, estimates, args.n_scope, args.d, args.tau)
+    entropy = _read_entropy(args.entropy, log.num_users) if args.entropy else None
+    scores = evaluation.score_log(log, args.method, entropy, args.n_scope, args.d, args.tau)
+    users = range(len(scores.value))
+    sizes, n = scores.effective_size, scores.n
+    size = repeat("") if sizes is None else map(repr, sizes.tolist())
+    n_used = repeat("") if n is None else n.tolist()
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "method", "value", "effective_size", "n_used"])
-        for u, sc in enumerate(scores):
-            size = "" if sc.effective_size is None else repr(sc.effective_size)
-            writer.writerow([u, sc.method, repr(sc.value), size, sc.n or ""])
-    print(f"wrote {len(scores)} scores to {args.output}")
+        writer.writerows(zip(users, repeat(args.method), map(repr, scores.value.tolist()), size,
+                             n_used))
+    print(f"wrote {len(users)} scores to {args.output}")
     return 0
 
 
@@ -157,7 +172,7 @@ def cmd_synth(args) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    scores = _read_per_user(path, lambda row: row["value"], "score", {"value": float})
+    scores = dict(zip(*_read_per_user(path, "score", {"value": float}).values()))
     bad = [u for u, v in scores.items() if not 0.0 < v <= 1.0]  # NaN too
     if bad:
         raise ValueError(f"{path}: score {scores[bad[0]]!r} of user {bad[0]} is not in (0, 1]")
@@ -216,16 +231,10 @@ def cmd_report(args) -> int:
     reference = evaluation.load_reference(args.reference)
     by_method: dict[str, list[evaluation.DatasetScore]] = {}
     columns = {"dataset_id": str, "method": str, "predictability": float}
-    for row in evaluation.csv_rows(args.scores, columns):
-        ref = reference.get(row["dataset_id"])
-        by_method.setdefault(row["method"], []).append(
-            evaluation.DatasetScore(
-                dataset_id=row["dataset_id"],
-                predictability=row["predictability"],
-                method=row["method"],
-                reference_accuracy=ref["hit20"] if ref else None,
-            )
-        )
+    for dataset_id, method, value in zip(*evaluation.csv_columns(args.scores, columns).values()):
+        ref = reference.get(dataset_id)
+        by_method.setdefault(method, []).append(
+            evaluation.DatasetScore(dataset_id, value, method, ref["hit20"] if ref else None))
     reports = {method: evaluation.consistency_report(scores)
                for method, scores in sorted(by_method.items())}  # each checked before any output
     payload = {}

@@ -6,18 +6,20 @@ categorical ids), a match-length estimator in the Lempel-Ziv family, and
 normalized permutation entropy over ordinal patterns. Sample entropy and the
 match-length estimator measure the sequence's conditional surprise and carry a
 unit (nats or bits); permutation entropy is normalized to [0, 1] and is
-deliberately unitless. The *_entropies take a log's (items, offsets) arrays.
+deliberately unitless. The *_entropies take a log's (items, offsets) arrays and
+return columns, one entry per user.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "EntropyEstimate",
+    "Entropies",
     "Distribution",
     "plugin_entropy",
     "sampen",
@@ -89,6 +91,46 @@ class EntropyEstimate:
 
 
 @dataclass(frozen=True)
+class Entropies:
+    """Each user's entropy by one estimator, as columns in user order; row(u) is user u's.
+
+    unit and estimator are one for every user, or an array of one per user (an
+    entropy CSV may mix them), and flags joins each user's flags by ";". A params
+    value is shared, as sampen's m is, or an array of one per user, as the
+    integer evidence is: sampen's A and B, lz's lambda_sum.
+    """
+
+    value: np.ndarray
+    unit: str | np.ndarray
+    estimator: str | np.ndarray
+    flags: np.ndarray
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        bad = ~(np.isfinite(self.value) & (self.value >= 0)) | ~np.isin(self.unit, UNITS)
+        if bad.any():  # the first bad row raises as an EntropyEstimate, unless it is unitless
+            estimate = self.row(int(np.argmax(bad)))
+            raise ValueError(f"{estimate.estimator} entropy has no unit of {UNITS}")
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def to(self, unit: str) -> "Entropies":
+        """Every value in unit, each converted as EntropyEstimate.to converts one."""
+        other = self.value / LN2 if unit == "bits" else self.value * LN2
+        return replace(self, value=np.where(np.asarray(self.unit) == unit, self.value, other),
+                       unit=unit)
+
+    def row(self, u: int) -> EntropyEstimate:
+        def at(x):
+            return x[u].item() if isinstance(x, np.ndarray) else x
+
+        params = {k: at(v) for k, v in self.params.items()}
+        flags = tuple(filter(None, at(self.flags).split(";")))
+        return EntropyEstimate(at(self.value), at(self.unit), at(self.estimator), params, flags)
+
+
+@dataclass(frozen=True)
 class Distribution:
     """Explicit probability vector; probabilities must sum to 1 within 1e-9."""
 
@@ -137,10 +179,10 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     the discrete metric). Degenerate inputs return the cap ln(pair count):
     flags carry "saturated", plus "no_regularity" when even B is zero.
     """
-    return sampen_entropies(items, np.array([0, len(items)]), m)[0]
+    return sampen_entropies(items, np.array([0, len(items)]), m).row(0)
 
 
-def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> list[EntropyEstimate]:
+def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> Entropies:
     """sampen of each user's items, in order; m below 1 or a user shorter than m + 2 raises.
 
     Users are batched whole into chunks of at most CHUNK_SYMBOLS events. In a
@@ -170,12 +212,12 @@ def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> list
                 named = name[starts]
                 same = np.bincount(named)[named] - 1  # other starts sharing each one's name
                 pairs[w - m, lo:hi] = np.add.reduceat(same, bounds) // 2
-    out = []
-    for t, b, a in zip(lengths.tolist(), *pairs.tolist()):
-        flags = () if a else ("saturated",) if b else ("saturated", "no_regularity")
-        value = math.log(b / a) if a else math.log((t - m) * (t - m - 1) // 2)
-        out.append(EntropyEstimate(value, "nats", "sampen", {"m": m, "A": a, "B": b}, flags))
-    return out
+    value = [math.log(b / a) if a else math.log((t - m) * (t - m - 1) // 2)
+             for t, b, a in zip(lengths.tolist(), *pairs.tolist())]
+    b, a = pairs  # indexed by how many of B and A are positive; A > 0 implies B > 0
+    flags = np.array(["saturated;no_regularity", "saturated", ""])[np.sign(b) + np.sign(a)]
+    return Entropies(np.array(value, dtype=float), "nats", "sampen", flags,
+                     {"m": m, "A": a, "B": b})
 
 
 def _chunks(sizes: np.ndarray, budget: int):
@@ -266,10 +308,10 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     longest previous match, so Lambda = lpf + 1 with Lambda_1 = 1. The estimate
     is T log2(T) / sum_i Lambda_i.
     """
-    return lz_entropies(items, np.array([0, len(items)]))[0]
+    return lz_entropies(items, np.array([0, len(items)])).row(0)
 
 
-def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> list[EntropyEstimate]:
+def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> Entropies:
     """lz_entropy of each user's items, in order; a user of fewer than 2 events raises.
 
     Users are batched whole into chunks of at most CHUNK_SYMBOLS symbols,
@@ -290,10 +332,9 @@ def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> list[EntropyEstimate
         lpf = _longest_previous_match(s, np.repeat(np.arange(len(t)), t + 1))
         starts = np.cumsum(t + 1) - (t + 1)
         sums[lo:hi] = np.add.reduceat(lpf, starts) + t  # a separator's lpf is 0
-    return [
-        EntropyEstimate(t * math.log2(t) / float(lam), "bits", "lz", {"lambda_sum": lam})
-        for t, lam in zip(lengths.tolist(), sums.tolist())
-    ]
+    value = [t * math.log2(t) / float(lam) for t, lam in zip(lengths.tolist(), sums.tolist())]
+    return Entropies(np.array(value, dtype=float), "bits", "lz", np.full(len(value), ""),
+                     {"lambda_sum": sums})
 
 
 def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
@@ -340,8 +381,9 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
     which sorts as the rows do, from pairwise comparisons. Users are
     batched whole into chunks of at most CHUNK_SYMBOLS events (a longer user
     is a chunk of its own; one too short at d has no windows); one np.unique
-    over packed (user, code) keys counts a chunk, and each user sums its own
-    slice of the frequency terms in code order, as counting it alone would.
+    over packed (user, code) keys counts a chunk, and one np.add.reduceat sums
+    each user's slice of the frequency terms in code order, as it sums the
+    user's terms counted alone.
     """
     if not d_set or any(d not in (3, 4, 5) for d in d_set):
         raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
@@ -365,8 +407,8 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
             keys, counts = np.unique(owner * d**d + codes, return_counts=True)
             freqs = counts / v[keys // d**d]
             terms = freqs * np.log(freqs)
-            bounds = np.searchsorted(keys, np.arange(hi - lo + 1) * d**d).tolist()
-            for u, a, b in zip(range(lo, hi), bounds, bounds[1:]):
-                if a < b:  # a user too short at d has no terms and stays NaN
-                    out[u, k] = min(max(float(-terms[a:b].sum()) / norm, 0.0), 1.0)
+            bounds = np.searchsorted(keys, np.arange(hi - lo + 1) * d**d)
+            has = np.flatnonzero(np.diff(bounds))  # a user too short at d has no terms: NaN
+            if len(has):
+                out[lo + has, k] = np.clip(-np.add.reduceat(terms, bounds[has]) / norm, 0.0, 1.0)
     return out

@@ -2,7 +2,7 @@
 
 The CLI and both sweeps estimate a whole log's entropies through
 estimate_entropies and score it by one method through score_log, as
-predictability.METHODS says.
+predictability.METHODS says; both pass columns, one entry per user.
 Per-user predictability scores roll up to one number per dataset via a
 weighted mean (weight = prediction events a user defines, T_u - 1, or
 uniform). Rank agreement with reference accuracies uses Spearman correlation
@@ -21,9 +21,9 @@ from importlib import resources
 
 import numpy as np
 
-from .entropy import EntropyEstimate, lz_entropies, sampen_entropies
+from .entropy import Entropies, lz_entropies, sampen_entropies
 from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer wraps them)
-from .predictability import ESTIMATORS, METHODS, PredictabilityScore, epl, fano_values
+from .predictability import ESTIMATORS, METHODS, epl, fano_values
 from .predictability import perm_predictabilities
 from .predictability import fano_invert, perm_predictability  # noqa: F401  (the tracer wraps them)
 from .sequence_core import InteractionLog, transition_fanout
@@ -34,6 +34,7 @@ __all__ = [
     "ConsistencyReport",
     "SweepRow",
     "SweepTable",
+    "Scores",
     "aggregate_dataset",
     "spearman",
     "rmse",
@@ -125,9 +126,9 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def csv_rows(path, columns: dict):
-    """Each non-blank row of the CSV file at path as a dict, each of columns parsed by its
-    type (str, int or float); a header lacking one of columns, a row not as wide as the
+def csv_columns(path, columns: dict) -> dict[str, list]:
+    """Each of columns of the CSV file at path as a list over its non-blank rows, parsed by
+    its type (str, int or float); a header lacking one of columns, a row not as wide as the
     header or a field its type cannot parse raises naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -135,19 +136,20 @@ def csv_rows(path, columns: dict):
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: line 1: the header has no {missing[0]} column")
+        place = {column: i for i, column in enumerate(header)}  # a repeated name: its last
+        out = {column: [] for column in columns}
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
                                  f"fields as in the header, got {len(row)}")
-            fields = dict(zip(header, row))
             for column, kind in columns.items():
                 try:
-                    fields[column] = kind(fields[column])
+                    out[column].append(kind(row[place[column]]))
                 except ValueError:
                     noun = "an integer" if kind is int else "a number"
                     raise ValueError(f"{path}: line {reader.line_num}: {column} "
-                                     f"{fields[column]!r} is not {noun}") from None
-            yield fields
+                                     f"{row[place[column]]!r} is not {noun}") from None
+    return out
 
 
 def load_reference(path: str | None = None) -> dict[str, dict]:
@@ -160,10 +162,10 @@ def load_reference(path: str | None = None) -> dict[str, dict]:
         path = resources.files("predlim").joinpath("reference/best_models.csv")
     out = {}
     columns = {"dataset_id": str, "best_model": str, "hit1": float, "hit20": float}
-    for row in csv_rows(path, columns):
-        if row["dataset_id"] in out:
-            raise ValueError(f"{path}: dataset_id {row['dataset_id']!r} is listed twice")
-        out[row["dataset_id"]] = {k: row[k] for k in ("best_model", "hit1", "hit20")}
+    for dataset_id, *fields in zip(*csv_columns(path, columns).values()):
+        if dataset_id in out:
+            raise ValueError(f"{path}: dataset_id {dataset_id!r} is listed twice")
+        out[dataset_id] = dict(zip(("best_model", "hit1", "hit20"), fields))
     return out
 
 
@@ -249,7 +251,7 @@ class SweepTable:
         return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
 
 
-def estimate_entropies(items, offsets, estimator: str, m=None) -> list[EntropyEstimate]:
+def estimate_entropies(items, offsets, estimator: str, m=None) -> Entropies:
     """Each user's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
     if estimator == "sampen":
         return sampen_entropies(items, offsets, ESTIMATORS["sampen"]["m"] if m is None else m)
@@ -258,21 +260,34 @@ def estimate_entropies(items, offsets, estimator: str, m=None) -> list[EntropyEs
     raise ValueError(f"unknown sequence estimator {estimator!r}")
 
 
+@dataclass(frozen=True)
+class Scores:
+    """One method's score of each user, as columns in user order.
+
+    effective_size = exp(S) is recorded for epl only, and the candidate size n
+    for the Fano methods only.
+    """
+
+    value: np.ndarray
+    effective_size: np.ndarray | None = None
+    n: np.ndarray | None = None
+
+
 def score_log(
     log: InteractionLog,
     method: str,
-    estimates: dict[int, EntropyEstimate] | None = None,
+    entropy: Entropies | None = None,
     n_scope: str | None = None,
     d_set=None,
     tau: int | None = None,
-) -> list[PredictabilityScore]:
-    """Every user's score by one method, in user order.
+) -> Scores:
+    """Every user's score by one method, as columns in user order.
 
-    estimates maps user_index to an entropy estimate and is read by the
-    methods that read entropy. n_scope defaults to the method's first scope;
-    d_set and tau default to perm_predictability's. A scope or option the
-    method does not read raises, as does a user without an estimate or an
-    estimate for no user of the log.
+    entropy holds one estimate per user, in user order, and is read by the
+    methods that read entropy; each value is mapped as epl, fano_invert or
+    fano_nr maps one. n_scope defaults to the method's first scope; d_set and
+    tau default to perm_predictability's. A scope or option the method does
+    not read raises, as does entropy for another number of users.
     """
     spec = METHODS.get(method)
     if spec is None:
@@ -282,27 +297,29 @@ def score_log(
         raise ValueError(f"method {method} takes {takes}, not n_scope {n_scope!r}")
     if not spec.reads_entropy:
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
-        return perm_predictabilities(log.items, log.offsets, **given)
+        return Scores(perm_predictabilities(log.items, log.offsets, **given))
     if d_set is not None or tau is not None:
         raise ValueError(f"method {method} takes no d_set or tau")
-    if estimates is None:
+    if entropy is None:
         raise ValueError(f"method {method} needs entropy estimates")
-    ests = [estimates.get(u) for u in range(log.num_users)]
-    if None in ests:
-        raise ValueError(f"no entropy estimate for user {ests.index(None)}")
-    extra = estimates.keys() - set(range(log.num_users))
-    if extra:
-        raise ValueError(f"entropy estimate for user {min(extra)}, who is not in the log")
+    if len(entropy) != log.num_users:
+        raise ValueError(f"{len(entropy)} entropy estimates for {log.num_users} users")
     if method == "epl":
-        return [epl(e) for e in ests]
+        nats = entropy.to("nats").value.tolist()
+        try:
+            size = [math.exp(s) for s in nats]
+        except OverflowError:
+            for u in range(len(nats)):
+                epl(entropy.row(u))  # raises at the first user whose exp(S) overflows
+            raise
+        return Scores(np.array([math.exp(-s) for s in nats]), effective_size=np.array(size))
     if method == "fano":
         n = log.num_items
     else:
         per_user = (n_scope or spec.scopes[0]) == "per-user"
         n = np.maximum(transition_fanout(log.items, log.offsets, per_user), 2)
-    values = fano_values([e.bits for e in ests], n).tolist()
-    ns = np.broadcast_to(n, len(ests)).tolist()
-    return [PredictabilityScore(v, method, e, k) for v, e, k in zip(values, ests, ns)]
+    values = fano_values(entropy.to("bits").value, n)
+    return Scores(values, n=np.broadcast_to(n, len(values)))
 
 
 def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[str, float]:
@@ -312,13 +329,10 @@ def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[
     each method scores at its default scope, so the Fano candidate size is the
     corpus vocabulary (the generator's n) and N_r is pooled across the corpus.
     """
-    estimates = None
+    entropy = None
     if any(METHODS[meth].reads_entropy for meth in methods):
-        estimates = dict(enumerate(estimate_entropies(log.items, log.offsets, estimator, m)))
-    return {
-        meth: float(np.mean([score.value for score in score_log(log, meth, estimates)]))
-        for meth in methods
-    }
+        entropy = estimate_entropies(log.items, log.offsets, estimator, m)
+    return {meth: float(np.mean(score_log(log, meth, entropy).value)) for meth in methods}
 
 
 def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:

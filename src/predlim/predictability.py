@@ -117,9 +117,13 @@ def fano_forward(pi, n):
         raise ValueError("n must be >= 2")
     if not (pi.min(initial=1.0) > 0.0 and pi.max(initial=1.0) <= 1.0):  # NaN fails too
         raise ValueError("Pi must lie in (0, 1]")
+    return _fano_forward(pi, _log2(n - 1))[()]
+
+
+def _fano_forward(pi: np.ndarray, log2_rest):
+    """S_F at each Pi given log2(n - 1), its inputs unchecked."""
     q = 1.0 - pi  # 0 only at Pi = 1, where the floor below keeps 0 * log2 q at 0
-    h = -pi * np.log2(pi) - q * np.log2(np.maximum(q, _TINY))
-    return (h + q * _log2(n - 1))[()]
+    return q * log2_rest - (pi * np.log2(pi) + q * np.log2(np.maximum(q, _TINY)))
 
 
 def _log2(n: np.ndarray):
@@ -135,9 +139,10 @@ def fano_values(s_bits, n) -> np.ndarray:
 
     n is one candidate size for every entropy, or one per entropy. S_F is
     strictly decreasing on [1/n, 1] for n >= 2, so bisection converges
-    unconditionally. All entropies are bisected at once, one fano_forward call
-    per step; each narrows its bracket from [1/n, 1] to width <= 1e-12 and
-    stops. S_F flattens toward the uniform endpoint, so a residual-based stop
+    unconditionally. All entropies are bisected at once, one S_F evaluation per
+    step, with the inputs checked and each log2(n - 1) taken once before the
+    first; each narrows its bracket from [1/n, 1] to width <= 1e-12 and stops.
+    S_F flattens toward the uniform endpoint, so a residual-based stop
     there could leave Pi errors far above the width-based bound; running to
     full width keeps round-trips accurate everywhere on (1/n, 1).
     Out-of-range entropies clamp: S <= 0 gives Pi = 1, S >= log2 n gives 1/n.
@@ -150,17 +155,17 @@ def fano_values(s_bits, n) -> np.ndarray:
     out = np.where(s_bits <= 0.0, 1.0, 1.0 / n)
     idx = np.flatnonzero((s_bits > 0.0) & (s_bits < _log2(n)))
     lo, hi, s_bits = out[idx], np.ones(len(idx)), s_bits[idx]  # S_F(lo) = log2 n > s_bits
-    n = n if n.size == 1 else n[idx]
+    rest = _log2(n - 1) if n.size == 1 else _log2(n[idx] - 1)
     while len(idx):
         mid = 0.5 * (lo + hi)
-        above = fano_forward(mid, n) > s_bits
+        above = _fano_forward(mid, rest) > s_bits
         np.copyto(lo, mid, where=above)
         np.copyto(hi, mid, where=~above)
         done = hi - lo <= 1e-12
         if np.count_nonzero(done):
             out[idx[done]] = 0.5 * (lo[done] + hi[done])
             idx, lo, hi, s_bits = (a[~done] for a in (idx, lo, hi, s_bits))
-            n = n if n.size == 1 else n[~done]
+            rest = rest[~done] if np.ndim(rest) else rest
     return out
 
 
@@ -190,18 +195,21 @@ def perm_predictability(items, d_set=_PERM["d"], tau=_PERM["tau"]) -> Predictabi
     value of exactly 0 (all feasible scales exactly pattern-uniform) is clamped
     to the smallest positive float to stay within (0, 1].
     """
-    return perm_predictabilities(np.asarray(items), np.array([0, len(items)]), d_set, tau)[0]
+    table = perm_entropies(np.asarray(items), np.array([0, len(items)]), d_set, tau)
+    value = _perm_values(table, d_set)[0]
+    best = int(np.nanargmin(table[0]))  # the first d on ties
+    entropy = EntropyEstimate(float(table[0, best]), None, "perm_normalized",
+                              {"d": d_set[best], "tau": tau})
+    return PredictabilityScore(float(value), "perm", entropy)
 
 
-def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) -> list:
-    """perm_predictability of each user's items, in order, from one perm_entropies table."""
-    table = perm_entropies(items, offsets, d_set, tau)
+def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) -> np.ndarray:
+    """perm_predictability's value of each user's items, in order, from one perm_entropies
+    table."""
+    return _perm_values(perm_entropies(items, offsets, d_set, tau), d_set)
+
+
+def _perm_values(table: np.ndarray, d_set) -> np.ndarray:
     if np.isnan(table).all(axis=1).any():
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
-    best = np.nanargmin(table, axis=1)  # the first d on ties
-    values = table[np.arange(len(table)), best].tolist()
-    scores = []
-    for j, v in zip(best.tolist(), values):
-        entropy = EntropyEstimate(v, None, "perm_normalized", {"d": d_set[j], "tau": tau})
-        scores.append(PredictabilityScore(max(1.0 - v, _TINY), "perm", entropy))
-    return scores
+    return np.maximum(1.0 - np.nanmin(table, axis=1), _TINY)

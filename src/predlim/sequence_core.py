@@ -137,13 +137,16 @@ def ingest_csv(
             users.append(user_code.setdefault(row[0], len(user_code)))
             items.append(item_code.setdefault(row[1], len(item_code)))
 
+    try:
+        stamps = np.array(stamps, dtype=np.int64)
+    except OverflowError:  # beyond int64: compared as Python ints
+        stamps = np.array(stamps, dtype=object)
     # stable: file order breaks timestamp ties; max_events None keeps every row
-    rows = sorted(range(len(stamps)), key=stamps.__getitem__)[:max_events]
+    order = np.argsort(stamps, kind="stable")[:max_events]
     if dedup:  # each row's timestamp rank, in time order
-        stamps = list(map(stamps.__getitem__, rows))
-        tick = np.cumsum([False, *map(int.__ne__, stamps[1:], stamps[:-1])])
-    order = np.array(rows, dtype=np.int64)
-    del rows, stamps  # the Python ints, freed before the numpy steps to keep the peak down
+        stamps = stamps[order]
+        tick = np.cumsum(np.r_[False, stamps[1:] != stamps[:-1]])
+    del stamps
     user, item = np.frombuffer(users, np.int64)[order], np.frombuffer(items, np.int64)[order]
     first = np.full(len(user_code), len(user))  # each user code's first time position
     np.minimum.at(first, user, np.arange(len(user)))

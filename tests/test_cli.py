@@ -389,6 +389,45 @@ def test_score_rejects_entropy_rows_for_users_the_log_lacks(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_score_reads_entropy_rows_in_any_order_among_perm_rows(tmp_path, capsys):
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    perm = tmp_path / "perm.csv"
+    run_cli(capsys, "estimate", "--log", log_path, "--estimator", "perm", "--output", str(perm))
+    header, *rows = open(est_path).read().splitlines()
+    perm_rows = open(perm).read().splitlines()[1:]
+    assert len(rows) == 5 and len(perm_rows) > 5
+
+    def entropy_file(name, rows):
+        path = tmp_path / name
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return str(path)
+
+    # user 4 first, each sampen row after a perm row of another user
+    mixed = [line for pair in zip(perm_rows, reversed(rows)) for line in pair]
+    mixed += perm_rows[len(rows):]
+    shuffled = entropy_file("mixed.csv", mixed)
+    for extra in (("--method", "epl"), ("--method", "fano"),
+                  ("--method", "fano_nr", "--n-scope", "pooled"),
+                  ("--method", "fano_nr", "--n-scope", "per-user")):
+        outputs = []
+        for k, entropy in enumerate((est_path, shuffled)):
+            out = tmp_path / f"scores-{k}.csv"
+            code, _, _ = run_cli(capsys, "score", "--log", log_path, "--entropy", entropy,
+                                 *extra, "--output", str(out))
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], extra
+    repeated = entropy_file("repeated.csv", mixed + [rows[2]])
+    missing = entropy_file("missing.csv", [line for line in mixed if line != rows[3]])
+    for entropy, message in ((repeated, f"{repeated}: multiple entropy rows for user 2"),
+                             (missing, "no entropy estimate for user 3")):
+        out = tmp_path / "scores.csv"
+        code, stdout, stderr = run_cli(capsys, "score", "--log", log_path, "--entropy", entropy,
+                                       "--method", "epl", "--output", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
     log_path, _ = _session_corpus(tmp_path, capsys)
     perm = tmp_path / "perm.csv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from predlim import entropy
 from predlim.entropy import (
     Distribution,
+    Entropies,
     EntropyEstimate,
     lz_entropies,
     lz_entropy,
@@ -122,6 +123,14 @@ def test_unit_conversion_round_trip():
         (lambda: EntropyEstimate(1.0, "nats", "sampen").to("kelvin"), "unit must be one of"),
         (lambda: Distribution(np.array([[0.5, 0.5]]), 2), "1-d"),
         (lambda: Distribution(np.array([[0.5], [0.5]]), 2), "1-d"),
+        (lambda: Entropies(np.array([0.5, -1.0]), "nats", "lz", np.array(["", ""])),
+         "finite and >= 0, got -1.0"),
+        (lambda: Entropies(np.array([0.5]), np.array(["furlongs"]), "lz", np.array([""])),
+         "unit must be one of"),
+        (lambda: lz_entropies(np.array([0, 1, 0]), np.array([0, 3])).to("kelvin"),
+         "unit must be one of"),
+        (lambda: Entropies(np.array([0.5]), None, "perm_normalized", np.array([""])),
+         "perm_normalized entropy has no unit"),
     ],
 )
 def test_conversion_and_distribution_reject_bad_shapes_and_units(call, message):
@@ -260,22 +269,22 @@ def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
         ests = sampen_entropies(*flat(corpus), m)
-    assert len(ests) == len(corpus)
-    for x, est in zip(corpus, ests):
+    assert len(ests) == len(corpus) and (ests.unit, ests.estimator) == ("nats", "sampen")
+    for u, x in enumerate(corpus):
         a, b = brute_sampen_counts(x, m)
-        assert est.params == {"m": m, "A": a, "B": b}
+        assert (ests.params["m"], ests.params["A"][u], ests.params["B"][u]) == (m, a, b)
         starts = len(x) - m
         if a == 0:
-            assert est.value == math.log(starts * (starts - 1) // 2)
-            assert est.flags == (("saturated",) if b else ("saturated", "no_regularity"))
+            assert ests.value[u] == math.log(starts * (starts - 1) // 2)
+            assert ests.flags[u] == ("saturated" if b else "saturated;no_regularity")
         else:
-            assert est.value == math.log(b / a)
-            assert est.flags == ()
-        assert (est.unit, est.estimator) == ("nats", "sampen")
+            assert ests.value[u] == math.log(b / a)
+            assert ests.flags[u] == ""
+        assert ests.row(u) == sampen(np.array(x), m)
 
 
 def test_sampen_entropies_reject_a_short_sequence_anywhere():
-    assert sampen_entropies(*flat([]), 2) == []
+    assert len(sampen_entropies(*flat([]), 2)) == 0
     with pytest.raises(ValueError, match="length 3 is below m \\+ 2 = 4"):
         sampen_entropies(*flat([range(6), range(3)]), 2)
     with pytest.raises(ValueError, match="m must be >= 1"):
@@ -345,16 +354,16 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "CHUNK_SYMBOLS", 24)
         ests = lz_entropies(*flat(corpus))
-    assert len(ests) == len(corpus)
-    for x, est in zip(corpus, ests):
-        assert est.params == {"lambda_sum": sum(brute_match_lengths(x))}
-        assert est.value == brute_lz(x)
-        assert est.value == lz_entropy(np.array(x)).value
-        assert (est.unit, est.estimator) == ("bits", "lz")
+    assert len(ests) == len(corpus) and (ests.unit, ests.estimator) == ("bits", "lz")
+    for u, x in enumerate(corpus):
+        assert ests.params["lambda_sum"][u] == sum(brute_match_lengths(x))
+        assert ests.value[u] == brute_lz(x)
+        assert ests.row(u) == lz_entropy(np.array(x))
+        assert ests.flags[u] == ""
 
 
 def test_lz_entropies_reject_a_single_event_anywhere():
-    assert lz_entropies(*flat([])) == []
+    assert len(lz_entropies(*flat([]))) == 0
     with pytest.raises(ValueError, match="at least 2 events"):
         lz_entropies(*flat([[0, 1, 0], [4]]))
 
@@ -402,13 +411,14 @@ def test_perm_matches_ordinal_pattern_oracle(x, d, tau):
 
 def rowwise_perm_entropy(x, d, tau):
     """Normalized permutation entropy counted the row-wise way: np.unique(axis=0) over
-    each vector's stable argsort, one sequence at a time."""
+    each vector's stable argsort, one sequence at a time. The terms are summed by
+    np.add.reduceat, in the order the library sums each sequence's."""
     x = np.asarray(x, dtype=np.int64)
     n_vec = len(x) - (d - 1) * tau
     idx = np.arange(n_vec)[:, None] + tau * np.arange(d)[None, :]
     _, counts = np.unique(np.argsort(x[idx], axis=1, kind="stable"), axis=0, return_counts=True)
     freqs = counts / n_vec
-    h = float(-(freqs * np.log(freqs)).sum())
+    h = float(-np.add.reduceat(freqs * np.log(freqs), [0])[0])
     return min(max(h / math.log(math.factorial(d)), 0.0), 1.0)
 
 

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predlim.entropy import Entropies
 from predlim.evaluation import (
     DatasetScore,
     _average_ranks,
@@ -330,12 +331,15 @@ def test_sweep_rejects_unknown_method():
 
 
 def outcome(score_all):
-    """The scores as comparable tuples, or the error they raise."""
+    """Scores as comparable (value, n, effective_size) tuples, or the error they raise."""
     try:
         scores = score_all()
     except ValueError as exc:
         return ("error", str(exc))
-    return [(sc.value, sc.method, sc.n, sc.effective_size) for sc in scores]
+    if isinstance(scores, list):  # PredictabilityScores, one per user
+        return [(sc.value, sc.n, sc.effective_size) for sc in scores]
+    size, n = (None if c is None else c.tolist() for c in (scores.effective_size, scores.n))
+    return [(v, n and n[u], size and size[u]) for u, v in enumerate(scores.value.tolist())]
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,13 +355,12 @@ def test_score_log_matches_per_user_functions(users, estimator):
     log = log_from_sequences([np.array(u) for u in users], n_items=8)
     seqs = log.sequences
     # users shorter than m + 2 = 4 have no sampen estimate; lz covers them
-    estimates = {
-        s.user_index: estimate_entropies(
-            s.items, [0, s.length], estimator if s.length >= 4 else "lz", 2
-        )[0]
+    ests = [
+        estimate_entropies(s.items, [0, s.length], estimator if s.length >= 4 else "lz", 2).row(0)
         for s in seqs
-    }
-    ests = [estimates[s.user_index] for s in seqs]
+    ]
+    entropy = Entropies(np.array([e.value for e in ests]), np.array([e.unit for e in ests]),
+                        np.array([e.estimator for e in ests]), np.array([""] * len(ests)))
     expected = {
         ("epl", None): lambda: [epl(e) for e in ests],
         ("fano", None): lambda: [fano_invert(e, 8) for e in ests],
@@ -368,7 +371,7 @@ def test_score_log_matches_per_user_functions(users, estimator):
                                           for e, s in zip(ests, seqs)],
     }
     for (method, scope), reference in expected.items():
-        got = outcome(lambda: score_log(log, method, estimates, n_scope=scope))
+        got = outcome(lambda: score_log(log, method, entropy, n_scope=scope))
         assert got == outcome(reference), (method, scope)
     # perm: short users make some dimensions, or all of them, infeasible
     assert outcome(lambda: score_log(log, "perm")) == outcome(
@@ -387,7 +390,7 @@ def test_estimate_entropies_rejects_a_non_sequence_estimator(estimator):
 
 def test_score_log_rejects_what_the_method_does_not_read():
     log = log_from_sequences([np.array([0, 1, 2, 0, 1, 2, 0, 1])])
-    est = {0: estimate_entropies(log.items, log.offsets, "lz", 2)[0]}
+    est = estimate_entropies(log.items, log.offsets, "lz", 2)
     with pytest.raises(ValueError, match="n_scope"):
         score_log(log, "fano_nr", est, n_scope="global")
     with pytest.raises(ValueError, match="n_scope"):
@@ -396,9 +399,9 @@ def test_score_log_rejects_what_the_method_does_not_read():
         score_log(log, "fano", est, tau=2)
     with pytest.raises(ValueError, match="needs entropy"):
         score_log(log, "epl")
-    with pytest.raises(ValueError, match="no entropy estimate for user 0"):
-        score_log(log, "epl", {})
-    with pytest.raises(ValueError, match="estimate for user -3, who is not in the log"):
-        score_log(log, "epl", {**est, 7: est[0], -3: est[0]})
+    two = estimate_entropies(np.tile(log.items, 2), [0, 8, 16], "lz")
+    for entropy, count in ((two, 2), (Entropies(np.zeros(0), "nats", "lz", np.zeros(0, str)), 0)):
+        with pytest.raises(ValueError, match=f"{count} entropy estimates for 1 users"):
+            score_log(log, "epl", entropy)
     with pytest.raises(ValueError, match="unknown method"):
         score_log(log, "magic", est)

@@ -22,7 +22,7 @@ GOLDEN = {
     "cohort.json": "b817d6e457b6580212dd5142cdba8e70bf3c6fedc4dd91b54c4a435af455c80b",
     "dataset-scores.csv": "9ca42e6ec6b45a7c29168de323f62904acce6e298b241b5f26c70a57898a186a",
     "estimate-lz.csv": "79290bbd4532e755bf30b2e9be2b2995e06a5d0d715e54ec321b9e5da457c033",
-    "estimate-perm.csv": "660c38988886a244cc62ab259bdf400192b2e71bbe7c91baefabdfdef7926ac9",
+    "estimate-perm.csv": "5d6933fe6b887ffe45fd4b5ba37ed6c1fe91e5c1408ba7add7ecc8f7ea2609ba",
     "estimate-sampen.csv": "9a3630884e2a03680772089df3e4b89bf0754f642ac845e8a5657b44c76a8a29",
     "events-ties.csv": "d16c66b4f216012ce1772e726960a3ee86890c9da9929ac691369cabaa9a4ee9",
     "events.csv": "b774d3a75368da45c557776c76654e9eaf0a597d8abd4ea9fcf5c0b2ea69337f",
@@ -33,12 +33,12 @@ GOLDEN = {
     "score-fano.csv": "a686b3ab338e611817d225f10f906cd325382fe1d7f214cc3b344e08ac4962d7",
     "score-fano_nr-per-user.csv": "af7a03c9f9e2f5998cc3ac79c94366ef9f00b3aa78eeefadb0980f796530d8bc",
     "score-fano_nr-pooled.csv": "4648cbf59030f0cdb70e160b7dfd4bc2ba672e8c1562b8a35b437f40d4d6c790",
-    "score-perm.csv": "e5427fddfe6338d2b66ecb2933cca9106bc4a0ef6cd7aa451b1a00842388a8c0",
+    "score-perm.csv": "35f5ae63d5dc16d6e2e7e8d26b5c47f97973afe4666a27fdb85309561279ec98",
     "selection/plan.json": "88ff287c74fb9e5a845d47b71caa9089e30f6ef6ccc20cd783132765828b5df5",
     "selection/test.csv": "31ad0b2074b3f05699c96df8379f302596d5ce479d91607aa5631d3d74ede5bb",
     "selection/train.csv": "1f409e561cb21e457ab0c55f6d9196868a0e76e252f851f0e0ce58f48902c31a",
     "sweep-difficulty.csv": "1799e9b8748640fbda937ad611fcc77c42547be297469dc7c78a64247598b47a",
-    "sweep-n.csv": "18fafc1b975b6cecd64117839fe05c9d2ec692497fe99600319ec30a72da3f1a",
+    "sweep-n.csv": "8be594f7bbca872ec37f47e6b9e634c7ec4824c59b6ebbc0710e887a5c920ba6",
     "synth-context-switch/latent.json": "d4161d11cb3769ddad4b93129a3e5c64952a4af17a44a611bf4c4b26527fd9d9",
     "synth-context-switch/log.json": "41fffb0a6a8ff64d66b4a6333ba39a8f3110c2660ecf0a1fd4520ce1e3e02cbc",
     "synth-context-switch/oracle.json": "6f811d785499ea4e099c568f95f0f4d57d31a0ee5d67fa0690443e32d079d3c0",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predlim.entropy import EntropyEstimate, perm_entropy
+from predlim.entropy import Entropies, EntropyEstimate, perm_entropy
 from predlim.evaluation import score_log
 from predlim.predictability import (
     PredictabilityScore,
@@ -228,7 +228,8 @@ def test_fano_nr_takes_its_key_base_from_the_items():
     assert fano_nr(bits(1.0), log.items, log.offsets).n == 3
     assert fano_nr(bits(1.0), s.items, [0, s.length]).n == 3
     for scope in ("pooled", "per-user"):
-        assert [sc.n for sc in score_log(log, "fano_nr", {0: bits(1.0)}, scope)] == [3]
+        entropy = Entropies(np.array([1.0]), "bits", "lz", np.array([""]))
+        assert score_log(log, "fano_nr", entropy, scope).n.tolist() == [3]
     with pytest.raises(ValueError, match="negative"):
         fano_nr(bits(1.0), np.array([-1, 1, -1, 2]), [0, 4])
 
@@ -276,8 +277,8 @@ def test_perm_predictabilities_equal_each_sequence_scored_alone():
     arrays = [rng.integers(0, k, size=t) for k, t in ((3, 9), (5, 60), (2, 12), (9, 300), (4, 10))]
     log = log_from_sequences(arrays)
     for d_set, tau in (((3, 4, 5), 1), ((5, 3), 2), ((4,), 1)):
-        alone = [perm_predictability(x, d_set, tau) for x in arrays]
-        assert perm_predictabilities(log.items, log.offsets, d_set, tau) == alone
+        alone = [perm_predictability(x, d_set, tau).value for x in arrays]
+        assert perm_predictabilities(log.items, log.offsets, d_set, tau).tolist() == alone
     short = log_from_sequences(arrays + [np.arange(6)])
     with pytest.raises(ValueError, match="feasible"):
         perm_predictabilities(short.items, short.offsets)
