@@ -135,13 +135,12 @@ class Distribution:
     """Explicit probability vector; probabilities must sum to 1 within 1e-9."""
 
     probs: np.ndarray
-    support_size: int
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or len(probs) != self.support_size:
-            raise ValueError("probs must be 1-d of length support_size")
+        if probs.ndim != 1:
+            raise ValueError("probs must be 1-d")
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -149,8 +148,7 @@ class Distribution:
 
     @classmethod
     def from_probs(cls, probs) -> "Distribution":
-        probs = np.asarray(probs, dtype=float)
-        return cls(probs=probs, support_size=len(probs))
+        return cls(probs)
 
     @property
     def p_max(self) -> float:
@@ -165,7 +163,7 @@ def plugin_entropy(d: Distribution, unit: str = "nats") -> EntropyEstimate:
     p = d.probs[d.probs > 0]
     h_nats = float(-(p * np.log(p)).sum())
     h_nats = max(h_nats, 0.0)  # guard tiny negative rounding on point masses
-    est = EntropyEstimate(h_nats, "nats", "plugin", {"support_size": d.support_size})
+    est = EntropyEstimate(h_nats, "nats", "plugin", {"support_size": len(d.probs)})
     return est.to(unit)
 
 

@@ -286,8 +286,8 @@ def score_log(
     entropy holds one estimate per user, in user order, and is read by the
     methods that read entropy; each value is mapped as epl, fano_invert or
     fano_nr maps one. n_scope defaults to the method's first scope; d_set and
-    tau default to perm_predictability's. A scope or option the method does
-    not read raises, as does entropy for another number of users.
+    tau default to perm_predictability's. A scope, option or entropy the method
+    does not read raises, as does entropy for another number of users.
     """
     spec = METHODS.get(method)
     if spec is None:
@@ -296,6 +296,8 @@ def score_log(
         takes = " or ".join(spec.scopes) or "no n_scope"
         raise ValueError(f"method {method} takes {takes}, not n_scope {n_scope!r}")
     if not spec.reads_entropy:
+        if entropy is not None:
+            raise ValueError(f"method {method} reads no entropy")
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
         return Scores(perm_predictabilities(log.items, log.offsets, **given))
     if d_set is not None or tau is not None:
@@ -329,10 +331,10 @@ def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[
     each method scores at its default scope, so the Fano candidate size is the
     corpus vocabulary (the generator's n) and N_r is pooled across the corpus.
     """
-    entropy = None
-    if any(METHODS[meth].reads_entropy for meth in methods):
-        entropy = estimate_entropies(log.items, log.offsets, estimator, m)
-    return {meth: float(np.mean(score_log(log, meth, entropy).value)) for meth in methods}
+    reads = {meth for meth in methods if METHODS[meth].reads_entropy}
+    entropy = estimate_entropies(log.items, log.offsets, estimator, m) if reads else None
+    return {meth: float(np.mean(score_log(log, meth, entropy if meth in reads else None).value))
+            for meth in methods}
 
 
 def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:

@@ -13,8 +13,8 @@ import csv
 import json
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -45,7 +45,7 @@ class UserSequence:
 
 @dataclass
 class InteractionLog:
-    item_ids: list[str]  # item_ids[k] is the id of item index k
+    item_ids: Sequence[str]  # item_ids[k] is the id of item index k
     items: np.ndarray  # every user's item indices, user after user, each in time order
     offsets: np.ndarray  # user u's items are items[offsets[u]:offsets[u + 1]]
     user_ids: list[str]
@@ -76,7 +76,7 @@ class InteractionLog:
                 "num_interactions": len(self.items), "avg_length": len(self.items) / self.num_users}
 
 
-def _make_log(items, lengths, item_ids: list[str], user_ids: list[str]) -> InteractionLog:
+def _make_log(items, lengths, item_ids: Sequence[str], user_ids: list[str]) -> InteractionLog:
     """The one constructor of an InteractionLog: user u is user_ids[u], with lengths[u] events.
 
     items holds indices into item_ids, user after user.
@@ -177,25 +177,35 @@ def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None
 
     Item k is named str(k) and user u is named "u{u}"; with n_items given, the
     vocabulary covers indices 0..n_items-1 even if some never occur (a
-    generator's full item space, or the swept candidate size for Fano).
-    Intended for synthetic corpora and tests.
+    generator's full item space, or the swept candidate size for Fano), each name
+    made on access, so memory does not grow with it. For synthetic corpora and tests.
     """
     items = np.concatenate([np.zeros(0, np.int64), *item_arrays]).astype(np.int64, copy=False)
     if n_items is None:  # _make_log rejects no arrays and an empty one
         n_items = int(items.max(initial=-1)) + 1
     lengths = np.array([len(a) for a in item_arrays], dtype=np.int64)
     user_ids = [f"u{u}" for u in range(len(item_arrays))]
-    return _make_log(items, lengths, list(_identity_names(n_items)), user_ids)
+    return _make_log(items, lengths, _Names(range(n_items)), user_ids)
 
 
-@lru_cache(maxsize=1)  # a sweep generates corpus after corpus at one n
-def _identity_names(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(n)))
+@dataclass(frozen=True)
+class _Names(Sequence):
+    ks: range  # item k is named str(k), made on access; indexing goes through ks, as a list's
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, k):
+        ks = self.ks[k]  # a slice gives a range, returned as a list of names
+        return list(map(str, ks)) if isinstance(ks, range) else str(ks)
+
+    def __iter__(self):
+        return map(str, self.ks)  # at C speed, where Sequence's would call __getitem__ per item
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:
     """Write the log as json.dump would, one user at a time through json.dumps's C encoder."""
-    head = {"schema": LOG_SCHEMA, "items": log.item_ids, "counts": log.counts.tolist(),
+    head = {"schema": LOG_SCHEMA, "items": list(log.item_ids), "counts": log.counts.tolist(),
             "users": []}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-2])  # up to the opening bracket of the users list

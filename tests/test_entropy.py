@@ -121,8 +121,8 @@ def test_unit_conversion_round_trip():
     "call, message",
     [
         (lambda: EntropyEstimate(1.0, "nats", "sampen").to("kelvin"), "unit must be one of"),
-        (lambda: Distribution(np.array([[0.5, 0.5]]), 2), "1-d"),
-        (lambda: Distribution(np.array([[0.5], [0.5]]), 2), "1-d"),
+        (lambda: Distribution(np.array([[0.5, 0.5]])), "1-d"),
+        (lambda: Distribution(np.array([[0.5], [0.5]])), "1-d"),
         (lambda: Entropies(np.array([0.5, -1.0]), "nats", "lz", np.array(["", ""])),
          "finite and >= 0, got -1.0"),
         (lambda: Entropies(np.array([0.5]), np.array(["furlongs"]), "lz", np.array([""])),

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from predlim.evaluation import (
 )
 from predlim.predictability import epl, fano_invert, fano_nr, perm_predictability
 from predlim.sequence_core import log_from_sequences
+from predlim.synth import GeneratorConfig, generate, params_for
 
 # Independent references: textbook rank arithmetic and a plain accumulation loop.
 
@@ -382,6 +384,24 @@ def test_score_log_matches_per_user_functions(users, estimator):
     )
 
 
+def test_scoring_a_generated_corpus_allocates_nothing_per_item_of_the_item_space():
+    # A million item names alone would take about 60 MB; the bound allows a few users' arrays.
+    n = 10**6
+    tracemalloc.start()
+    try:
+        log = generate(GeneratorConfig("context_switch", n, 4, 50, 0,
+                                       params_for("context_switch", 0.3))).log
+        entropy = estimate_entropies(log.items, log.offsets, "lz")
+        fano = score_log(log, "fano", entropy)
+        pooled = score_log(log, "fano_nr", entropy, "pooled")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert fano.n.tolist() == [n] * 4 and pooled.n.max() < 50
+    assert len(log.item_ids) == n and log.item_ids[n - 1] == str(n - 1)
+
+
 @pytest.mark.parametrize("estimator", ["perm", "plugin", "SAMPEN"])
 def test_estimate_entropies_rejects_a_non_sequence_estimator(estimator):
     with pytest.raises(ValueError, match=f"unknown sequence estimator '{estimator}'"):
@@ -399,6 +419,8 @@ def test_score_log_rejects_what_the_method_does_not_read():
         score_log(log, "fano", est, tau=2)
     with pytest.raises(ValueError, match="needs entropy"):
         score_log(log, "epl")
+    with pytest.raises(ValueError, match="method perm reads no entropy"):
+        score_log(log, "perm", est)
     two = estimate_entropies(np.tile(log.items, 2), [0, 8, 16], "lz")
     for entropy, count in ((two, 2), (Entropies(np.zeros(0), "nats", "lz", np.zeros(0, str)), 0)):
         with pytest.raises(ValueError, match=f"{count} entropy estimates for 1 users"):
