@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -324,13 +327,14 @@ def score_log(
     return Scores(values, n=np.broadcast_to(n, len(values)))
 
 
-def _corpus_means(log: InteractionLog, methods, estimator: str, m: int) -> dict[str, float]:
-    """Unweighted per-user mean of each method's score on one corpus.
+def _corpus_means(config: GeneratorConfig, methods, estimator: str, m: int) -> dict[str, float]:
+    """Unweighted per-user mean of each method's score on the corpus config generates.
 
     All synthetic users share one length, so uniform and event weighting agree;
     each method scores at its default scope, so the Fano candidate size is the
     corpus vocabulary (the generator's n) and N_r is pooled across the corpus.
     """
+    log = generate(config).log
     reads = {meth for meth in methods if METHODS[meth].reads_entropy}
     entropy = estimate_entropies(log.items, log.offsets, estimator, m) if reads else None
     return {meth: float(np.mean(score_log(log, meth, entropy if meth in reads else None).value))
@@ -342,12 +346,27 @@ def _rep_seed(base_seed: int, grid_index: int, rep: int) -> int:
     return int(np.random.SeedSequence([base_seed, grid_index, rep]).generate_state(1, np.uint64)[0])
 
 
+def _map_corpora(score, configs) -> list:
+    """score of each config, in order, on up to one forked worker per CPU this process may use;
+    in-process for one CPU or one config, without fork, or while other threads run (a forked
+    child inherits none of them, but every lock they hold)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(configs))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # here, so that importing predlim does not pay for it
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return list(pool.imap(score, configs))  # the first error in config order
+    return list(map(score, configs))
+
+
 def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, estimator,
            m) -> SweepTable:
     """The grid x rep loop shared by both sweeps.
 
     At each (grid value, n, target) point the noise is inverted once to pin the oracle
     ceiling at target over n items; each rep regenerates the corpus under its own seed.
+    Every point is inverted before any corpus is generated; _map_corpora scores them all.
     """
     methods = list(methods)
     for meth in methods:
@@ -359,17 +378,17 @@ def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, e
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not points or len({value for value, _, _ in points}) < len(points):
         raise ValueError("a sweep grid needs one or more values, each listed once")
-    rows: list[SweepRow] = []
-    for gi, (value, n, target) in enumerate(points):
+    configs = []
+    for gi, (_, n, target) in enumerate(points):
         params = params_for(mechanism, invert_noise(mechanism, target, n=n, **fixed), **fixed)
         config = GeneratorConfig(mechanism, int(n), users, length, seed, params)
-        rep_vals: dict[str, list[float]] = {meth: [] for meth in methods}
-        for rep in range(reps):
-            corpus = generate(replace(config, seed=_rep_seed(seed, gi, rep)))
-            for meth, val in _corpus_means(corpus.log, methods, estimator, m).items():
-                rep_vals[meth].append(val)
+        configs += [replace(config, seed=_rep_seed(seed, gi, rep)) for rep in range(reps)]
+    means = _map_corpora(partial(_corpus_means, methods=methods, estimator=estimator, m=m),
+                         configs)
+    rows: list[SweepRow] = []
+    for gi, (value, _, _) in enumerate(points):
         for meth in methods:
-            vals = np.array(rep_vals[meth])
+            vals = np.array([corpus[meth] for corpus in means[gi * reps:(gi + 1) * reps]])
             std = float(vals.std(ddof=1)) if len(vals) >= 2 else 0.0
             rows.append(SweepRow(float(value), meth, float(vals.mean()), std, reps))
     return SweepTable(kind=kind, rows=rows)

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -359,6 +361,36 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for sub in ("ingest", "estimate", "score", "synth", "cohort", "sweep", "report", "select"):
         assert sub in proc.stdout
+
+
+def test_importing_the_cli_or_evaluation_leaves_multiprocessing_unimported():
+    code = "import sys, predlim.cli, predlim.evaluation; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_a_sweep_failing_in_a_worker_is_one_error_line_and_leaves_no_process(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--kind", "difficulty", "--mechanism", "repeat-last", "--targets", "0.3,0.6",
+            "--n", "30", "--reps", "2", "--users", "4", "--m", "4", "--output", str(out)]
+    _fails_with_one_line(capsys, [*argv, "--length", "5"], out,
+                         "sequence length 5 is below m + 2 = 6")
+    assert multiprocessing.active_children() == []
+    code, _, _ = run_cli(capsys, *argv, "--length", "8")
+    assert code == 0 and out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_sweep_inverts_every_target_before_it_generates_a_corpus(tmp_path, capsys):
+    # The corpora at 0.3 are too short for --m 4, but the infeasible 0.01 is reported first.
+    out = tmp_path / "sweep.csv"
+    _fails_with_one_line(
+        capsys, ["sweep", "--kind", "difficulty", "--mechanism", "repeat-last",
+                 "--targets", "0.3,0.01", "--n", "30", "--reps", "2", "--users", "4",
+                 "--length", "5", "--m", "4", "--output", str(out)], out,
+        "target 0.01 outside feasible interval [0.03333333333333333, 1.0] for repeat_last")
 
 
 def _session_corpus(tmp_path, capsys):

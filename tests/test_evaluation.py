@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predlim import evaluation
 from predlim.entropy import Entropies
 from predlim.evaluation import (
     DatasetScore,
@@ -327,6 +329,27 @@ def test_sweep_rejects_unknown_method():
     for n_grid in ((), (20, 40, 20)):
         with pytest.raises(ValueError, match="each listed once"):
             run_n_sweep(n_grid=n_grid, methods=("epl",), reps=1, users=5, length=30)
+
+
+def test_sweep_table_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    def generate_in(config):
+        (tmp_path / str(os.getpid())).touch()  # which processes generated the corpora
+        return generate(config)
+
+    monkeypatch.setattr(evaluation, "generate", generate_in)
+    tables, pids = {}, {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        tables[len(cpus)] = [(table.rows, table.rmse_by_method) for table in (
+            run_difficulty_sweep("repeat_last", **small_difficulty_kwargs()),
+            run_n_sweep(n_grid=(20, 60), target_hit1=0.2, reps=2, users=10, length=40, seed=5),
+        )]
+        pids[len(cpus)] = {int(path.name) for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+    assert tables[1] == tables[2]
+    assert pids[1] == {os.getpid()}
+    assert pids[2] and os.getpid() not in pids[2]
 
 
 # score_log against the public per-user functions
