@@ -12,6 +12,7 @@ return columns, one entry per user.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +36,11 @@ UNITS = ("nats", "bits")
 # Symbols (events, plus lz's one separator per array) in a chunk of whole arrays
 # that one pass counts; a longer array is a chunk of its own. On a 20k-user log
 # of 50-event users (2 CPUs), lz took 0.54 s at 2^13 and 2^14, 0.72 s at 2^11 and
-# 0.78 s at 2^17; its traced peak was 7 MB up to 2^14, 39 MB at 2^17.
+# 0.78 s at 2^17; its traced peak was 7 MB up to 2^14, 39 MB at 2^17. On a 1M-event
+# log of 20k users, sampen (m = 2) took 39, 39, 45, 42 and 49 ms at 2^13 to 2^17 and
+# perm (d = 3, 4, 5) 67, 61, 57, 66 and 95 ms (traced peaks 3.2 and 2.0 MB at 2^13,
+# 9.4 and 11.7 MB at 2^17); on a 300 x 200 corpus, sampen took 2.2 to 2.6 ms at every
+# budget and perm 4.7 ms at 2^13, 2.3 to 2.7 ms from 2^14 up.
 CHUNK_SYMBOLS = 1 << 13
 
 
@@ -183,15 +188,18 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
 def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> Entropies:
     """sampen of each user's items, in order; m below 1 or a user shorter than m + 2 raises.
 
-    Users are batched whole into chunks of at most CHUNK_SYMBOLS events. In a
-    chunk of n events, items relabelled densely, each (user, window) is named
-    by extension: names at width w rank name[w-1] * n + code densely, from the
-    user index at width 0, so keys stay below n^2 for any m and any item ids.
-    A user's pairs at widths m and m+1 come from its first T-m starts' name
-    counts. A and B are integers, so each value is the user's alone, to the bit.
+    Users are batched whole into chunks of at most CHUNK_SYMBOLS events. Each
+    of a user's first T-m starts is named by extension: the user's index at
+    width 0, then name * base + code for each next item, its code in [0, base)
+    (see _codes). Names sort as (user, window) do, and are densified, order
+    kept, only when the next extension would overflow int64. One sort of the
+    width-(m+1) names groups equal windows into runs: A's runs are equal keys,
+    B's equal key // base; a run of r starts holds r(r-1)/2 pairs. A and B are
+    integers, so each value is the user's alone, to the bit.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    items = np.asarray(items)
     lengths = np.diff(offsets)
     short = lengths[lengths < m + 2]
     if len(short):
@@ -199,23 +207,45 @@ def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> Entr
     pairs = np.zeros((2, len(lengths)), dtype=np.int64)  # B, then A
     for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
         t = lengths[lo:hi]
-        code = np.unique(items[offsets[lo]:offsets[hi]], return_inverse=True)[1]
-        n = len(code)
-        starts = np.flatnonzero(np.arange(n) < np.repeat(np.cumsum(t) - m, t))  # first T-m each
+        code, base = _codes(items[offsets[lo]:offsets[hi]])
+        owner = np.repeat(np.arange(len(t)), t - m)
+        starts = np.arange(len(owner)) + m * owner  # each user's first T-m, in the chunk
+        name, top = owner, len(t)  # every name lies below top
+        for w in range(m + 1):
+            if top * base > 1 << 63:
+                vocab, name = np.unique(name, return_inverse=True)
+                top = len(vocab)
+            name = name * base + code[starts + w]
+            top *= base
+        key = np.sort(name)
+        at = np.arange(len(key))
         bounds = np.cumsum(t - m) - (t - m)
-        name = np.repeat(np.arange(len(t)), t)  # width 0: the array
-        for w in range(1, m + 2):
-            name = np.unique(name[: n - w + 1] * n + code[w - 1 :], return_inverse=True)[1]
-            if w >= m:
-                named = name[starts]
-                same = np.bincount(named)[named] - 1  # other starts sharing each one's name
-                pairs[w - m, lo:hi] = np.add.reduceat(same, bounds) // 2
+        for row, run in enumerate((key // base, key)):
+            new = np.concatenate(([True], run[1:] != run[:-1]))
+            pairs[row, lo:hi] = np.add.reduceat(at - np.maximum.accumulate(np.where(new, at, 0)),
+                                                bounds)  # each start pairs with its run's earlier
     value = [math.log(b / a) if a else math.log((t - m) * (t - m - 1) // 2)
              for t, b, a in zip(lengths.tolist(), *pairs.tolist())]
     b, a = pairs  # indexed by how many of B and A are positive; A > 0 implies B > 0
     flags = np.array(["saturated;no_regularity", "saturated", ""])[np.sign(b) + np.sign(a)]
     return Entropies(np.array(value, dtype=float), "nats", "sampen", flags,
                      {"m": m, "A": a, "B": b})
+
+
+def _codes(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x's items as codes in [0, base), equal where the items are, and base.
+
+    int64 items less the least of them, when base * len(x) stays within 2^63,
+    so that a name below len(x) extends by one code without overflow; else
+    the items' dense ranks.
+    """
+    if x.dtype == np.int64:
+        least = int(x.min())
+        base = int(x.max()) - least + 1
+        if base * len(x) <= 1 << 63:
+            return x - least, base
+    vocab, code = np.unique(x, return_inverse=True)
+    return code, len(vocab)
 
 
 def _chunks(sizes: np.ndarray, budget: int):
@@ -351,37 +381,58 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
     return EntropyEstimate(float(value), None, "perm_normalized", {"d": d, "tau": tau})
 
 
-def _pattern_codes(columns: list[np.ndarray]) -> np.ndarray:
-    """The ordinal pattern code of each window, given as its d columns.
+_PATTERN_RANKS: dict[int, np.ndarray] = {}  # filled on first use: importing builds nothing
 
-    Value i's rank counts the values below it and the equal ones before it, as
-    a stable ascending sort ranks them, from the d(d-1)/2 pairwise comparisons.
-    The code sum_i i d^(d-1-rank_i) is the stable argsort row p coded as
-    sum_k p[k] d^(d-1-k).
+
+def _pattern_ranks(d: int) -> np.ndarray:
+    """table[bits] ranks the ordinal pattern with those pair bits (see _pair_bits) among
+    the d! stable argsort rows, in lexicographic order; -1 where no order has them.
+
+    Rows sort as their codes sum_k p[k] d^(d-1-k) do. Built once, about 0.6 ms at d = 5.
     """
-    d = len(columns)
-    ranks = [np.zeros(len(columns[0]), dtype=np.int64) for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            later_below = columns[j] < columns[i]
-            ranks[i] += later_below
-            ranks[j] += ~later_below
-    power = d ** np.arange(d - 1, -1, -1)
-    return sum(i * power[ranks[i]] for i in range(1, d))
+    if d not in _PATTERN_RANKS:
+        table = [-1] * (1 << d * (d - 1) // 2)
+        for r, p in enumerate(itertools.permutations(range(d))):
+            rank = [p.index(i) for i in range(d)]
+            table[sum((rank[j] < rank[i]) << (j * (j - 1) // 2 + i)
+                      for j in range(d) for i in range(j))] = r
+        _PATTERN_RANKS[d] = np.array(table)
+    return _PATTERN_RANKS[d]
+
+
+def _pair_bits(x: np.ndarray, d: int, tau: int) -> np.ndarray:
+    """Each start s's pair bits: bit j(j-1)/2 + i is x[s + j tau] < x[s + i tau], i < j < d.
+
+    Pairs are ordered by j, then i, so the low d'(d'-1)/2 bits are those of
+    d' < d. A pair whose later value lies past x's end reads 0. Comparisons
+    are made in x's own dtype, from d - 1 lags.
+    """
+    n = len(x)
+    bits = np.zeros(n, dtype=np.int16)  # d = 5 has 10 bits; int16 halves the time of int64's ORs
+    later_below = []  # at lag k: x[p + k tau] < x[p]
+    for j in range(1, d):
+        if j * tau >= n:
+            break
+        later_below.append(x[j * tau:] < x[: n - j * tau])
+        for i in range(j):
+            bit = np.int16(j * (j - 1) // 2 + i)
+            bits[: n - j * tau] |= later_below[j - i - 1][i * tau:] << bit
+    return bits.astype(np.intp)  # table lookups index faster with intp
 
 
 def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) -> np.ndarray:
     """perm_entropy's value for each user's items (rows) at each d in d_set (columns).
 
     NaN marks a d the user is too short for; an empty d_set, a d outside
-    {3, 4, 5}, a d listed twice or a tau below 1 raises. Each window's pattern,
-    its stable argsort row p, is coded as the integer sum_k p[k] d^(d-1-k),
-    which sorts as the rows do, from pairwise comparisons. Users are
-    batched whole into chunks of at most CHUNK_SYMBOLS events (a longer user
-    is a chunk of its own; one too short at d has no windows); one np.unique
-    over packed (user, code) keys counts a chunk, and one np.add.reduceat sums
-    each user's slice of the frequency terms in code order, as it sums the
-    user's terms counted alone.
+    {3, 4, 5}, a d listed twice, a tau below 1, or a window whose comparisons
+    no order of values gives (a NaN's can), raises. Users are batched whole
+    into chunks of at most CHUNK_SYMBOLS events (a longer user is a chunk of
+    its own; one too short at d has no windows). A chunk's pair bits are
+    computed once, for the largest d; each d reads its windows' low bits,
+    _pattern_ranks(d) ranks them in the order the patterns' argsort rows sort,
+    and one np.bincount over (user, rank) counts the chunk. One
+    np.add.reduceat sums each user's frequency terms in rank order, as it sums
+    the user's terms counted alone.
     """
     if not d_set or any(d not in (3, 4, 5) for d in d_set):
         raise ValueError(f"d must be one or more of 3, 4, 5, got {list(d_set)}")
@@ -391,22 +442,29 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
         raise ValueError(f"tau must be >= 1, got {tau}")
     lengths = np.diff(offsets)
     out = np.full((len(lengths), len(d_set)), np.nan)
-    for k, d in enumerate(d_set):
-        span = (d - 1) * tau + 1
-        n_vec = lengths - (span - 1)
+    n_vecs = []
+    for d in d_set:
+        n_vec = lengths - (d - 1) * tau
         n_vec[(n_vec < 5) | (n_vec < tau + 1)] = 0  # the latter: T >= d*tau + 1
-        norm = math.log(math.factorial(d))
-        for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
-            v = n_vec[lo:hi]
+        n_vecs.append(n_vec)
+    for lo, hi in _chunks(lengths, CHUNK_SYMBOLS):
+        bits = _pair_bits(items[offsets[lo]:offsets[hi]], max(d_set), tau)
+        first = offsets[lo:hi] - offsets[lo]
+        for k, d in enumerate(d_set):
+            v, f = n_vecs[k][lo:hi], math.factorial(d)
             owner = np.repeat(np.arange(hi - lo), v)
-            # each window's start in items; none runs across two users
-            rows = np.arange(len(owner)) + (offsets[lo:hi] - (np.cumsum(v) - v))[owner]
-            codes = _pattern_codes([items[rows + i * tau] for i in range(d)])
-            keys, counts = np.unique(owner * d**d + codes, return_counts=True)
-            freqs = counts / v[keys // d**d]
+            # each window's start in the chunk; none runs across two users
+            starts = np.arange(len(owner)) + (first - (np.cumsum(v) - v))[owner]
+            rank = _pattern_ranks(d)[bits[starts] & ((1 << d * (d - 1) // 2) - 1)]
+            if rank.min(initial=0) < 0:  # no order of d values compares so: a NaN's doing
+                raise ValueError("perm needs items with a total order, and NaN has none")
+            counts = np.bincount(owner * f + rank, minlength=(hi - lo) * f)
+            keys = np.flatnonzero(counts > 0)  # on bools, numpy finds them about 3x faster
+            freqs = counts[keys] / v[keys // f]
             terms = freqs * np.log(freqs)
-            bounds = np.searchsorted(keys, np.arange(hi - lo + 1) * d**d)
+            bounds = np.searchsorted(keys, np.arange(hi - lo + 1) * f)
             has = np.flatnonzero(np.diff(bounds))  # a user too short at d has no terms: NaN
             if len(has):
-                out[lo + has, k] = np.clip(-np.add.reduceat(terms, bounds[has]) / norm, 0.0, 1.0)
+                out[lo + has, k] = np.clip(-np.add.reduceat(terms, bounds[has]) / math.log(f),
+                                           0.0, 1.0)
     return out

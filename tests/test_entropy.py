@@ -283,6 +283,37 @@ def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
         assert ests.row(u) == sampen(np.array(x), m)
 
 
+def periodic_corpus(rng, symbols, users, m):
+    """Users of repeated short motifs over symbols, with a few changed items: many matches."""
+    corpus = []
+    for _ in range(users):
+        motif = rng.choice(symbols, size=rng.integers(1, 4))
+        x = np.resize(motif, rng.integers(m + 2, m + 24))
+        x[rng.integers(0, len(x), 2)] = rng.choice(symbols, 2)
+        corpus.append(x.tolist())
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "symbols, m",
+    [
+        pytest.param([-3, -2, -1, 0, 1, 2], 2, id="negative-items-shifted"),
+        pytest.param([-(2**62), 2**62, 0, 1], 2, id="span-too-wide-dense-ranks"),
+        pytest.param([2**40 - 3, 2**40, 2**40 + 9, 2**39, 2], 6, id="m6-names-densified"),
+    ],
+)
+def test_sampen_entropies_count_every_code_path_as_pair_enumeration(symbols, m):
+    rng = np.random.default_rng(0)
+    corpus = periodic_corpus(rng, symbols, 30, m)
+    corpus += [[symbols[0], symbols[1]] * (m + 2)]  # both extremes in one chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 40)
+        ests = sampen_entropies(*flat(corpus), m)
+    counts = [brute_sampen_counts(x, m) for x in corpus]
+    assert list(zip(ests.params["A"].tolist(), ests.params["B"].tolist())) == counts
+    assert sum(a for a, _ in counts) > 0  # the corpus has matches at m + 1
+
+
 def test_sampen_entropies_reject_a_short_sequence_anywhere():
     assert len(sampen_entropies(*flat([]), 2)) == 0
     with pytest.raises(ValueError, match="length 3 is below m \\+ 2 = 4"):
@@ -411,9 +442,9 @@ def test_perm_matches_ordinal_pattern_oracle(x, d, tau):
 
 def rowwise_perm_entropy(x, d, tau):
     """Normalized permutation entropy counted the row-wise way: np.unique(axis=0) over
-    each vector's stable argsort, one sequence at a time. The terms are summed by
-    np.add.reduceat, in the order the library sums each sequence's."""
-    x = np.asarray(x, dtype=np.int64)
+    each vector's stable argsort, one sequence at a time, in x's own dtype. The terms are
+    summed by np.add.reduceat, in the order the library sums each sequence's."""
+    x = np.asarray(x)
     n_vec = len(x) - (d - 1) * tau
     idx = np.arange(n_vec)[:, None] + tau * np.arange(d)[None, :]
     _, counts = np.unique(np.argsort(x[idx], axis=1, kind="stable"), axis=0, return_counts=True)
@@ -456,6 +487,57 @@ def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_se
             assert got == rowwise_perm_entropy(x, d, tau)
             assert got == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
     assert np.isnan(table[-1]).all()
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(np.array([-2.5, -0.0, 0.0, 1.25, 7.0, -np.inf]), id="float64-ties-negatives"),
+        pytest.param(np.array([2**63, 2**63 + 5, 2**64 - 1, 3], dtype=np.uint64), id="uint64"),
+    ],
+)
+def test_perm_entropies_compare_in_the_items_own_dtype(values, tau):
+    # an int64 cast misorders 2^64 - 1 and 3, a float64 cast ties 2^63 and 2^63 + 5
+    rng = np.random.default_rng(tau)
+    corpus = [rng.choice(values, size=rng.integers(10, 40)) for _ in range(12)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 16)
+        table = perm_entropies(np.concatenate(corpus), np.cumsum([0, *map(len, corpus)]),
+                               (3, 4, 5), tau)
+    scored = 0
+    for x, row in zip(corpus, table.tolist()):
+        for d, got in zip((3, 4, 5), row):
+            if len(x) < d * tau + 1 or len(x) - (d - 1) * tau < 5:
+                assert math.isnan(got)
+                continue
+            assert got == rowwise_perm_entropy(x, d, tau)
+            scored += 1
+    assert scored >= 24
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pattern_ranks_give_each_order_its_rank_in_stable_argsort_code_order(d):
+    # the rows' codes sum_k p[k] d^(d-1-k), sorted, give each order its rank;
+    # a window of values 0..d-1 placed at p's positions has p as its stable argsort
+    rows = sorted(itertools.permutations(range(d)),
+                  key=lambda p: sum(v * d ** (d - 1 - k) for k, v in enumerate(p)))
+    want = np.full(2 ** (d * (d - 1) // 2), -1)
+    for r, p in enumerate(rows):
+        x = np.empty(d)
+        x[list(p)] = np.arange(d)
+        assert np.argsort(x, kind="stable").tolist() == list(p)
+        bits = sum(int(x[j] < x[i]) << (j * (j - 1) // 2 + i) for j in range(d) for i in range(j))
+        assert entropy._pair_bits(x, d, 1)[0] == bits
+        want[bits] = r
+    assert np.array_equal(entropy._pattern_ranks(d), want)
+    assert (want >= 0).sum() == math.factorial(d)
+
+
+def test_perm_rejects_a_window_no_order_compares_as():
+    # in (1, NaN, 0), 0 < 1 but neither 1 nor 0 compares below NaN
+    with pytest.raises(ValueError, match="total order"):
+        perm_entropy(np.array([1.0, np.nan, 0.0, 2.0, 3.0, 4.0, 5.0]), d=3)
 
 
 def test_perm_entropies_of_no_sequences_is_an_empty_table():
