@@ -7,7 +7,7 @@ generators with closed-form oracle ceilings, cohort splits, consistency
 statistics, and data-selection tooling reproduce the validation protocol.
 """
 
-from .cohort import CohortReport, UserFeature, compute_features, split_and_aggregate
+from .cohort import CohortReport, compute_features, split_and_aggregate
 from .entropy import (
     Distribution,
     EntropyEstimate,
@@ -62,7 +62,6 @@ __all__ = [
     "SelectionPlan",
     "SweepTable",
     "SynthCorpus",
-    "UserFeature",
     "UserSequence",
     "aggregate_dataset",
     "build_plan",

@@ -94,37 +94,36 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_per_user(path: str, what: str, columns: dict, keep=None) -> dict[str, list]:
-    """columns and user_index of the CSV at path, over the rows that keep(columns) marks
-    (every row if keep is None); a user on two of them, or none kept, raises."""
+def _read_per_user(path: str, what: str, num_users: int, columns: dict, keep) -> list:
+    """The users of the CSV at path, ascending, then each of columns in that order, over the rows
+    that keep(columns) marks; keep sees the rows in file order and may raise on one. A user on
+    two of them, none kept, or a user outside [0, num_users) raises."""
     cols = evaluation.csv_columns(path, {"user_index": int, **columns})
-    if keep is not None:
-        mask = keep(cols)
-        cols = {k: list(compress(v, mask)) for k, v in cols.items()}
-    users, seen = cols["user_index"], set()
+    mask = keep(cols)
+    cols = {k: list(compress(v, mask)) for k, v in cols.items()}
+    users, seen = cols.pop("user_index"), set()
     if len(set(users)) < len(users):
         twice = next(u for u in users if u in seen or seen.add(u))
         raise ValueError(f"{path}: multiple {what} rows for user {twice}")
     if not users:
         raise ValueError(f"{path}: no usable {what} rows")
-    return cols
+    order = np.argsort(users)
+    users = np.array(users)[order]
+    if users[0] < 0 or users[-1] >= num_users:
+        extra = users[0] if users[0] < 0 else users[users >= num_users][0]
+        raise ValueError(f"{what} for user {extra}, who is not in the log")
+    return [users, *(np.array(v)[order] for v in cols.values())]
 
 
 def _read_entropy(path: str, num_users: int) -> Entropies:
     """The entropy CSV at path as columns in user order, one row for each user of the log;
     perm_normalized rows, which epl and the Fano routes cannot map, are skipped."""
-    cols = _read_per_user(path, "entropy", {"estimator": str, "value": float, "unit": str,
-                                            "flags": str},
-                          keep=lambda c: [e != "perm_normalized" for e in c["estimator"]])
-    users = cols["user_index"]
-    missing = min(set(range(num_users)).difference(users), default=None)
-    if missing is not None:
-        raise ValueError(f"no entropy estimate for user {missing}")
-    if len(users) > num_users:
-        extra = min(set(users).difference(range(num_users)))
-        raise ValueError(f"entropy estimate for user {extra}, who is not in the log")
-    order = np.argsort(users)
-    return Entropies(*(np.array(cols[k])[order] for k in ("value", "unit", "estimator", "flags")))
+    users, estimator, value, unit, flags = _read_per_user(
+        path, "entropy", num_users, {"estimator": str, "value": float, "unit": str, "flags": str},
+        keep=lambda c: [e != "perm_normalized" for e in c["estimator"]])
+    if len(users) < num_users:
+        raise ValueError(f"no entropy estimate for user {np.setdiff1d(range(num_users), users)[0]}")
+    return Entropies(value, unit, estimator, flags)
 
 
 def cmd_score(args) -> int:
@@ -171,11 +170,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _read_scores_csv(path: str) -> dict[int, float]:
-    scores = dict(zip(*_read_per_user(path, "score", {"value": float}).values()))
-    bad = [u for u, v in scores.items() if not 0.0 < v <= 1.0]  # NaN too
-    if bad:
-        raise ValueError(f"{path}: score {scores[bad[0]]!r} of user {bad[0]} is not in (0, 1]")
+def _read_scores(path: str, num_users: int) -> np.ndarray:
+    """The score CSV at path as one value per user of the log, NaN for a user it has no row for;
+    a score outside (0, 1], NaN included, raises naming the first such row of the file."""
+    def in_range(cols):
+        for u, v in zip(cols["user_index"], cols["value"]):
+            if not 0.0 < v <= 1.0:  # NaN too
+                raise ValueError(f"{path}: score {v!r} of user {u} is not in (0, 1]")
+        return [True] * len(cols["value"])
+
+    users, values = _read_per_user(path, "score", num_users, {"value": float}, keep=in_range)
+    scores = np.full(num_users, np.nan)
+    scores[users] = values
     return scores
 
 
@@ -183,7 +189,7 @@ def cmd_cohort(args) -> int:
     reads = ["tail_mass"] if args.dimension == "longtail" else []  # it shapes only that feature
     given = _given(args, f"dimension {args.dimension}", reads, ["tail_mass"])
     log = log_from_json(args.log)
-    scores = _read_scores_csv(args.scores)
+    scores = _read_scores(args.scores, log.num_users)
     features = compute_features(log, **given)
     report = split_and_aggregate(features, scores, args.dimension)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -251,7 +257,7 @@ _STRATEGIES = {name.replace("_", ""): name for name in selection.STRATEGIES}  # 
 
 def cmd_select(args) -> int:
     log = log_from_json(args.log)
-    scores = _read_scores_csv(args.scores)
+    scores = _read_scores(args.scores, log.num_users)
     plan = selection.build_plan(
         log,
         scores,

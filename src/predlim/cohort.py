@@ -18,23 +18,14 @@ import numpy as np
 from .sequence_core import InteractionLog
 
 __all__ = [
-    "UserFeature",
     "CohortGroup",
     "CohortReport",
     "compute_features",
     "split_and_aggregate",
 ]
 
-# Every split dimension and the UserFeature field it splits on.
-DIMENSIONS = {"novelty": "novelty", "longtail": "longtail_exposure", "activity": "activity"}
-
-
-@dataclass(frozen=True)
-class UserFeature:
-    user_index: int
-    novelty: float
-    longtail_exposure: float
-    activity: int
+# Every split dimension, each a feature compute_features returns.
+DIMENSIONS = ("novelty", "longtail", "activity")
 
 
 @dataclass
@@ -69,8 +60,8 @@ def _tail_items(counts: np.ndarray, tail_mass: float) -> np.ndarray:
     return tail
 
 
-def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> list[UserFeature]:
-    """Per-user novelty, long-tail exposure, and activity.
+def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> dict[str, np.ndarray]:
+    """Per-user novelty, long-tail exposure, and activity, each an array in user order.
 
     pop(i) = counts[i] / num_interactions over the whole log; novelty uses the
     natural log. tail_mass is the share of interactions the head set must
@@ -86,54 +77,53 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> list[UserFe
     starts, lengths = log.offsets[:-1], np.diff(log.offsets)
     novelty = np.add.reduceat(-np.log(pop[log.items]), starts) / lengths
     exposure = np.add.reduceat(tail[log.items], starts, dtype=np.int64) / lengths
-    return [UserFeature(u, *values) for u, values in
-            enumerate(zip(novelty.tolist(), exposure.tolist(), lengths.tolist()))]
+    return {"novelty": novelty, "longtail": exposure, "activity": lengths}
 
 
-def _group_stats(label: str, members: list[tuple[int, float]]) -> CohortGroup:
-    values = np.array([v for _, v in members], dtype=float)
-    mean = float(values.mean())
+def _group_stats(label: str, users: np.ndarray, scores: np.ndarray) -> CohortGroup:
+    values = scores[users]
     std = float(values.std(ddof=1)) if len(values) >= 2 else 0.0
     return CohortGroup(
         label=label,
-        user_count=len(members),
-        mean_predictability=mean,
+        user_count=len(users),
+        mean_predictability=float(values.mean()),
         std=std,
         stderr=std / math.sqrt(len(values)),
-        per_user_scores=members,
+        per_user_scores=list(zip(users.tolist(), values.tolist())),
     )
 
 
 def split_and_aggregate(
-    features: list[UserFeature],
-    scores: dict[int, float],
+    features: dict[str, np.ndarray],
+    scores: np.ndarray,
     dimension: str,
 ) -> CohortReport:
     """Median-split users on one feature and aggregate scores per group.
 
-    Q1 takes the lower feature values for novelty and longtail and the higher
-    values for activity. The split is a rank cut at ceil(n/2) with user_index
-    breaking feature ties, which realizes the tie rule (boundary ties fall to
+    features are compute_features' arrays and scores an array in the same user
+    order, NaN for a user without a score, which raises. Q1 takes the lower
+    feature values for novelty and longtail and the higher values for
+    activity. The split is a rank cut at ceil(n/2) with user_index breaking
+    feature ties, which realizes the tie rule (boundary ties fall to
     Q1) while keeping group sizes within one of each other even when every
     user shares one feature value.
     """
     if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {tuple(DIMENSIONS)}")
-    if len(features) < 2:
+        raise ValueError(f"dimension must be one of {DIMENSIONS}")
+    feature = features[dimension]
+    if len(feature) < 2:
         raise ValueError("need at least 2 users to split")
-    extra = scores.keys() - {f.user_index for f in features}
-    offenders = [f"score for user {u}, who is not in the log" for u in sorted(extra)] + [
-        f"no score for user {f.user_index}" for f in features if f.user_index not in scores]
-    if offenders:
-        raise ValueError(f"features and scores must cover identical user sets: {offenders[0]}")
+    cover = "features and scores must cover identical user sets"
+    if len(scores) != len(feature):
+        raise ValueError(f"{cover}: {len(feature)} users with features, {len(scores)} scores")
+    if np.isnan(scores).any():
+        raise ValueError(f"{cover}: no score for user {np.isnan(scores).argmax()}")
 
-    keyed = [(getattr(f, DIMENSIONS[dimension]), f.user_index) for f in features]
-    reverse = dimension == "activity"  # Q1 = more active
-    keyed.sort(key=lambda kv: ((-kv[0] if reverse else kv[0]), kv[1]))
-    cut = math.ceil(len(keyed) / 2)
-    q1 = [(u, float(scores[u])) for _, u in keyed[:cut]]
-    q2 = [(u, float(scores[u])) for _, u in keyed[cut:]]
+    # a stable sort breaks ties by user index; Q1 = more active
+    order = np.argsort(-feature if dimension == "activity" else feature, kind="stable")
+    cut = math.ceil(len(order) / 2)
     return CohortReport(
         dimension=dimension,
-        groups=[_group_stats("Q1", q1), _group_stats("Q2", q2)],
+        groups=[_group_stats(label, part, scores)
+                for label, part in (("Q1", order[:cut]), ("Q2", order[cut:]))],
     )

@@ -441,6 +441,7 @@ def perm_entropies(items: np.ndarray, offsets: np.ndarray, d_set, tau: int = 1) 
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     lengths = np.diff(offsets)
+    tau = min(tau, int(lengths.max(initial=0)) + 1)  # any longer lag leaves every user too short
     out = np.full((len(lengths), len(d_set)), np.nan)
     n_vecs = []
     for d in d_set:

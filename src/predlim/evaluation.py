@@ -76,19 +76,21 @@ class ConsistencyReport:
 
 
 def aggregate_dataset(scores, weights) -> float:
-    """Weighted mean of per-user predictability values.
+    """Weighted mean of per-user predictability values, each in (0, 1].
 
     Weights are the per-user event counts; pass T_u - 1 so each user counts
-    once per next-item prediction they define.
+    once per next-item prediction they define. Each must be finite and positive.
     """
-    values = np.asarray([getattr(s, "value", s) for s in scores], dtype=float)
+    values = np.asarray(scores, dtype=float)
     w = np.asarray(weights, dtype=float)
     if len(values) == 0:
         raise ValueError("no scores to aggregate")
     if len(w) != len(values):
         raise ValueError("weights length mismatch")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all((values > 0) & (values <= 1)):  # NaN too
+        raise ValueError("scores must lie in (0, 1]")
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError("weights must be positive and finite")
     return float((values * w).sum() / w.sum())
 
 

@@ -37,7 +37,7 @@ class SelectionPlan:
 
 def build_plan(
     log: InteractionLog,
-    scores: dict[int, float],
+    scores: np.ndarray,
     budget_fraction: float,
     strategy: str,
     seed: int,
@@ -48,9 +48,9 @@ def build_plan(
 
     Eligibility requires length >= max(min_length, 2): an eval user must have
     a prefix and a final instance. The eval set is a seeded draw of
-    round(eval_fraction * eligible) users from substream (seed, 1). scores must
-    cover every candidate and may hold other users of the log (callers cannot know
-    the partition), but a user the log lacks raises. k = round(budget_fraction * pool).
+    round(eval_fraction * eligible) users from substream (seed, 1). scores holds one
+    value per user of the log, NaN for a user without a score, which raises for a
+    candidate (callers cannot know the partition). k = round(budget_fraction * pool).
     high_pi and low_pi take opposite ends of one (score, user_index) ordering,
     so at 2k <= pool they never overlap; random draws k from substream
     (seed, 2), keeping the partition itself strategy-independent.
@@ -61,9 +61,8 @@ def build_plan(
         raise ValueError("budget_fraction must lie in (0, 1]")
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError("eval_fraction must lie in (0, 1)")
-    extra = scores.keys() - set(range(log.num_users))
-    if extra:
-        raise ValueError(f"score for user {min(extra)}, who is not in the log")
+    if len(scores) != log.num_users:
+        raise ValueError(f"{len(scores)} scores for a log of {log.num_users} users")
     eligible = np.flatnonzero(np.diff(log.offsets) >= max(min_length, 2))
     if len(eligible) < 2:
         raise ValueError("need at least 2 eligible users")
@@ -74,26 +73,26 @@ def build_plan(
     eval_users = np.sort(eligible[perm[:n_eval]])
     candidates = np.sort(eligible[perm[n_eval:]])
 
-    missing = [int(u) for u in candidates if u not in scores]
-    if missing:
-        raise ValueError(f"scores missing for candidate users {missing[:5]}")
+    missing = candidates[np.isnan(scores[candidates])]
+    if len(missing):
+        raise ValueError(f"scores missing for candidate users {missing[:5].tolist()}")
     k = round(budget_fraction * len(candidates))
 
-    order = sorted(candidates, key=lambda u: (scores[int(u)], int(u)))
+    order = candidates[np.argsort(scores[candidates], kind="stable")]  # ties: user ascending
     if strategy == "high_pi":
         chosen = order[len(order) - k:]
     elif strategy == "low_pi":
         chosen = order[:k]
     else:
         draw_rng = np.random.default_rng([seed, 2])
-        chosen = list(draw_rng.choice(candidates, size=k, replace=False))
+        chosen = draw_rng.choice(candidates, size=k, replace=False)
     return SelectionPlan(
         eval_users=eval_users,
         candidate_users=candidates,
         budget_fraction=budget_fraction,
         strategy=strategy,
         seed=seed,
-        selected=np.sort(np.asarray(chosen, dtype=np.int64)),
+        selected=np.sort(chosen),
     )
 
 

@@ -369,7 +369,7 @@ def test_criterion_10_selection_protocol(capsys, tmp_path):
     rng = np.random.default_rng(12)
     seqs = [rng.integers(0, 30, size=int(rng.integers(6, 14))) for _ in range(40)]
     log = log_from_sequences(seqs, n_items=30)
-    scores = {seq.user_index: float(rng.random()) for seq in log.sequences}
+    scores = rng.random(log.num_users)
 
     all_ok = True
     notes = []

@@ -417,7 +417,7 @@ def test_score_rejects_entropy_rows_for_users_the_log_lacks(tmp_path, capsys):
         capsys, "score", "--log", log_path, "--entropy", str(entropy), "--method", "epl",
         "--output", str(out),
     )
-    assert (code, stderr) == (1, "error: entropy estimate for user -3, who is not in the log\n")
+    assert (code, stderr) == (1, "error: entropy for user -3, who is not in the log\n")
     assert not out.exists()
 
 
@@ -533,6 +533,21 @@ def test_score_rejects_options_the_method_does_not_read(tmp_path, capsys):
         assert code == 1, (method, extra)
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
         assert not out.exists()
+
+
+def test_a_perm_tau_beyond_every_user_is_infeasible_not_an_overflow(tmp_path, capsys):
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    out = tmp_path / "perm.csv"
+    for tau in ("1000000", str(2 ** 62), str(10 ** 20)):
+        code, stdout, _ = run_cli(capsys, "estimate", "--log", log_path, "--estimator", "perm",
+                                  "--tau", tau, "--output", str(out))
+        assert (code, stdout) == (0, f"wrote 0 estimates to {out}\n"), tau
+        assert out.read_text() == "user_index,estimator,value,unit,flags\n"
+        code, stdout, stderr = run_cli(capsys, "score", "--log", log_path, "--method", "perm",
+                                       "--tau", tau, "--output", str(tmp_path / "scores.csv"))
+        assert (code, stdout) == (1, ""), tau
+        assert stderr == "error: no feasible embedding dimension in (3, 4, 5)\n"
+        assert not (tmp_path / "scores.csv").exists()
 
 
 def test_estimate_rejects_options_the_estimator_does_not_read(tmp_path, capsys):
@@ -873,14 +888,28 @@ def test_cohort_and_select_reject_a_score_outside_the_unit_interval(tmp_path, ca
 
 def test_cohort_and_select_reject_scores_for_users_the_log_lacks(tmp_path, capsys):
     log_path, lines = _scored_corpus(tmp_path, capsys)
-    extra = lines + [",".join(["7", *lines[1].split(",")[1:]])]
-    cohort, select = _cohort_and_select(tmp_path, capsys, log_path, extra)
+    for user in ("7", "-1"):
+        extra = lines + [",".join([user, *lines[1].split(",")[1:]])]
+        error = f"error: score for user {user}, who is not in the log\n"
+        assert _cohort_and_select(tmp_path, capsys, log_path, extra) == [(1, error, False)] * 2
     cover = "error: features and scores must cover identical user sets: "
-    assert cohort == (1, f"{cover}score for user 7, who is not in the log\n", False)
-    assert select == (1, "error: score for user 7, who is not in the log\n", False)
     last = lines[-1].split(",")[0]
     cohort, _ = _cohort_and_select(tmp_path, capsys, log_path, lines[:-1])
     assert cohort == (1, f"{cover}no score for user {last}\n", False)
+
+
+def test_cohort_and_select_read_score_rows_in_any_order(tmp_path, capsys):
+    log_path, lines = _scored_corpus(tmp_path, capsys)
+    header, *rows = lines
+    assert len(rows) == 5
+    outputs = []
+    for order in (rows, [rows[k] for k in (3, 0, 4, 2, 1)]):
+        assert _cohort_and_select(tmp_path, capsys, log_path, [header, *order]) == [
+            (0, "", True)] * 2
+        selection = tmp_path / "selection"
+        outputs.append([(tmp_path / "cohort.json").read_bytes()] + [
+            (selection / name).read_bytes() for name in ("plan.json", "train.csv", "test.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def _edited_copy(path, out, line, column, value):

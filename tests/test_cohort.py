@@ -13,31 +13,31 @@ from predlim.synth import GeneratorConfig, generate
 def test_single_repeated_item_has_zero_novelty():
     log = log_from_sequences([np.zeros(5, dtype=int)])
     feats = compute_features(log)
-    assert feats[0].novelty == 0.0  # pop = 1
-    assert feats[0].activity == 5
+    assert feats["novelty"][0] == 0.0  # pop = 1
+    assert feats["activity"][0] == 5
 
 
 def test_novelty_is_mean_log_inverse_popularity():
     # user 0 touches only an item holding a quarter of all interactions
     log = log_from_sequences([np.array([0]), np.array([1, 1, 1])])
     feats = compute_features(log)
-    assert feats[0].novelty == pytest.approx(math.log(4), abs=1e-12)
-    assert feats[1].novelty == pytest.approx(math.log(4 / 3), abs=1e-12)
+    assert feats["novelty"][0] == pytest.approx(math.log(4), abs=1e-12)
+    assert feats["novelty"][1] == pytest.approx(math.log(4 / 3), abs=1e-12)
 
 
 def test_longtail_exposure_on_ninety_ten_split():
     # item 0 covers 90% >= the 80% head mass, so item 1 is the whole tail
     log = log_from_sequences([np.zeros(9, dtype=int), np.array([1])])
     feats = compute_features(log)
-    assert feats[0].longtail_exposure == 0.0
-    assert feats[1].longtail_exposure == 1.0
+    assert feats["longtail"][0] == 0.0
+    assert feats["longtail"][1] == 1.0
 
 
 def test_tail_mass_is_configurable():
     log = log_from_sequences([np.zeros(9, dtype=int), np.array([1])])
     # with a 95% head requirement both items are needed in the head
     feats = compute_features(log, tail_mass=0.95)
-    assert feats[1].longtail_exposure == 0.0
+    assert feats["longtail"][1] == 0.0
     with pytest.raises(ValueError):
         compute_features(log, tail_mass=1.5)
 
@@ -45,31 +45,24 @@ def test_tail_mass_is_configurable():
 def test_feature_bounds():
     rng = np.random.default_rng(0)
     log = log_from_sequences([rng.integers(0, 20, size=rng.integers(2, 30)) for _ in range(15)])
-    for f in compute_features(log):
-        assert f.novelty >= 0.0
-        assert 0.0 <= f.longtail_exposure <= 1.0
-        assert f.activity >= 1
+    feats = compute_features(log)
+    assert len(feats["novelty"]) == len(feats["longtail"]) == len(feats["activity"]) == 15
+    assert np.all(feats["novelty"] >= 0.0)
+    assert np.all((0.0 <= feats["longtail"]) & (feats["longtail"] <= 1.0))
+    assert np.all(feats["activity"] >= 1)
 
 
 def features_for(values, dimension="novelty"):
-    from predlim.cohort import UserFeature
-
-    out = []
-    for u, v in enumerate(values):
-        kwargs = {"novelty": 0.0, "longtail_exposure": 0.0, "activity": 1}
-        if dimension == "activity":
-            kwargs["activity"] = int(v)
-        elif dimension == "longtail":
-            kwargs["longtail_exposure"] = float(v)
-        else:
-            kwargs["novelty"] = float(v)
-        out.append(UserFeature(user_index=u, **kwargs))
-    return out
+    """compute_features-shaped arrays: values on dimension, the other features constant."""
+    n = len(values)
+    feats = {"novelty": np.zeros(n), "longtail": np.zeros(n), "activity": np.ones(n, dtype=int)}
+    feats[dimension] = np.asarray(values, dtype=feats[dimension].dtype)
+    return feats
 
 
 def test_four_user_split_means():
     feats = features_for([1.0, 2.0, 3.0, 4.0])
-    scores = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}
+    scores = np.array([0.1, 0.2, 0.3, 0.4])
     report = split_and_aggregate(feats, scores, "novelty")
     q1, q2 = report.groups
     assert q1.label == "Q1" and q2.label == "Q2"
@@ -80,7 +73,7 @@ def test_four_user_split_means():
 def test_identical_features_split_by_ceil():
     for n in (4, 5, 7):
         feats = features_for([2.5] * n)
-        scores = {u: 0.5 for u in range(n)}
+        scores = np.full(n, 0.5)
         report = split_and_aggregate(feats, scores, "novelty")
         assert report.groups[0].user_count == math.ceil(n / 2)
         assert report.groups[1].user_count == n // 2
@@ -89,7 +82,7 @@ def test_identical_features_split_by_ceil():
 def test_split_is_a_partition():
     rng = np.random.default_rng(1)
     feats = features_for(rng.random(11))
-    scores = {u: float(rng.random()) for u in range(11)}
+    scores = rng.random(11)
     report = split_and_aggregate(feats, scores, "novelty")
     q1_users = {u for u, _ in report.groups[0].per_user_scores}
     q2_users = {u for u, _ in report.groups[1].per_user_scores}
@@ -100,7 +93,7 @@ def test_split_is_a_partition():
 
 def test_activity_labels_are_reversed():
     feats = features_for([10, 1, 7, 3], dimension="activity")
-    scores = {u: 0.1 * (u + 1) for u in range(4)}
+    scores = 0.1 * (np.arange(4) + 1)
     report = split_and_aggregate(feats, scores, "activity")
     q1_users = {u for u, _ in report.groups[0].per_user_scores}
     assert q1_users == {0, 2}  # Q1 takes the more active users
@@ -109,7 +102,7 @@ def test_activity_labels_are_reversed():
 def test_group_stats_recompute():
     rng = np.random.default_rng(2)
     feats = features_for(rng.random(9))
-    scores = {u: float(rng.random()) for u in range(9)}
+    scores = rng.random(9)
     report = split_and_aggregate(feats, scores, "novelty")
     for group in report.groups:
         vals = np.array([v for _, v in group.per_user_scores])
@@ -122,12 +115,14 @@ def test_group_stats_recompute():
 def test_split_validation():
     feats = features_for([1.0])
     with pytest.raises(ValueError, match="2 users"):
-        split_and_aggregate(feats, {0: 0.5}, "novelty")
+        split_and_aggregate(feats, np.array([0.5]), "novelty")
     feats = features_for([1.0, 2.0])
     with pytest.raises(ValueError, match="identical user sets"):
-        split_and_aggregate(feats, {0: 0.5, 7: 0.5}, "novelty")
+        split_and_aggregate(feats, np.array([0.5, 0.5, 0.5]), "novelty")
+    with pytest.raises(ValueError, match="identical user sets: no score for user 1"):
+        split_and_aggregate(feats, np.array([0.5, np.nan]), "novelty")
     with pytest.raises(ValueError, match="dimension"):
-        split_and_aggregate(feats, {0: 0.5, 1: 0.5}, "profit")
+        split_and_aggregate(feats, np.array([0.5, 0.5]), "profit")
 
 
 def test_generator_controlled_activity_ordering():
@@ -141,7 +136,7 @@ def test_generator_controlled_activity_ordering():
     arrays = [s.items for s in steady.log.sequences] + [s.items for s in churny.log.sequences]
     log = log_from_sequences(arrays, n_items=50)
     feats = compute_features(log)
-    scores = {s.user_index: epl(sampen(s.items, m=2)).value for s in log.sequences}
+    scores = np.array([epl(sampen(s.items, m=2)).value for s in log.sequences])
     report = split_and_aggregate(feats, scores, "activity")
     q1, q2 = report.groups
     assert {u for u, _ in q1.per_user_scores} == set(range(10))
@@ -154,6 +149,6 @@ def test_features_deterministic_and_relabel_invariant():
     log = log_from_sequences(arrays, n_items=12)
     relabel = rng.permutation(12)
     relabeled = log_from_sequences([relabel[a] for a in arrays], n_items=12)
-    for f, g in zip(compute_features(log), compute_features(relabeled)):
-        assert f.novelty == pytest.approx(g.novelty, abs=1e-12)
-        assert f.activity == g.activity
+    f, g = compute_features(log), compute_features(relabeled)
+    assert f["novelty"] == pytest.approx(g["novelty"], abs=1e-12)
+    assert np.array_equal(f["activity"], g["activity"])

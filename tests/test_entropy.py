@@ -571,6 +571,15 @@ def test_perm_requires_enough_vectors():
         perm_entropy(np.arange(30), d=3, tau=0)
 
 
+@pytest.mark.parametrize("tau", [31, 2 ** 62, 10 ** 20, 2 ** 70])
+def test_perm_tau_beyond_every_sequence_is_infeasible(tau):
+    # a lag past the longest sequence leaves no windows, however large it is
+    with pytest.raises(ValueError, match=f"gives 0 embedding vectors; need >= 5 at d=3, tau={tau}"):
+        perm_entropy(np.arange(30), d=3, tau=tau)
+    table = perm_entropies(np.arange(50), np.array([0, 30, 50]), (3, 4, 5), tau)
+    assert table.shape == (2, 3) and np.isnan(table).all()
+
+
 def test_perm_order_preserving_relabel_invariant():
     x = np.random.default_rng(4).integers(0, 50, size=200)
     assert perm_entropy(x, d=4).value == perm_entropy(3 * x + 7, d=4).value

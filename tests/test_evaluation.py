@@ -92,6 +92,13 @@ def test_aggregate_validation():
         aggregate_dataset([0.5], [0])
     with pytest.raises(ValueError):
         aggregate_dataset([0.5, 0.6], [1])
+    for weights in ([1, np.nan], [1, np.inf], [1, -np.inf]):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            aggregate_dataset([0.5, 0.6], weights)
+    for values in ([0.5, 7.0], [0.5, 0.0], [0.5, -0.2], [0.5, np.nan], [0.5, np.inf]):
+        with pytest.raises(ValueError, match=r"scores must lie in \(0, 1\]"):
+            aggregate_dataset(values, [1, 1])
+    assert aggregate_dataset(np.array([0.25, 1.0]), np.array([1, 1])) == 0.625
 
 
 # spearman

@@ -15,7 +15,7 @@ def toy_log(n_users=12, base_len=6, seed=0):
 
 def toy_scores(log, seed=1):
     rng = np.random.default_rng(seed)
-    return {seq.user_index: float(rng.random()) for seq in log.sequences}
+    return rng.random(log.num_users)
 
 
 def test_full_budget_selects_entire_pool_for_every_strategy():
@@ -150,8 +150,8 @@ def test_missing_candidate_score_errors():
     log = toy_log()
     scores = toy_scores(log)
     plan = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
-    incomplete = dict(scores)
-    del incomplete[int(plan.candidate_users[0])]
+    incomplete = scores.copy()
+    incomplete[plan.candidate_users[0]] = np.nan
     with pytest.raises(ValueError, match="scores missing"):
         build_plan(log, incomplete, budget_fraction=0.5, strategy="high_pi", seed=2)
 
@@ -161,28 +161,27 @@ def test_extra_scores_are_ignored():
     log = toy_log()
     scores = toy_scores(log)
     plan = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
-    pool_only = {int(u): scores[int(u)] for u in plan.candidate_users}
-    for u in plan.eval_users:
-        scores[int(u)] = 2.0  # would top the high_pi order if it were read
+    pool_only = np.full(log.num_users, np.nan)
+    pool_only[plan.candidate_users] = scores[plan.candidate_users]
+    scores[plan.eval_users] = 2.0  # would top the high_pi order if it were read
     again = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
     assert np.array_equal(again.selected, plan.selected)
     trimmed = build_plan(log, pool_only, budget_fraction=0.5, strategy="high_pi", seed=2)
     assert np.array_equal(trimmed.selected, plan.selected)
 
 
-@pytest.mark.parametrize("user", [999, -1])
-def test_scores_for_users_the_log_lacks_are_rejected(user):
+@pytest.mark.parametrize("length", [11, 13])
+def test_scores_not_one_per_log_user_are_rejected(length):
     log = toy_log()
-    scores = toy_scores(log)
-    scores[user] = 0.42
-    with pytest.raises(ValueError, match=f"score for user {user}, who is not in the log"):
+    scores = np.resize(toy_scores(log), length)
+    with pytest.raises(ValueError, match=f"{length} scores for a log of 12 users"):
         build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
 
 
 def test_short_sequences_are_excluded():
     seqs = [np.arange(3), np.arange(8), np.arange(9), np.arange(10), np.arange(11)]
     log = log_from_sequences(seqs, n_items=11)
-    scores = {seq.user_index: 0.5 for seq in log.sequences}
+    scores = np.full(log.num_users, 0.5)
     plan = build_plan(log, scores, budget_fraction=1.0, strategy="random", seed=0)
     enrolled = set(map(int, plan.eval_users)) | set(map(int, plan.candidate_users))
     assert 0 not in enrolled
@@ -204,4 +203,4 @@ def test_build_plan_validation():
         )
     tiny = log_from_sequences([np.arange(8)], n_items=8)
     with pytest.raises(ValueError, match="eligible"):
-        build_plan(tiny, {0: 0.5}, budget_fraction=0.5, strategy="random", seed=0)
+        build_plan(tiny, np.array([0.5]), budget_fraction=0.5, strategy="random", seed=0)

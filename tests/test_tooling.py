@@ -35,3 +35,20 @@ def test_every_exported_name_resolves():
     stale = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())
              if not hasattr(m, name)]
     assert stale == []
+
+
+def test_library_names_the_benchmark_calls_untraced_resolve():
+    # benchmarks/workloads.py builds its corpora and checks sweep points through these
+    from predlim import evaluation, sequence_core, synth
+
+    for module, names in ((synth, ("generate", "invert_noise", "GeneratorConfig")),
+                          (sequence_core, ("log_to_json",)),
+                          (evaluation, ("run_difficulty_sweep", "run_n_sweep"))):
+        assert all(callable(getattr(module, name, None)) for name in names), module.__name__
+    corpus = synth.generate(synth.GeneratorConfig(
+        mechanism="repeat_last", n=10, users=3, length=8, seed=0, params={"p": 0.5}))
+    seqs = [s.items for s in corpus.log.sequences]
+    assert [len(x) for x in seqs] == [8, 8, 8]
+    offsets = corpus.log.offsets
+    for u, x in enumerate(seqs):
+        assert list(x) == list(corpus.log.items[offsets[u]:offsets[u + 1]])
