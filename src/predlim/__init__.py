@@ -10,7 +10,7 @@ statistics, and data-selection tooling reproduce the validation protocol.
 from .cohort import CohortReport, compute_features, split_and_aggregate
 from .entropy import (
     Distribution,
-    EntropyEstimate,
+    Entropies,
     lz_entropy,
     perm_entropy,
     plugin_entropy,
@@ -29,7 +29,7 @@ from .evaluation import (
     spearman,
 )
 from .predictability import (
-    PredictabilityScore,
+    Scores,
     epl,
     fano_forward,
     fano_invert,
@@ -55,10 +55,10 @@ __all__ = [
     "ConsistencyReport",
     "DatasetScore",
     "Distribution",
-    "EntropyEstimate",
+    "Entropies",
     "GeneratorConfig",
     "InteractionLog",
-    "PredictabilityScore",
+    "Scores",
     "SelectionPlan",
     "SweepTable",
     "SynthCorpus",

@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, csv.Error) as exc:
+    except (ValueError, OSError, KeyError, csv.Error, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ normalized permutation entropy over ordinal patterns. Sample entropy and the
 match-length estimator measure the sequence's conditional surprise and carry a
 unit (nats or bits); permutation entropy is normalized to [0, 1] and is
 deliberately unitless. The *_entropies take a log's (items, offsets) arrays and
-return columns, one entry per user.
+return columns, one entry per user; sampen and lz_entropy are their one-row
+calls on one array, and perm_entropy returns a float.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "EntropyEstimate",
     "Entropies",
     "Distribution",
     "plugin_entropy",
@@ -45,59 +45,8 @@ CHUNK_SYMBOLS = 1 << 13
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
-    """A scalar uncertainty with its unit and the estimator that produced it.
-
-    unit is "nats" or "bits", except for the normalized permutation estimator
-    whose value lives in [0, 1] and has unit None; converting such an estimate
-    raises instead of silently reinterpreting it.
-    """
-
-    value: float
-    unit: str | None
-    estimator: str
-    params: dict = field(default_factory=dict)
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"entropy value must be finite and >= 0, got {self.value}")
-        if self.estimator == "perm_normalized":
-            if self.unit is not None:
-                raise ValueError("normalized permutation entropy is unitless")
-            if self.value > 1.0:
-                raise ValueError("normalized entropy must lie in [0, 1]")
-        elif self.unit not in UNITS:
-            raise ValueError(f"unit must be one of {UNITS}, got {self.unit!r}")
-
-    def to(self, unit: str) -> "EntropyEstimate":
-        """Convert between nats and bits (bits = nats / ln 2)."""
-        value = self._in(unit)
-        if unit == self.unit:
-            return self
-        return EntropyEstimate(value, unit, self.estimator, dict(self.params), self.flags)
-
-    def _in(self, unit: str) -> float:
-        if unit not in UNITS:
-            raise ValueError(f"unit must be one of {UNITS}, got {unit!r}")
-        if self.unit is None:
-            raise ValueError("normalized permutation entropy has no convertible unit")
-        if unit == self.unit:
-            return self.value
-        return self.value / LN2 if unit == "bits" else self.value * LN2
-
-    @property
-    def nats(self) -> float:
-        return self._in("nats")
-
-    @property
-    def bits(self) -> float:
-        return self._in("bits")
-
-
-@dataclass(frozen=True)
 class Entropies:
-    """Each user's entropy by one estimator, as columns in user order; row(u) is user u's.
+    """Each user's entropy by one estimator, as columns in user order.
 
     unit and estimator are one for every user, or an array of one per user (an
     entropy CSV may mix them), and flags joins each user's flags by ";". A params
@@ -112,27 +61,23 @@ class Entropies:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        bad = ~(np.isfinite(self.value) & (self.value >= 0)) | ~np.isin(self.unit, UNITS)
-        if bad.any():  # the first bad row raises as an EntropyEstimate, unless it is unitless
-            estimate = self.row(int(np.argmax(bad)))
-            raise ValueError(f"{estimate.estimator} entropy has no unit of {UNITS}")
+        bad_value = ~(np.isfinite(self.value) & (self.value >= 0))
+        bad = bad_value | ~np.isin(self.unit, UNITS)
+        if bad.any():  # the first bad row, its value checked before its unit
+            u = int(np.argmax(bad))
+            if bad_value[u]:
+                raise ValueError(f"entropy value must be finite and >= 0, got {self.value[u]}")
+            unit = np.broadcast_to(self.unit, bad.shape).tolist()[u]
+            raise ValueError(f"unit must be one of {UNITS}, got {unit!r}")
 
     def __len__(self) -> int:
         return len(self.value)
 
     def to(self, unit: str) -> "Entropies":
-        """Every value in unit, each converted as EntropyEstimate.to converts one."""
+        """Every value in unit: bits = nats / ln 2."""
         other = self.value / LN2 if unit == "bits" else self.value * LN2
         return replace(self, value=np.where(np.asarray(self.unit) == unit, self.value, other),
                        unit=unit)
-
-    def row(self, u: int) -> EntropyEstimate:
-        def at(x):
-            return x[u].item() if isinstance(x, np.ndarray) else x
-
-        params = {k: at(v) for k, v in self.params.items()}
-        flags = tuple(filter(None, at(self.flags).split(";")))
-        return EntropyEstimate(at(self.value), at(self.unit), at(self.estimator), params, flags)
 
 
 @dataclass(frozen=True)
@@ -160,7 +105,7 @@ class Distribution:
         return float(self.probs.max())
 
 
-def plugin_entropy(d: Distribution, unit: str = "nats") -> EntropyEstimate:
+def plugin_entropy(d: Distribution, unit: str = "nats") -> Entropies:
     """Shannon entropy -sum p log p of an explicit distribution.
 
     Zero-probability entries contribute nothing (0 log 0 = 0).
@@ -168,12 +113,12 @@ def plugin_entropy(d: Distribution, unit: str = "nats") -> EntropyEstimate:
     p = d.probs[d.probs > 0]
     h_nats = float(-(p * np.log(p)).sum())
     h_nats = max(h_nats, 0.0)  # guard tiny negative rounding on point masses
-    est = EntropyEstimate(h_nats, "nats", "plugin", {"support_size": len(d.probs)})
-    return est.to(unit)
+    return Entropies(np.array([h_nats]), "nats", "plugin", np.array([""]),
+                     {"support_size": len(d.probs)}).to(unit)
 
 
-def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
-    """Sample entropy with exact template matching, in nats.
+def sampen(items: np.ndarray, m: int = 2) -> Entropies:
+    """Sample entropy with exact template matching, in nats, as a one-row Entropies.
 
     B counts index pairs i < j whose length-m windows are identical, A the same
     for length m+1; both window sets range over the first T-m starting
@@ -182,7 +127,7 @@ def sampen(items: np.ndarray, m: int = 2) -> EntropyEstimate:
     the discrete metric). Degenerate inputs return the cap ln(pair count):
     flags carry "saturated", plus "no_regularity" when even B is zero.
     """
-    return sampen_entropies(items, np.array([0, len(items)]), m).row(0)
+    return sampen_entropies(items, np.array([0, len(items)]), m)
 
 
 def sampen_entropies(items: np.ndarray, offsets: np.ndarray, m: int = 2) -> Entropies:
@@ -327,8 +272,8 @@ def _longest_previous_match(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return lpf
 
 
-def lz_entropy(items: np.ndarray) -> EntropyEstimate:
-    """Match-length entropy estimate in bits.
+def lz_entropy(items: np.ndarray) -> Entropies:
+    """Match-length entropy estimate in bits, as a one-row Entropies.
 
     For position i (1-based), Lambda_i is the length of the shortest substring
     starting at i that never occurs starting before i; when even the full
@@ -336,7 +281,7 @@ def lz_entropy(items: np.ndarray) -> EntropyEstimate:
     longest previous match, so Lambda = lpf + 1 with Lambda_1 = 1. The estimate
     is T log2(T) / sum_i Lambda_i.
     """
-    return lz_entropies(items, np.array([0, len(items)])).row(0)
+    return lz_entropies(items, np.array([0, len(items)]))
 
 
 def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> Entropies:
@@ -365,7 +310,7 @@ def lz_entropies(items: np.ndarray, offsets: np.ndarray) -> Entropies:
                      {"lambda_sum": sums})
 
 
-def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
+def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> float:
     """Normalized permutation entropy of ordinal patterns, in [0, 1].
 
     Embedding vectors (x_i, x_{i+tau}, ..., x_{i+(d-1)tau}) map to ordinal
@@ -378,7 +323,7 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> EntropyEstimate:
         raise ValueError(
             f"length {len(items)} gives {n_vec} embedding vectors; need >= 5 at d={d}, tau={tau}"
         )
-    return EntropyEstimate(float(value), None, "perm_normalized", {"d": d, "tau": tau})
+    return float(value)
 
 
 _PATTERN_RANKS: dict[int, np.ndarray] = {}  # filled on first use: importing builds nothing

@@ -26,10 +26,11 @@ import numpy as np
 
 from .entropy import Entropies, lz_entropies, sampen_entropies
 from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer wraps them)
-from .predictability import ESTIMATORS, METHODS, epl, fano_values
+from .predictability import ESTIMATORS, METHODS, Scores, epl, fano_invert, fano_nr
 from .predictability import perm_predictabilities
-from .predictability import fano_invert, perm_predictability  # noqa: F401  (the tracer wraps them)
-from .sequence_core import InteractionLog, transition_fanout
+from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
+from .sequence_core import InteractionLog
+from .sequence_core import transition_fanout  # noqa: F401  (the benchmark's tracer wraps it)
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
 __all__ = [
@@ -252,9 +253,6 @@ class SweepTable:
                     [row.grid_value, row.method, repr(row.mean), repr(row.std), row.rep_count]
                 )
 
-    def means(self, method: str) -> list[tuple[float, float]]:
-        return [(r.grid_value, r.mean) for r in self.rows if r.method == method]
-
 
 def estimate_entropies(items, offsets, estimator: str, m=None) -> Entropies:
     """Each user's entropy by sampen (template length m, ESTIMATORS' if None) or lz."""
@@ -263,19 +261,6 @@ def estimate_entropies(items, offsets, estimator: str, m=None) -> Entropies:
     if estimator == "lz":
         return lz_entropies(items, offsets)
     raise ValueError(f"unknown sequence estimator {estimator!r}")
-
-
-@dataclass(frozen=True)
-class Scores:
-    """One method's score of each user, as columns in user order.
-
-    effective_size = exp(S) is recorded for epl only, and the candidate size n
-    for the Fano methods only.
-    """
-
-    value: np.ndarray
-    effective_size: np.ndarray | None = None
-    n: np.ndarray | None = None
 
 
 def score_log(
@@ -289,10 +274,10 @@ def score_log(
     """Every user's score by one method, as columns in user order.
 
     entropy holds one estimate per user, in user order, and is read by the
-    methods that read entropy; each value is mapped as epl, fano_invert or
-    fano_nr maps one. n_scope defaults to the method's first scope; d_set and
-    tau default to perm_predictability's. A scope, option or entropy the method
-    does not read raises, as does entropy for another number of users.
+    methods that read entropy: epl, fano_invert at the log's vocabulary, or
+    fano_nr over the log. n_scope defaults to the method's first scope; d_set
+    and tau default to perm_predictabilities'. A scope, option or entropy the
+    method does not read raises, as does entropy for another number of users.
     """
     spec = METHODS.get(method)
     if spec is None:
@@ -304,7 +289,7 @@ def score_log(
         if entropy is not None:
             raise ValueError(f"method {method} reads no entropy")
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
-        return Scores(perm_predictabilities(log.items, log.offsets, **given))
+        return perm_predictabilities(log.items, log.offsets, **given)
     if d_set is not None or tau is not None:
         raise ValueError(f"method {method} takes no d_set or tau")
     if entropy is None:
@@ -312,21 +297,10 @@ def score_log(
     if len(entropy) != log.num_users:
         raise ValueError(f"{len(entropy)} entropy estimates for {log.num_users} users")
     if method == "epl":
-        nats = entropy.to("nats").value.tolist()
-        try:
-            size = [math.exp(s) for s in nats]
-        except OverflowError:
-            for u in range(len(nats)):
-                epl(entropy.row(u))  # raises at the first user whose exp(S) overflows
-            raise
-        return Scores(np.array([math.exp(-s) for s in nats]), effective_size=np.array(size))
+        return epl(entropy)
     if method == "fano":
-        n = log.num_items
-    else:
-        per_user = (n_scope or spec.scopes[0]) == "per-user"
-        n = np.maximum(transition_fanout(log.items, log.offsets, per_user), 2)
-    values = fano_values(entropy.to("bits").value, n)
-    return Scores(values, n=np.broadcast_to(n, len(values)))
+        return fano_invert(entropy, log.num_items)
+    return fano_nr(entropy, log.items, log.offsets, (n_scope or spec.scopes[0]) == "per-user")
 
 
 def _corpus_means(config: GeneratorConfig, methods, estimator: str, m: int) -> dict[str, float]:
@@ -427,7 +401,7 @@ def run_difficulty_sweep(
     table = _sweep("difficulty", mechanism, [(t, n, t) for t in targets], fixed, methods, reps,
                    users, length, seed, estimator, m)
     for meth in methods:
-        means = [mean for _, mean in table.means(meth)]
+        means = [row.mean for row in table.rows if row.method == meth]
         table.rmse_by_method[meth] = rmse(means, list(targets))
     return table
 

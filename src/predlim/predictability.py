@@ -8,23 +8,26 @@ Three routes from uncertainty to a score in (0, 1]:
   S_F(Pi) = -Pi log2 Pi - (1-Pi) log2(1-Pi) + (1-Pi) log2(N-1)
   for Pi given a candidate-set size N (the global vocabulary, or the observed
   successor fan-out N_r).
-- perm_predictability: 1 minus the minimum normalized permutation entropy over
-  a set of embedding dimensions.
+- perm_predictabilities: 1 minus the minimum normalized permutation entropy
+  over a set of embedding dimensions.
+
+Each maps every user of an Entropies, or of a log's (items, offsets), to a
+Scores in user order; perm_predictability is the one-row call on one array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyEstimate, perm_entropies
+from .entropy import Entropies, perm_entropies
 from .entropy import perm_entropy  # noqa: F401  (the benchmark's tracer wraps it here)
 from .sequence_core import transition_fanout
 
 __all__ = [
-    "PredictabilityScore",
+    "Scores",
     "epl",
     "fano_forward",
     "fano_invert",
@@ -64,47 +67,34 @@ METHODS = {
 
 
 @dataclass(frozen=True)
-class PredictabilityScore:
-    """A predictability value in (0, 1] tagged with the producing method.
+class Scores:
+    """One method's score of each user, as columns in user order.
 
-    effective_size = exp(S) is recorded for epl only; n is the candidate
-    size used by the Fano methods (absent otherwise).
+    effective_size = exp(S) is recorded for epl only, and the candidate size n
+    for the Fano methods only.
     """
 
-    value: float
-    method: str
-    entropy: EntropyEstimate | None = None
-    n: int | None = None
-    effective_size: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"predictability must lie in (0, 1], got {self.value}")
-        if METHODS[self.method].scopes:  # a Fano method, so it records its candidate size
-            if self.n is None or self.n < 2:
-                raise ValueError("fano scores must record n >= 2")
-            if self.value < 1.0 / self.n - 1e-12:
-                raise ValueError("fano score below 1/n")
+    value: np.ndarray
+    effective_size: np.ndarray | None = None
+    n: np.ndarray | None = None
 
 
-def epl(s: EntropyEstimate) -> PredictabilityScore:
-    """Entropy-induced lower bound exp(-S), with S converted to nats.
+def epl(entropy: Entropies) -> Scores:
+    """Entropy-induced lower bound exp(-S) of each user, with S converted to nats.
 
-    Rejects normalized permutation input: its value is not an entropy in nats,
-    so exponentiating it would be meaningless. So is an entropy whose exp(S)
-    overflows a float (above about 709.78 nats).
+    An entropy whose exp(S) overflows a float (above about 709.78 nats)
+    raises, naming the first such user's value in its own unit.
     """
-    if s.unit is None:
-        raise ValueError("normalized permutation entropy cannot be mapped by epl")
-    s_nats = s.nats
-    try:
-        size = math.exp(s_nats)
-    except OverflowError:
-        raise ValueError(f"entropy {s.value!r} {s.unit} is too large for epl: "
-                         "exp(S) overflows a float") from None
-    return PredictabilityScore(math.exp(-s_nats), "epl", s, effective_size=size)
+    nats = entropy.to("nats").value.tolist()
+    size = []
+    for u, s in enumerate(nats):
+        try:
+            size.append(math.exp(s))
+        except OverflowError:
+            unit = np.broadcast_to(entropy.unit, len(nats))[u]
+            raise ValueError(f"entropy {entropy.value[u].item()!r} {unit} is too large for epl: "
+                             "exp(S) overflows a float") from None
+    return Scores(np.array([math.exp(-s) for s in nats]), effective_size=np.array(size))
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal float, below every positive 1 - Pi
@@ -169,47 +159,38 @@ def fano_values(s_bits, n) -> np.ndarray:
     return out
 
 
-def fano_invert(s: EntropyEstimate, n: int) -> PredictabilityScore:
-    """The Fano score of one estimate at candidate size n: fano_values of its bits."""
-    return PredictabilityScore(float(fano_values([s.bits], n)[0]), "fano", s, n)
+def fano_invert(entropy: Entropies, n) -> Scores:
+    """Each user's Fano score at candidate size n, one for all or one per user: fano_values of
+    the entropies in bits."""
+    values = fano_values(entropy.to("bits").value, n)
+    return Scores(values, n=np.broadcast_to(n, len(values)))
 
 
-def fano_nr(s: EntropyEstimate, items, offsets) -> PredictabilityScore:
+def fano_nr(entropy: Entropies, items, offsets, per_user: bool = False) -> Scores:
     """Fano inversion against the observed successor fan-out.
 
-    N_r is transition_fanout's pooled N_r over the users (items, offsets):
-    pass a log's arrays, or one user's items and [0, len(items)] for that
-    user alone. A fan-out of 1 is clamped to 2 where the Fano relation is
-    defined (a deterministic sequence still maps to Pi = 1 through the
-    S <= 0 clamp).
+    N_r is transition_fanout's N_r of the users (items, offsets), pooled over
+    them or, with per_user, each user's own. A fan-out of 1 is clamped to 2
+    where the Fano relation is defined (a deterministic sequence still maps to
+    Pi = 1 through the S <= 0 clamp).
     """
-    n_r = transition_fanout(items, offsets)
-    return replace(fano_invert(s, max(n_r, 2)), method="fano_nr")
+    return fano_invert(entropy, np.maximum(transition_fanout(items, offsets, per_user), 2))
 
 
-def perm_predictability(items, d_set=_PERM["d"], tau=_PERM["tau"]) -> PredictabilityScore:
-    """1 minus the minimum normalized permutation entropy over d_set.
+def perm_predictability(items, d_set=_PERM["d"], tau=_PERM["tau"]) -> Scores:
+    """perm_predictabilities of one array: a one-row Scores."""
+    return perm_predictabilities(np.asarray(items), np.array([0, len(items)]), d_set, tau)
+
+
+def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) -> Scores:
+    """1 minus each user's minimum normalized permutation entropy over d_set.
 
     Dimensions whose length precondition fails are skipped so short sequences
-    degrade gracefully; only when every d is infeasible does this error. A
+    degrade gracefully; only a user for whom every d is infeasible raises. A
     value of exactly 0 (all feasible scales exactly pattern-uniform) is clamped
     to the smallest positive float to stay within (0, 1].
     """
-    table = perm_entropies(np.asarray(items), np.array([0, len(items)]), d_set, tau)
-    value = _perm_values(table, d_set)[0]
-    best = int(np.nanargmin(table[0]))  # the first d on ties
-    entropy = EntropyEstimate(float(table[0, best]), None, "perm_normalized",
-                              {"d": d_set[best], "tau": tau})
-    return PredictabilityScore(float(value), "perm", entropy)
-
-
-def perm_predictabilities(items, offsets, d_set=_PERM["d"], tau=_PERM["tau"]) -> np.ndarray:
-    """perm_predictability's value of each user's items, in order, from one perm_entropies
-    table."""
-    return _perm_values(perm_entropies(items, offsets, d_set, tau), d_set)
-
-
-def _perm_values(table: np.ndarray, d_set) -> np.ndarray:
+    table = perm_entropies(items, offsets, d_set, tau)
     if np.isnan(table).all(axis=1).any():
         raise ValueError(f"no feasible embedding dimension in {tuple(d_set)}")
-    return np.maximum(1.0 - np.nanmin(table, axis=1), _TINY)
+    return Scores(np.maximum(1.0 - np.nanmin(table, axis=1), _TINY))

@@ -223,6 +223,9 @@ def log_from_json(path: str) -> InteractionLog:
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != LOG_SCHEMA:
         raise ValueError(f"{path}: unknown log schema {schema!r}")
+    missing = [field for field in ("items", "users", "counts", "stats") if field not in payload]
+    if missing:
+        raise ValueError(f'{path}: no "{missing[0]}" field')
     item_ids, users = payload["items"], payload["users"]
     if not (isinstance(item_ids, list) and isinstance(users, list)) or not all(
         isinstance(entry, dict) and isinstance(entry.get("items"), list) for entry in users

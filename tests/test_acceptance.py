@@ -14,7 +14,7 @@ import pytest
 
 from predlim.entropy import (
     Distribution,
-    EntropyEstimate,
+    Entropies,
     lz_entropy,
     perm_entropy,
     plugin_entropy,
@@ -40,8 +40,8 @@ def verdict(capsys, number: int, ok: bool, detail: str) -> None:
         print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def bits_estimate(value: float) -> EntropyEstimate:
-    return EntropyEstimate(value=value, unit="bits", estimator="plugin")
+def bits_estimate(value: float) -> Entropies:
+    return Entropies(np.array([value]), "bits", "plugin", np.array([""]))
 
 
 def test_criterion_01_entropy_lower_bound(capsys):
@@ -61,7 +61,7 @@ def test_criterion_01_entropy_lower_bound(capsys):
         else:
             probs = np.full(k, 1.0 / k)
         d = Distribution.from_probs(probs)
-        bound = math.exp(-plugin_entropy(d).value)
+        bound = math.exp(-plugin_entropy(d).value[0])
         slack = bound - d.p_max
         worst_slack = max(worst_slack, slack)
         if slack > 1e-12:
@@ -92,12 +92,12 @@ def test_criterion_02_fano_round_trip(capsys):
         n = min(max(n, 3), 10**6)
         lo = 1.0 / n
         pi = lo + (1.0 - lo) * rng.uniform(1e-9, 1.0 - 1e-9)
-        back = fano_invert(bits_estimate(fano_forward(pi, n)), n).value
+        back = fano_invert(bits_estimate(fano_forward(pi, n)), n).value[0]
         worst = max(worst, abs(back - pi))
     endpoints_exact = True
     for n in (3, 7, 100, 4096, 10**6):
-        endpoints_exact &= fano_invert(bits_estimate(0.0), n).value == 1.0
-        endpoints_exact &= fano_invert(bits_estimate(math.log2(n)), n).value == 1.0 / n
+        endpoints_exact &= fano_invert(bits_estimate(0.0), n).value[0] == 1.0
+        endpoints_exact &= fano_invert(bits_estimate(math.log2(n)), n).value[0] == 1.0 / n
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-8 and endpoints_exact and elapsed < 2.0
@@ -178,15 +178,13 @@ def test_criterion_05_item_space_sweep(capsys):
     table = run_n_sweep()
     elapsed = time.perf_counter() - t0
 
-    epl_means = [m for _, m in table.means("epl")]
-    fano_pairs = table.means("fano")
-    fano_means = [m for _, m in fano_pairs]
-    perm_means = [m for _, m in table.means("perm")]
+    epl_means, fano_means, perm_means = (
+        [r.mean for r in table.rows if r.method == meth] for meth in ("epl", "fano", "perm"))
 
     epl_spread = max(epl_means) - min(epl_means)
     flat_ok = epl_spread < 0.05
     increasing = all(b > a for a, b in zip(fano_means, fano_means[1:]))
-    top_fano = next(m for n, m in fano_pairs if n == 100_000)
+    top_fano = next(r.mean for r in table.rows if r.method == "fano" and r.grid_value == 100_000)
     fano_ok = increasing and top_fano > 0.10
     perm_ok = max(perm_means) < 0.05
     ok = flat_ok and fano_ok and perm_ok and elapsed < 300.0
@@ -208,7 +206,7 @@ def test_criterion_06_fano_n_monotonicity(capsys):
     decades = [10, 100, 1_000, 10_000, 100_000, 1_000_000]
     all_increasing = True
     for s_bits in (3.0, 4.0, 5.0):
-        values = [fano_invert(bits_estimate(s_bits), n).value for n in decades]
+        values = [fano_invert(bits_estimate(s_bits), n).value[0] for n in decades]
         all_increasing &= all(b > a for a, b in zip(values, values[1:]))
     elapsed = time.perf_counter() - t0
 
@@ -325,15 +323,15 @@ def test_criterion_08_reference_consistency(capsys):
 
 def test_criterion_09_estimator_sanity(capsys):
     t0 = time.perf_counter()
-    constant_zero = sampen(np.zeros(500, dtype=np.int64)).value == 0.0
+    constant_zero = sampen(np.zeros(500, dtype=np.int64)).value[0] == 0.0
 
     lz_values = []
     perm_values = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 256, size=10_000)
-        lz_values.append(lz_entropy(x).value)
-        perm_values.append(perm_entropy(rng.integers(0, 100_000, size=10_000), d=3).value)
+        lz_values += lz_entropy(x).value.tolist()
+        perm_values.append(perm_entropy(rng.integers(0, 100_000, size=10_000), d=3))
     lz_in_range = all(7.5 <= v <= 8.5 for v in lz_values)
     perm_ok = all(v >= 0.99 for v in perm_values)
 
@@ -343,9 +341,9 @@ def test_criterion_09_estimator_sanity(capsys):
     relabeled = bijection[x]
     monotone = 3 * x + 7
     relabel_ok = (
-        sampen(x).value == sampen(relabeled).value
-        and lz_entropy(x).value == lz_entropy(relabeled).value
-        and perm_entropy(x, d=3).value == perm_entropy(monotone, d=3).value
+        sampen(x).value[0] == sampen(relabeled).value[0]
+        and lz_entropy(x).value[0] == lz_entropy(relabeled).value[0]
+        and perm_entropy(x, d=3) == perm_entropy(monotone, d=3)
     )
     elapsed = time.perf_counter() - t0
 

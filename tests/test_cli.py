@@ -484,6 +484,15 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
         (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["bits"])),
          "entropy 1e+308 bits is too large for epl: exp(S) overflows a float"),
     ]
+    # numpy refuses a 7 PiB request at once, so nothing is allocated
+    too_long = ("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+                "and data type int64")
+    cases += [
+        (("synth", "--mechanism", "repeat-last", "--n", "10", "--users", "1",
+          "--length", "1000000000000000", "--p", "0.5"), too_long),
+        (("sweep", "--kind", "difficulty", "--mechanism", "repeat-last", "--targets", "0.5",
+          "--reps", "1", "--users", "1", "--length", "1000000000000000"), too_long),
+    ]
     out = tmp_path / "out"
     for argv, message in cases:
         code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
@@ -707,19 +716,22 @@ def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
                                   "avg_length": 2.0}},
          "user id 'u' is given twice"),  # agrees with itself
     ]
+    cases += [(f"no-{field}", {field: None}, f'{{path}}: no "{field}" field')  # None: left out
+              for field in ("items", "users", "counts", "stats")]
     for name, change, message in cases:
         log_path = tmp_path / f"{name}.json"
-        log_path.write_text(json.dumps({
+        payload = {
             "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1], **user([0, 1]),
             "stats": {"num_users": 1, "num_items": 2, "num_interactions": 2, "avg_length": 2.0},
             **change,
-        }))
+        }
+        log_path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
         out = tmp_path / f"{name}.csv"
         code, _, stderr = run_cli(
             capsys, "estimate", "--log", str(log_path), "--estimator", "lz", "--output", str(out)
         )
         assert code == 1, name
-        assert stderr == f"error: {message}\n"
+        assert stderr == f"error: {message.format(path=log_path)}\n"
         assert not out.exists()
 
 

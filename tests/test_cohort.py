@@ -136,7 +136,7 @@ def test_generator_controlled_activity_ordering():
     arrays = [s.items for s in steady.log.sequences] + [s.items for s in churny.log.sequences]
     log = log_from_sequences(arrays, n_items=50)
     feats = compute_features(log)
-    scores = np.array([epl(sampen(s.items, m=2)).value for s in log.sequences])
+    scores = np.concatenate([epl(sampen(s.items, m=2)).value for s in log.sequences])
     report = split_and_aggregate(feats, scores, "activity")
     q1, q2 = report.groups
     assert {u for u, _ in q1.per_user_scores} == set(range(10))

@@ -10,7 +10,6 @@ from predlim import entropy
 from predlim.entropy import (
     Distribution,
     Entropies,
-    EntropyEstimate,
     lz_entropies,
     lz_entropy,
     perm_entropies,
@@ -65,22 +64,35 @@ def brute_lz(x):
     return len(x) * math.log2(len(x)) / sum(lam)
 
 
+def row(ests, u):
+    """User u's value, unit, estimator, flags and params of an Entropies, as plain values."""
+    def at(x):
+        return x[u].item() if isinstance(x, np.ndarray) else x
+
+    fields = (ests.value, ests.unit, ests.estimator, ests.flags)
+    return (*map(at, fields), {k: at(v) for k, v in ests.params.items()})
+
+
+def one(value, unit="nats", estimator="sampen"):
+    return Entropies(np.array([value]), unit, estimator, np.array([""]))
+
+
 # plugin entropy
 
 
 def test_plugin_uniform_eight():
     d = Distribution.from_probs(np.full(8, 1 / 8))
-    assert abs(plugin_entropy(d, unit="bits").value - 3.0) < 1e-12
+    assert abs(plugin_entropy(d, unit="bits").value[0] - 3.0) < 1e-12
 
 
 def test_plugin_point_mass():
     d = Distribution.from_probs([1.0, 0.0, 0.0])
-    assert plugin_entropy(d).value == 0.0
+    assert plugin_entropy(d).value[0] == 0.0
 
 
 def test_plugin_hand_computed():
     d = Distribution.from_probs([0.5, 0.25, 0.25])
-    assert abs(plugin_entropy(d, unit="bits").value - 1.5) < 1e-12
+    assert abs(plugin_entropy(d, unit="bits").value[0] - 1.5) < 1e-12
 
 
 def test_distribution_validation():
@@ -95,7 +107,7 @@ def test_plugin_bounded_by_log_support():
     for _ in range(300):
         k = int(rng.integers(2, 50))
         d = Distribution.from_probs(rng.dirichlet(np.ones(k)))
-        h = plugin_entropy(d).value
+        h = plugin_entropy(d).value[0]
         assert h <= math.log(k) + 1e-9
         assert math.exp(-h) <= d.p_max + 1e-12  # min-entropy bound
 
@@ -103,24 +115,26 @@ def test_plugin_bounded_by_log_support():
 def test_plugin_uniform_attains_log_support():
     for k in (2, 5, 64):
         d = Distribution.from_probs(np.full(k, 1 / k))
-        assert abs(plugin_entropy(d).value - math.log(k)) < 1e-9
-        assert abs(math.exp(-plugin_entropy(d).value) - d.p_max) < 1e-9
+        assert abs(plugin_entropy(d).value[0] - math.log(k)) < 1e-9
+        assert abs(math.exp(-plugin_entropy(d).value[0]) - d.p_max) < 1e-9
 
 
 # unit bookkeeping
 
 
 def test_unit_conversion_round_trip():
-    e = EntropyEstimate(1.7, "nats", "sampen")
-    assert abs(e.to("bits").value - 1.7 / math.log(2)) < 1e-12
-    assert abs(e.to("bits").to("nats").value - 1.7) < 1e-12
-    assert e.to("nats") is e
+    e = one(1.7)
+    assert abs(e.to("bits").value[0] - 1.7 / math.log(2)) < 1e-12
+    assert abs(e.to("bits").to("nats").value[0] - 1.7) < 1e-12
+    assert e.to("nats").value.tolist() == [1.7]
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: EntropyEstimate(1.0, "nats", "sampen").to("kelvin"), "unit must be one of"),
+        (lambda: one(1.0).to("kelvin"), "unit must be one of"),
+        (lambda: plugin_entropy(Distribution.from_probs([1.0]), unit="kelvin"),
+         "unit must be one of"),
         (lambda: Distribution(np.array([[0.5, 0.5]])), "1-d"),
         (lambda: Distribution(np.array([[0.5], [0.5]])), "1-d"),
         (lambda: Entropies(np.array([0.5, -1.0]), "nats", "lz", np.array(["", ""])),
@@ -130,7 +144,7 @@ def test_unit_conversion_round_trip():
         (lambda: lz_entropies(np.array([0, 1, 0]), np.array([0, 3])).to("kelvin"),
          "unit must be one of"),
         (lambda: Entropies(np.array([0.5]), None, "perm_normalized", np.array([""])),
-         "perm_normalized entropy has no unit"),
+         r"unit must be one of \('nats', 'bits'\), got None"),
     ],
 )
 def test_conversion_and_distribution_reject_bad_shapes_and_units(call, message):
@@ -139,18 +153,19 @@ def test_conversion_and_distribution_reject_bad_shapes_and_units(call, message):
 
 
 def test_estimate_validation():
-    with pytest.raises(ValueError):
-        EntropyEstimate(-0.5, "nats", "sampen")
-    with pytest.raises(ValueError):
-        EntropyEstimate(float("nan"), "nats", "sampen")
-    with pytest.raises(ValueError):
-        EntropyEstimate(1.0, "furlongs", "sampen")
-    with pytest.raises(ValueError):
-        EntropyEstimate(0.5, "nats", "perm_normalized")  # unitless by contract
-    with pytest.raises(ValueError):
-        EntropyEstimate(1.2, None, "perm_normalized")
-    with pytest.raises(ValueError):
-        EntropyEstimate(0.5, None, "perm_normalized").to("nats")
+    # the first bad row raises, its value checked before its unit
+    cases = [
+        (([0.5, -0.5], "nats"), "finite and >= 0, got -0.5"),
+        (([float("nan")], "nats"), "finite and >= 0, got nan"),
+        (([float("inf")], "bits"), "finite and >= 0, got inf"),
+        (([1.0], "furlongs"), r"unit must be one of \('nats', 'bits'\), got 'furlongs'"),
+        (([-1.0], "furlongs"), "finite and >= 0, got -1.0"),
+        (([0.5, -1.0], np.array(["furlongs", "nats"])), "got 'furlongs'"),
+        (([0.5, 1.0, -1.0], np.array(["bits", "kelvin", "nats"])), "got 'kelvin'"),
+    ]
+    for (values, unit), message in cases:
+        with pytest.raises(ValueError, match=message):
+            Entropies(np.array(values), unit, "sampen", np.full(len(values), ""))
 
 
 # sample entropy
@@ -158,16 +173,16 @@ def test_estimate_validation():
 
 def test_sampen_perfectly_regular():
     est = sampen(np.zeros(6, dtype=int), m=2)
-    assert est.value == 0.0
-    assert est.flags == ()
+    assert est.value.tolist() == [0.0]
+    assert est.flags.tolist() == [""]
 
 
 def test_sampen_alternation_matches_pair_enumeration():
     x = np.array([0, 1, 0, 1, 0, 1])
     a, b = brute_sampen_counts(x.tolist(), 2)
     est = sampen(x, m=2)
-    assert (est.params["A"], est.params["B"]) == (a, b)
-    assert abs(est.value - (-math.log(a / b))) < 1e-12
+    assert (est.params["A"].tolist(), est.params["B"].tolist()) == ([a], [b])
+    assert abs(est.value[0] - (-math.log(a / b))) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,21 +196,21 @@ def test_sampen_matches_brute_force(items, m):
     x = np.array(items)
     a, b = brute_sampen_counts(items, m)
     est = sampen(x, m=m)
-    assert (est.params["A"], est.params["B"]) == (a, b)
+    assert (est.params["A"].tolist(), est.params["B"].tolist()) == ([a], [b])
     starts = len(items) - m
     if b == 0 or a == 0:
-        assert est.value == pytest.approx(math.log(starts * (starts - 1) / 2))
-        assert "saturated" in est.flags
+        assert est.value[0] == pytest.approx(math.log(starts * (starts - 1) / 2))
+        assert "saturated" in est.flags[0].split(";")
     else:
-        assert est.value == pytest.approx(-math.log(a / b), abs=1e-12)
-        assert est.value >= 0.0  # every (m+1)-match is an m-match
+        assert est.value[0] == pytest.approx(-math.log(a / b), abs=1e-12)
+        assert est.value[0] >= 0.0  # every (m+1)-match is an m-match
 
 
 def test_sampen_iid_uniform_recovers_log_alphabet():
     values = []
     for seed in range(10):
         x = np.random.default_rng(seed).integers(0, 4, size=2000)
-        values.append(sampen(x, m=1).value)
+        values.append(sampen(x, m=1).value[0])
     assert abs(np.mean(values) - math.log(4)) < 0.1
 
 
@@ -207,16 +222,16 @@ def test_sampen_rejects_short_input():
 def test_sampen_no_regularity_cap():
     x = np.arange(8)  # all windows distinct
     est = sampen(x, m=2)
-    assert est.flags == ("saturated", "no_regularity")
-    assert est.value == pytest.approx(math.log(6 * 5 / 2))
+    assert est.flags.tolist() == ["saturated;no_regularity"]
+    assert est.value[0] == pytest.approx(math.log(6 * 5 / 2))
 
 
 def test_sampen_no_extension_cap():
     x = np.array([0, 1, 0, 2])  # one m=1 match, no m=2 match
     est = sampen(x, m=1)
-    assert est.params["B"] == 1 and est.params["A"] == 0
-    assert est.flags == ("saturated",)
-    assert est.value == pytest.approx(math.log(3))
+    assert est.params["B"].tolist() == [1] and est.params["A"].tolist() == [0]
+    assert est.flags.tolist() == ["saturated"]
+    assert est.value[0] == pytest.approx(math.log(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +239,7 @@ def test_sampen_no_extension_cap():
 def test_sampen_alphabet_relabeling_invariant(items):
     x = np.array(items)
     relabel = np.random.default_rng(0).permutation(50)
-    assert sampen(x, m=1).value == pytest.approx(sampen(relabel[x], m=1).value, abs=1e-12)
+    assert sampen(x, m=1).value[0] == pytest.approx(sampen(relabel[x], m=1).value[0], abs=1e-12)
 
 
 def test_sampen_wide_window_fallback_agrees():
@@ -234,7 +249,7 @@ def test_sampen_wide_window_fallback_agrees():
     x[7:12] = x[0:5]
     a, b = brute_sampen_counts(x.tolist(), 2)
     est = sampen(x, m=2)
-    assert (est.params["A"], est.params["B"]) == (a, b)
+    assert (est.params["A"].tolist(), est.params["B"].tolist()) == ([a], [b])
 
 
 SYMBOLS = st.sampled_from([0, 1, 2, -5, 2**62])  # sampen and lz accept any int64
@@ -280,7 +295,7 @@ def test_sampen_entropies_equal_each_sequence_counted_alone(m_corpus, long, at):
         else:
             assert ests.value[u] == math.log(b / a)
             assert ests.flags[u] == ""
-        assert ests.row(u) == sampen(np.array(x), m)
+        assert row(ests, u) == row(sampen(np.array(x), m), 0)
 
 
 def periodic_corpus(rng, symbols, users, m):
@@ -327,15 +342,15 @@ def test_sampen_entropies_reject_a_short_sequence_anywhere():
 
 def test_lz_alternating_pair():
     est = lz_entropy(np.array([0, 1, 0, 1]))
-    assert est.params["lambda_sum"] == 7  # lengths (1, 1, 3, 2)
-    assert abs(est.value - 8 / 7) < 1e-12
+    assert est.params["lambda_sum"].tolist() == [7]  # lengths (1, 1, 3, 2)
+    assert abs(est.value[0] - 8 / 7) < 1e-12
 
 
 def test_lz_constant_sequence_near_zero():
     est = lz_entropy(np.zeros(100, dtype=int))
     expected = 100 * math.log2(100) / 5050  # arithmetic-series match lengths
-    assert abs(est.value - expected) < 1e-12
-    assert est.value < 0.2
+    assert abs(est.value[0] - expected) < 1e-12
+    assert est.value[0] < 0.2
 
 
 def test_lz_matches_naive_substring_search():
@@ -343,14 +358,14 @@ def test_lz_matches_naive_substring_search():
     for _ in range(120):
         t = int(rng.integers(2, 50))
         x = rng.integers(0, rng.integers(1, 6), size=t)
-        assert lz_entropy(x).value == pytest.approx(brute_lz(x), abs=1e-12)
+        assert lz_entropy(x).value[0] == pytest.approx(brute_lz(x), abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=40))
 def test_lz_brute_force_property(items):
     x = np.array(items)
-    assert lz_entropy(x).value == pytest.approx(brute_lz(items), abs=1e-12)
+    assert lz_entropy(x).value[0] == pytest.approx(brute_lz(items), abs=1e-12)
 
 
 def test_lz_rejects_single_event():
@@ -362,7 +377,7 @@ def test_lz_alphabet_relabeling_invariant():
     rng = np.random.default_rng(2)
     x = rng.integers(0, 8, size=300)
     relabel = rng.permutation(8)
-    assert lz_entropy(x).value == lz_entropy(relabel[x]).value
+    assert lz_entropy(x).value[0] == lz_entropy(relabel[x]).value[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -389,7 +404,7 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
     for u, x in enumerate(corpus):
         assert ests.params["lambda_sum"][u] == sum(brute_match_lengths(x))
         assert ests.value[u] == brute_lz(x)
-        assert ests.row(u) == lz_entropy(np.array(x))
+        assert row(ests, u) == row(lz_entropy(np.array(x)), 0)
         assert ests.flags[u] == ""
 
 
@@ -435,9 +450,8 @@ def test_perm_matches_ordinal_pattern_oracle(x, d, tau):
         with pytest.raises(ValueError):
             perm_entropy(np.array(x), d=d, tau=tau)
         return
-    est = perm_entropy(np.array(x), d=d, tau=tau)
-    assert est.value == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
-    assert est.params == {"d": d, "tau": tau}
+    assert perm_entropy(np.array(x), d=d, tau=tau) == pytest.approx(
+        brute_perm_entropy(x, d, tau), abs=1e-12)
 
 
 def rowwise_perm_entropy(x, d, tau):
@@ -483,7 +497,7 @@ def test_perm_entropies_equal_each_sequence_counted_alone(corpus, long, at, d_se
                 with pytest.raises(ValueError, match="embedding vectors"):
                     perm_entropy(np.array(x), d=d, tau=tau)
                 continue
-            assert got == perm_entropy(np.array(x), d=d, tau=tau).value
+            assert got == perm_entropy(np.array(x), d=d, tau=tau)
             assert got == rowwise_perm_entropy(x, d, tau)
             assert got == pytest.approx(brute_perm_entropy(x, d, tau), abs=1e-12)
     assert np.isnan(table[-1]).all()
@@ -547,19 +561,17 @@ def test_perm_entropies_of_no_sequences_is_an_empty_table():
 
 
 def test_perm_strictly_increasing_is_zero():
-    est = perm_entropy(np.arange(30), d=3)
-    assert est.value == 0.0
-    assert est.unit is None
-    assert est.estimator == "perm_normalized"
+    value = perm_entropy(np.arange(30), d=3)
+    assert value == 0.0 and type(value) is float  # unitless, so not an Entropies
 
 
 def test_perm_constant_is_zero_via_tie_break():
-    assert perm_entropy(np.zeros(30, dtype=int), d=3).value == 0.0
+    assert perm_entropy(np.zeros(30, dtype=int), d=3) == 0.0
 
 
 def test_perm_iid_near_one():
     x = np.random.default_rng(0).integers(0, 10000, size=10000)
-    assert perm_entropy(x, d=3).value >= 0.99
+    assert perm_entropy(x, d=3) >= 0.99
 
 
 def test_perm_requires_enough_vectors():
@@ -582,17 +594,17 @@ def test_perm_tau_beyond_every_sequence_is_infeasible(tau):
 
 def test_perm_order_preserving_relabel_invariant():
     x = np.random.default_rng(4).integers(0, 50, size=200)
-    assert perm_entropy(x, d=4).value == perm_entropy(3 * x + 7, d=4).value
+    assert perm_entropy(x, d=4) == perm_entropy(3 * x + 7, d=4)
 
 
 def test_perm_tau_spacing():
     # with tau=2 the alternating pair looks constant per coordinate
     x = np.tile([5, 9], 20)
-    assert perm_entropy(x, d=3, tau=2).value == 0.0
+    assert perm_entropy(x, d=3, tau=2) == 0.0
 
 
 def test_estimators_are_deterministic():
     x = np.random.default_rng(9).integers(0, 12, size=120)
-    assert sampen(x, m=2).value == sampen(x.copy(), m=2).value
-    assert lz_entropy(x).value == lz_entropy(x.copy()).value
-    assert perm_entropy(x, d=3).value == perm_entropy(x.copy(), d=3).value
+    assert sampen(x, m=2).value[0] == sampen(x.copy(), m=2).value[0]
+    assert lz_entropy(x).value[0] == lz_entropy(x.copy()).value[0]
+    assert perm_entropy(x, d=3) == perm_entropy(x.copy(), d=3)

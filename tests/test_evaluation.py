@@ -292,8 +292,7 @@ def test_difficulty_sweep_table_shape():
     for row in table.rows:
         assert row.rep_count == 2
         assert 0.0 < row.mean <= 1.0
-    grid_epl = table.means("epl")
-    assert [g for g, _ in grid_epl] == [0.3, 0.6]
+    assert [row.grid_value for row in table.rows if row.method == "epl"] == [0.3, 0.6]
 
 
 def test_n_sweep_table_shape():
@@ -359,19 +358,28 @@ def test_sweep_table_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     assert pids[2] and os.getpid() not in pids[2]
 
 
-# score_log against the public per-user functions
+# score_log against the public functions, called on each user alone
 
 
 def outcome(score_all):
-    """Scores as comparable (value, n, effective_size) tuples, or the error they raise."""
+    """Scores as comparable (value, n, effective_size) tuples, or the error they raise.
+
+    score_all gives one Scores, or a list of one-row Scores, one per user. Every Scores
+    holds values in (0, 1]; one that records a candidate size n, as the Fano methods do,
+    has n >= 2 and no value below 1/n.
+    """
     try:
         scores = score_all()
     except ValueError as exc:
         return ("error", str(exc))
-    if isinstance(scores, list):  # PredictabilityScores, one per user
-        return [(sc.value, sc.n, sc.effective_size) for sc in scores]
+    if isinstance(scores, list):
+        return [row for sc in scores for row in outcome(lambda: sc)]
+    value = scores.value
+    assert ((value > 0.0) & (value <= 1.0)).all(), value
+    if scores.n is not None:
+        assert (scores.n >= 2).all() and (value >= 1.0 / scores.n - 1e-12).all()
     size, n = (None if c is None else c.tolist() for c in (scores.effective_size, scores.n))
-    return [(v, n and n[u], size and size[u]) for u, v in enumerate(scores.value.tolist())]
+    return [(v, n and n[u], size and size[u]) for u, v in enumerate(value.tolist())]
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,10 +396,10 @@ def test_score_log_matches_per_user_functions(users, estimator):
     seqs = log.sequences
     # users shorter than m + 2 = 4 have no sampen estimate; lz covers them
     ests = [
-        estimate_entropies(s.items, [0, s.length], estimator if s.length >= 4 else "lz", 2).row(0)
+        estimate_entropies(s.items, [0, s.length], estimator if s.length >= 4 else "lz", 2)
         for s in seqs
     ]
-    entropy = Entropies(np.array([e.value for e in ests]), np.array([e.unit for e in ests]),
+    entropy = Entropies(np.concatenate([e.value for e in ests]), np.array([e.unit for e in ests]),
                         np.array([e.estimator for e in ests]), np.array([""] * len(ests)))
     expected = {
         ("epl", None): lambda: [epl(e) for e in ests],

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predlim.entropy import Entropies, EntropyEstimate, perm_entropy
+from predlim.entropy import Entropies, perm_entropy
 from predlim.evaluation import score_log
 from predlim.predictability import (
-    PredictabilityScore,
     epl,
     fano_forward,
     fano_invert,
@@ -20,12 +19,12 @@ from predlim.predictability import (
 from predlim.sequence_core import log_from_sequences
 
 
-def nats(value):
-    return EntropyEstimate(value, "nats", "sampen")
+def nats(*values):
+    return Entropies(np.array(values, dtype=float), "nats", "sampen", np.full(len(values), ""))
 
 
-def bits(value):
-    return EntropyEstimate(value, "bits", "lz")
+def bits(*values):
+    return Entropies(np.array(values, dtype=float), "bits", "lz", np.full(len(values), ""))
 
 
 # epl
@@ -33,37 +32,26 @@ def bits(value):
 
 def test_epl_zero_entropy():
     score = epl(nats(0.0))
-    assert score.value == 1.0
-    assert score.effective_size == 1.0
+    assert score.value.tolist() == [1.0]
+    assert score.effective_size.tolist() == [1.0]
+    assert score.n is None
 
 
 def test_epl_uniform_over_four():
     score = epl(nats(math.log(4)))
-    assert abs(score.value - 0.25) < 1e-12
-    assert abs(score.effective_size - 4.0) < 1e-12
+    assert abs(score.value[0] - 0.25) < 1e-12
+    assert abs(score.effective_size[0] - 4.0) < 1e-12
 
 
 def test_epl_unit_conversion_path():
-    assert abs(epl(bits(2.0)).value - 0.25) < 1e-12
+    assert abs(epl(bits(2.0)).value[0] - 0.25) < 1e-12
 
 
 def test_epl_rejects_normalized_perm():
-    est = perm_entropy(np.random.default_rng(0).integers(0, 9, size=40), d=3)
-    with pytest.raises(ValueError, match="perm"):
-        epl(est)
-
-
-def test_score_validation():
-    with pytest.raises(ValueError):
-        PredictabilityScore(value=0.0, method="epl")
-    with pytest.raises(ValueError):
-        PredictabilityScore(value=1.5, method="epl")
-    with pytest.raises(ValueError):
-        PredictabilityScore(value=0.5, method="guess")
-    with pytest.raises(ValueError):
-        PredictabilityScore(value=0.5, method="fano")  # n missing
-    with pytest.raises(ValueError):
-        PredictabilityScore(value=0.01, method="fano", n=10)  # below 1/n
+    # a perm value is a unitless float, and an Entropies without a unit cannot be built
+    value = perm_entropy(np.random.default_rng(0).integers(0, 9, size=40), d=3)
+    with pytest.raises(ValueError, match="unit must be one of"):
+        epl(Entropies(np.array([value]), None, "perm_normalized", np.array([""])))
 
 
 # Fano forward relation
@@ -107,9 +95,8 @@ def test_fano_forward_is_strictly_decreasing():
 def test_fano_invert_endpoints_exact():
     # np.log2 is an ulp off math.log2 at n = 1621 and 3242 on some hosts
     for n in (50, 1621, 3242):
-        assert fano_invert(bits(0.0), n).value == 1.0
-        assert fano_invert(bits(math.log2(n)), n).value == 1.0 / n
-        assert fano_invert(bits(99.0), n).value == 1.0 / n  # beyond-uniform clamp
+        scores = fano_invert(bits(0.0, math.log2(n), 99.0), n)  # 99: the beyond-uniform clamp
+        assert scores.value.tolist() == [1.0, 1.0 / n, 1.0 / n]
 
 
 def fano_invert_reference(s_bits, n):
@@ -155,18 +142,20 @@ def test_fano_values_match_the_scalar_bisection(pairs):
 
 def test_fano_invert_forward_residual():
     score = fano_invert(bits(4.0), 1000)
-    assert abs(fano_forward(score.value, 1000) - 4.0) < 1e-9
+    assert abs(fano_forward(score.value[0], 1000) - 4.0) < 1e-9
     # a fine grid brackets the same root
     grid = np.linspace(1 / 1000, 1.0, 20000)
     idx = np.searchsorted(-np.array([fano_forward(p, 1000) for p in grid]), -4.0)
-    assert grid[idx - 1] <= score.value <= grid[idx + 1]
+    assert grid[idx - 1] <= score.value[0] <= grid[idx + 1]
 
 
 def test_fano_invert_records_inputs():
-    score = fano_invert(bits(3.0), 64)
-    assert score.method == "fano"
-    assert score.n == 64
-    assert score.value >= 1 / 64
+    score = fano_invert(bits(3.0, 6.0), 64)  # log2(64) = 6 bits: uniform, so 1/64
+    assert score.n.tolist() == [64, 64]
+    assert score.effective_size is None
+    assert score.value[0] >= 1 / 64 and score.value[1] == 1 / 64
+    per_user = fano_invert(bits(3.0, 3.0), np.array([64, 8]))
+    assert per_user.n.tolist() == [64, 8] and per_user.value[1] == 1 / 8  # log2(8) = 3 bits
 
 
 def test_fano_invert_rejects_bad_n():
@@ -184,12 +173,12 @@ def test_non_finite_entropy_is_unrepresentable():
 def test_fano_round_trip_property(n, frac):
     pi = 1 / n + frac * (1 - 1 / n)
     s = fano_forward(pi, n)
-    assert abs(fano_invert(bits(s), n).value - pi) <= 1e-8
+    assert abs(fano_invert(bits(s), n).value[0] - pi) <= 1e-8
 
 
 def test_fano_monotone_in_n_at_fixed_entropy():
     for s in (3.0, 4.0, 5.0):
-        values = [fano_invert(bits(s), n).value for n in (10, 100, 1000, 10000)]
+        values = [fano_invert(bits(s), n).value[0] for n in (10, 100, 1000, 10000)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -199,34 +188,35 @@ def test_fano_monotone_in_n_at_fixed_entropy():
 def test_fano_nr_constant_sequence():
     log = log_from_sequences([np.zeros(10, dtype=int)], n_items=5)
     score = fano_nr(nats(0.0), log.items, log.offsets)
-    assert score.value == 1.0
-    assert score.method == "fano_nr"
-    assert score.n == 2  # fan-out 1 clamps to 2
+    assert score.value.tolist() == [1.0]
+    assert score.n.tolist() == [2]  # fan-out 1 clamps to 2
 
 
 def test_fano_nr_binary_entropy_inverse():
     # N_r = 2 and 1 bit of entropy solve h2(pi) = 1 at pi = 0.5
     log = log_from_sequences([np.array([0, 1, 0, 1, 1, 0])])
     score = fano_nr(bits(1.0), log.items, log.offsets)
-    assert score.n == 2
-    assert abs(score.value - 0.5) < 1e-6
+    assert score.n.tolist() == [2]
+    assert abs(score.value[0] - 0.5) < 1e-6
 
 
 def test_fano_nr_scope_changes_candidate_size():
     log = log_from_sequences([np.array([0, 1, 0, 2]), np.array([0, 3, 0, 4])])
-    pooled = fano_nr(bits(1.0), log.items, log.offsets)
-    per_user = [fano_nr(bits(1.0), s.items, [0, s.length]) for s in log.sequences]
-    assert pooled.n == 4 and [sc.n for sc in per_user] == [2, 2]
+    pooled = fano_nr(bits(1.0, 1.0), log.items, log.offsets)
+    per_user = fano_nr(bits(1.0, 1.0), log.items, log.offsets, per_user=True)
+    alone = [fano_nr(bits(1.0), s.items, [0, s.length]) for s in log.sequences]
+    assert pooled.n.tolist() == [4, 4] and per_user.n.tolist() == [2, 2]
+    assert per_user.value.tolist() == [sc.value[0] for sc in alone]
     # at fixed entropy the Fano relation is monotone in the candidate size
-    assert all(pooled.value > sc.value for sc in per_user)
+    assert (pooled.value > per_user.value).all()
 
 
 def test_fano_nr_takes_its_key_base_from_the_items():
     # state 0 has successors 1, 2 and 3; a stated item bound of 2 used to merge keys into 2
     log = log_from_sequences([np.array([0, 1, 0, 2, 0, 3])])
     (s,) = log.sequences
-    assert fano_nr(bits(1.0), log.items, log.offsets).n == 3
-    assert fano_nr(bits(1.0), s.items, [0, s.length]).n == 3
+    assert fano_nr(bits(1.0), log.items, log.offsets).n.tolist() == [3]
+    assert fano_nr(bits(1.0), s.items, [0, s.length], per_user=True).n.tolist() == [3]
     for scope in ("pooled", "per-user"):
         entropy = Entropies(np.array([1.0]), "bits", "lz", np.array([""]))
         assert score_log(log, "fano_nr", entropy, scope).n.tolist() == [3]
@@ -238,18 +228,19 @@ def test_fano_nr_takes_its_key_base_from_the_items():
 
 
 def test_perm_predictability_increasing_sequence():
-    assert perm_predictability(np.arange(40)).value == 1.0
+    assert perm_predictability(np.arange(40)).value.tolist() == [1.0]
 
 
 def test_perm_predictability_iid_small():
     x = np.random.default_rng(1).integers(0, 10000, size=10000)
-    assert perm_predictability(x).value <= 0.02
+    assert perm_predictability(x).value[0] <= 0.02
 
 
 def test_perm_predictability_skips_infeasible_scales():
-    score = perm_predictability(np.arange(7))  # enough vectors for d=3 only
-    assert score.entropy.params["d"] == 3
-    assert score.value == 1.0
+    x = np.arange(7)  # enough vectors for d=3 only
+    with pytest.raises(ValueError, match="embedding vectors"):
+        perm_entropy(x, d=4)
+    assert perm_predictability(x).value.tolist() == [1.0 - perm_entropy(x, d=3)] == [1.0]
 
 
 def test_perm_predictability_all_scales_infeasible():
@@ -265,11 +256,11 @@ def test_perm_rejects_unsupported_options_whatever_the_length():
                 perm_predictability(items, d_set=d_set, tau=tau)
 
 
-def test_perm_predictability_takes_the_first_d_on_ties():
-    # an increasing sequence is pattern-free at every d: the first d listed wins
-    for d_set in ((5, 3), (4, 5, 3), (3, 4)):
-        score = perm_predictability(np.arange(40), d_set=d_set)
-        assert score.entropy.params == {"d": d_set[0], "tau": 1}
+def test_perm_predictability_does_not_depend_on_the_order_of_d_set():
+    x = np.random.default_rng(5).integers(0, 6, size=60)
+    values = {perm_predictability(x, d_set=d_set).value[0]
+              for d_set in ((3, 4, 5), (5, 3, 4), (4, 5, 3), (5, 4, 3))}
+    assert len(values) == 1
 
 
 def test_perm_predictabilities_equal_each_sequence_scored_alone():
@@ -277,8 +268,8 @@ def test_perm_predictabilities_equal_each_sequence_scored_alone():
     arrays = [rng.integers(0, k, size=t) for k, t in ((3, 9), (5, 60), (2, 12), (9, 300), (4, 10))]
     log = log_from_sequences(arrays)
     for d_set, tau in (((3, 4, 5), 1), ((5, 3), 2), ((4,), 1)):
-        alone = [perm_predictability(x, d_set, tau).value for x in arrays]
-        assert perm_predictabilities(log.items, log.offsets, d_set, tau).tolist() == alone
+        alone = [perm_predictability(x, d_set, tau).value[0] for x in arrays]
+        assert perm_predictabilities(log.items, log.offsets, d_set, tau).value.tolist() == alone
     short = log_from_sequences(arrays + [np.arange(6)])
     with pytest.raises(ValueError, match="feasible"):
         perm_predictabilities(short.items, short.offsets)
@@ -286,9 +277,9 @@ def test_perm_predictabilities_equal_each_sequence_scored_alone():
 
 def test_perm_predictability_takes_minimum_entropy():
     x = np.random.default_rng(2).integers(0, 40, size=400)
-    per_d = {d: perm_entropy(x, d=d).value for d in (3, 4, 5)}
+    per_d = {d: perm_entropy(x, d=d) for d in (3, 4, 5)}
     score = perm_predictability(x)
-    assert score.value == pytest.approx(1.0 - min(per_d.values()), abs=1e-12)
+    assert score.value[0] == pytest.approx(1.0 - min(per_d.values()), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,6 +288,6 @@ def test_perm_predictability_takes_minimum_entropy():
     st.integers(min_value=2, max_value=10**5),
 )
 def test_scores_stay_in_unit_interval(s, n):
-    assert 0.0 < epl(nats(s)).value <= 1.0
+    assert 0.0 < epl(nats(s)).value[0] <= 1.0
     fano = fano_invert(nats(s), n)
-    assert 1 / n <= fano.value <= 1.0
+    assert 1 / n <= fano.value[0] <= 1.0
