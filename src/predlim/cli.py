@@ -78,19 +78,20 @@ def cmd_estimate(args) -> int:
     log = log_from_json(args.log)
     if args.estimator == "perm":
         table = perm_entropies(log.items, log.offsets, opts["d"], opts["tau"])
-        rows = [[u, "perm_normalized", repr(v), "", f"d={d}"]
-                for u, row in enumerate(table.tolist()) for d, v in zip(opts["d"], row)
-                if v == v]  # NaN at a d the user is too short for
+        count = int(np.count_nonzero(table == table))  # NaN at a d the user is too short for
+        rows = ([u, "perm_normalized", repr(v), "", f"d={d}"]  # made as the writer reads them
+                for u, row in enumerate(table.tolist()) for d, v in zip(opts["d"], row) if v == v)
     else:
         est = evaluation.estimate_entropies(log.items, log.offsets, args.estimator, opts.get("m"))
         est = est.to(opts["unit"])
-        rows = list(zip(range(len(est)), repeat(est.estimator), map(repr, est.value.tolist()),
-                        repeat(est.unit), est.flags.tolist()))
+        count = len(est)
+        rows = zip(range(len(est)), repeat(est.estimator), map(repr, est.value.tolist()),
+                   repeat(est.unit), est.flags.tolist())
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "estimator", "value", "unit", "flags"])
         writer.writerows(rows)
-    print(f"wrote {len(rows)} estimates to {args.output}")
+    print(f"wrote {count} estimates to {args.output}")
     return 0
 
 
@@ -162,7 +163,7 @@ def cmd_synth(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     log_to_json(corpus.log, os.path.join(args.output, "log.json"))
     with open(os.path.join(args.output, "latent.json"), "w", encoding="utf-8") as fh:
-        json.dump(corpus.latent_trace, fh, default=lambda array: array.tolist())
+        fh.write(json.dumps(corpus.latent_trace, default=lambda array: array.tolist()))
     with open(os.path.join(args.output, "oracle.json"), "w", encoding="utf-8") as fh:
         json.dump({"config": dataclasses.asdict(config), "oracle_hit1": corpus.oracle_hit1,
                    "latent_trace_file": "latent.json"}, fh)
@@ -272,7 +273,7 @@ def cmd_select(args) -> int:
     selection.write_selection_csv(train, os.path.join(args.output_dir, "train.csv"))
     selection.write_selection_csv(test, os.path.join(args.output_dir, "test.csv"))
     with open(os.path.join(args.output_dir, "plan.json"), "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(plan), fh, default=lambda array: array.tolist())
+        fh.write(json.dumps(dataclasses.asdict(plan), default=lambda array: array.tolist()))
     print(
         f"{plan.strategy}: selected {len(plan.selected)} of {len(plan.candidate_users)} "
         f"candidates; {len(plan.eval_users)} eval users"

@@ -34,13 +34,7 @@ __all__ = [
 LN2 = math.log(2.0)
 UNITS = ("nats", "bits")
 # Symbols (events, plus lz's one separator per array) in a chunk of whole arrays
-# that one pass counts; a longer array is a chunk of its own. On a 20k-user log
-# of 50-event users (2 CPUs), lz took 0.54 s at 2^13 and 2^14, 0.72 s at 2^11 and
-# 0.78 s at 2^17; its traced peak was 7 MB up to 2^14, 39 MB at 2^17. On a 1M-event
-# log of 20k users, sampen (m = 2) took 39, 39, 45, 42 and 49 ms at 2^13 to 2^17 and
-# perm (d = 3, 4, 5) 67, 61, 57, 66 and 95 ms (traced peaks 3.2 and 2.0 MB at 2^13,
-# 9.4 and 11.7 MB at 2^17); on a 300 x 200 corpus, sampen took 2.2 to 2.6 ms at every
-# budget and perm 4.7 ms at 2^13, 2.3 to 2.7 ms from 2^14 up.
+# that one pass counts; a longer array is a chunk of its own. README gives the timings.
 CHUNK_SYMBOLS = 1 << 13
 
 
@@ -74,10 +68,15 @@ class Entropies:
         return len(self.value)
 
     def to(self, unit: str) -> "Entropies":
-        """Every value in unit: bits = nats / ln 2."""
-        other = self.value / LN2 if unit == "bits" else self.value * LN2
-        return replace(self, value=np.where(np.asarray(self.unit) == unit, self.value, other),
-                       unit=unit)
+        """Every value in unit: bits = nats / ln 2; one past the float range raises."""
+        with np.errstate(over="ignore"):
+            other = self.value / LN2 if unit == "bits" else self.value * LN2
+        value = np.where(np.asarray(self.unit) == unit, self.value, other)
+        if not np.isfinite(value).all():  # named by the first such user's value, in its unit
+            u, own = int(np.argmin(np.isfinite(value))), np.broadcast_to(self.unit, len(value))
+            raise ValueError(f"entropy {self.value[u].item()!r} {own[u]} is too large for "
+                             f"{unit}: the converted value overflows a float")
+        return replace(self, value=value, unit=unit)
 
 
 @dataclass(frozen=True)
@@ -193,18 +192,20 @@ def _codes(x: np.ndarray) -> tuple[np.ndarray, int]:
     return code, len(vocab)
 
 
-def _chunks(sizes: np.ndarray, budget: int):
-    """(lo, hi) of each run of consecutive sizes within budget; a larger size runs alone."""
+def _chunks(sizes: np.ndarray, budget: int, most: int | None = None):
+    """(lo, hi) of each run of consecutive sizes within budget and, if given, of at most
+    most sizes; a larger size runs alone."""
     ends = np.cumsum(sizes)
     lo = 0
     while lo < len(sizes):
         limit = ends[lo] - sizes[lo] + budget
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        hi = min(hi, lo + most) if most else hi
         yield lo, hi
         lo = hi
 
 
-def _suffix_ranks(s: np.ndarray) -> list[np.ndarray]:
+def _suffix_ranks(s: np.ndarray, dtype) -> list[np.ndarray]:
     """Prefix doubling: ranks[k][i] ranks s[i:i + 2^k] among s's length-2^k substrings.
 
     s holds dense ranks 0..max and ends in a symbol found nowhere else. Each
@@ -214,12 +215,12 @@ def _suffix_ranks(s: np.ndarray) -> list[np.ndarray]:
     array and no two suffixes share a prefix of 2^(len(ranks) - 1) symbols.
     """
     n = len(s)
-    ranks = [s]
+    ranks = [s.astype(dtype)]
     while int(ranks[-1].max()) < n - 1:
         rank, k = ranks[-1], 1 << (len(ranks) - 1)
-        key = rank * (n + 1)
+        key = rank * np.int64(n + 1)
         key[: n - k] += rank[k:] + 1
-        ranks.append(np.unique(key, return_inverse=True)[1])
+        ranks.append(np.unique(key, return_inverse=True)[1].astype(dtype))
     return ranks
 
 
@@ -244,11 +245,14 @@ def _longest_previous_match(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
     (owner, rank); in that order the best earlier start is one of the two
     nearest entries above and below j that start before it (Crochemore & Ilie
     2008). A sparse table of range minima over the starts and a binary descent
-    find both for every j at once; one owned by another user is rejected.
+    find both for every j at once; one owned by another user is rejected. Ranks,
+    pos and the table are int32 below 2^31 symbols; above and below stay intp, as
+    numpy converts an int32 index array on each lookup.
     """
     n = len(s)
-    ranks = _suffix_ranks(s)
-    pos = np.argsort(owner * n + ranks[-1])
+    dtype = np.int32 if n < 1 << 31 else np.int64
+    ranks = _suffix_ranks(s, dtype)
+    pos = np.argsort(owner * n + ranks[-1]).astype(dtype)
     mins = [pos]  # mins[k][r] = min(pos[r:r + 2^k])
     while 1 << len(mins) <= n:
         h = 1 << (len(mins) - 1)

@@ -13,8 +13,9 @@ are byte-identical across strategies.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .sequence_core import InteractionLog
 __all__ = ["SelectionPlan", "build_plan", "materialize", "write_selection_csv"]
 
 STRATEGIES = ("high_pi", "random", "low_pi")
+Row = tuple[str, str, int]  # user_id, item_id, timestamp
 
 
 @dataclass
@@ -96,29 +98,30 @@ def build_plan(
     )
 
 
-def materialize(
-    plan: SelectionPlan, log: InteractionLog
-) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, int]]]:
+def materialize(plan: SelectionPlan, log: InteractionLog) -> tuple[Iterator[Row], list[Row]]:
     """Rows for train.csv and test.csv under the plan.
 
     Train holds each eval user's first T_u - 1 events plus every selected
     candidate's full sequence; test holds one row per eval user, the held-out
     final item. Rows are (user_id, item_id, timestamp) with the within-user
-    position as timestamp, ordered by user_index then position.
+    position as timestamp, ordered by user_index then position. Train is an
+    iterator that makes each user's rows as the writer reaches them.
     """
     reverse, ids, offsets = log.item_ids, log.user_ids, log.offsets.tolist()
-    train: list[tuple[str, str, int]] = []
     eval_set = set(plan.eval_users.tolist())
-    for u in sorted(eval_set.union(plan.selected.tolist())):
+
+    def user_rows(u: int) -> Iterator[Row]:
         start, end = offsets[u], offsets[u + 1] - (u in eval_set)
         names = map(reverse.__getitem__, log.items[start:end].tolist())
-        train.extend(zip(repeat(ids[u]), names, range(end - start)))
+        return zip(repeat(ids[u]), names, range(end - start))
+
+    train = chain.from_iterable(map(user_rows, sorted(eval_set.union(plan.selected.tolist()))))
     test = [(ids[u], reverse[log.items[offsets[u + 1] - 1]], offsets[u + 1] - offsets[u] - 1)
             for u in plan.eval_users.tolist()]
     return train, test
 
 
-def write_selection_csv(rows: list[tuple[str, str, int]], path: str) -> None:
+def write_selection_csv(rows: Iterable[Row], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "item_id", "timestamp"])

@@ -15,9 +15,10 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
+
+from . import entropy
 
 __all__ = [
     "UserSequence",
@@ -172,15 +173,20 @@ def ingest_csv(
                      [user_ids[k] for k in by_first[long].tolist()])
 
 
-def log_from_sequences(item_arrays: list[np.ndarray], n_items: int | None = None) -> InteractionLog:
+def log_from_sequences(item_arrays, n_items: int | None = None) -> InteractionLog:
     """Build a log from integer sequences over an identity vocabulary.
 
-    Item k is named str(k) and user u is named "u{u}"; with n_items given, the
-    vocabulary covers indices 0..n_items-1 even if some never occur (a
-    generator's full item space, or the swept candidate size for Fano), each name
-    made on access, so memory does not grow with it. For synthetic corpora and tests.
+    item_arrays is a list of integer arrays, or a 2-d array of equal-length rows,
+    which the log takes without a copy if it is int64. Item k is named str(k) and
+    user u is named "u{u}"; with n_items given, the vocabulary covers indices
+    0..n_items-1 even if some never occur (a generator's full item space, or the
+    swept candidate size for Fano), each name made on access, so memory does not
+    grow with it. For synthetic corpora and tests.
     """
-    items = np.concatenate([np.zeros(0, np.int64), *item_arrays]).astype(np.int64, copy=False)
+    if isinstance(item_arrays, np.ndarray) and item_arrays.ndim == 2:
+        items = item_arrays.astype(np.int64, copy=False).reshape(-1)
+    else:
+        items = np.concatenate([np.zeros(0, np.int64), *item_arrays]).astype(np.int64, copy=False)
     if n_items is None:  # _make_log rejects no arrays and an empty one
         n_items = int(items.max(initial=-1)) + 1
     lengths = np.array([len(a) for a in item_arrays], dtype=np.int64)
@@ -204,22 +210,43 @@ class _Names(Sequence):
 
 
 def log_to_json(log: InteractionLog, path: str) -> None:
-    """Write the log as json.dump would, one user at a time through json.dumps's C encoder."""
+    """Write the log as json.dump would, through json.dumps's C encoder one user at a time,
+    or a piece of entropy.CHUNK_SYMBOLS items at a time of a longer user."""
     head = {"schema": LOG_SCHEMA, "items": list(log.item_ids), "counts": log.counts.tolist(),
             "users": []}
+    piece = entropy.CHUNK_SYMBOLS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-2])  # up to the opening bracket of the users list
         bounds = log.offsets.tolist()
         for k, (uid, a, b) in enumerate(zip(log.user_ids, bounds, bounds[1:])):
-            user = json.dumps({"user_id": uid, "items": log.items[a:b].tolist()})
-            fh.write(f", {user}" if k else user)  # only this user's items are Python ints
+            user = json.dumps({"user_id": uid, "items": log.items[a:min(b, a + piece)].tolist()})
+            fh.write((", " if k else "") + (user if b - a <= piece else user[:-2]))
+            for lo in range(a + piece, b, piece):  # a longer user's other pieces, then "]}"
+                fh.write(", " + json.dumps(log.items[lo:min(b, lo + piece)].tolist())[1:-1])
+            if b - a > piece:
+                fh.write("]}")
         fh.write("], " + json.dumps({"stats": log.stats})[1:])
+
+
+def _int64_items(obj: dict) -> dict:
+    """json.load's object_hook: a user's "items" become int64 as the parser closes the user.
+
+    The top-level object (it has "schema") and a list holding a non-int (exact types: numpy
+    would truncate a float and cast a bool) or an int beyond int64 stay for log_from_json.
+    """
+    items = obj.get("items")
+    if type(items) is list and "schema" not in obj and set(map(type, items)) <= {int}:
+        try:
+            obj["items"] = np.array(items, np.int64)
+        except OverflowError:
+            pass
+    return obj
 
 
 def log_from_json(path: str) -> InteractionLog:
     """Load a log written by log_to_json, rejecting one that disagrees with itself."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, object_hook=_int64_items)
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != LOG_SCHEMA:
         raise ValueError(f"{path}: unknown log schema {schema!r}")
@@ -228,7 +255,8 @@ def log_from_json(path: str) -> InteractionLog:
         raise ValueError(f'{path}: no "{missing[0]}" field')
     item_ids, users = payload["items"], payload["users"]
     if not (isinstance(item_ids, list) and isinstance(users, list)) or not all(
-        isinstance(entry, dict) and isinstance(entry.get("items"), list) for entry in users
+        isinstance(entry, dict) and isinstance(entry.get("items"), (list, np.ndarray))
+        for entry in users
     ):
         raise ValueError("items and users must be lists, each user an object with a list of items")
     user_ids = [entry.get("user_id") for entry in users]
@@ -238,16 +266,17 @@ def log_from_json(path: str) -> InteractionLog:
             raise ValueError(f"{what} {bad[0]!r} is not a string")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
-    lists = [entry["items"] for entry in users]
-    # exact types, since numpy would truncate a float and cast a bool (an int subclass)
-    if set(map(type, chain.from_iterable(lists))) - {int}:
-        bad = next(v for v in chain.from_iterable(lists) if type(v) is not int)
-        raise ValueError(f"item index {bad!r} is not an integer")
-    lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    try:  # counted, so numpy allocates the array once
-        items = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    arrays = [entry.pop("items") for entry in users]  # int64, or a list _int64_items left
+    bad = [v for x in arrays if isinstance(x, list) for v in x if type(v) is not int]
+    if bad:
+        raise ValueError(f"item index {bad[0]!r} is not an integer")
+    try:  # a list left holds ints, one beyond int64 unless its object had a "schema" key
+        arrays = [np.array(x, np.int64) if isinstance(x, list) else x for x in arrays]
     except OverflowError:  # beyond int64, so beyond any vocabulary
         raise ValueError("item index out of vocabulary range") from None
+    lengths = np.array([len(x) for x in arrays], dtype=np.int64)
+    items = np.concatenate([np.zeros(0, np.int64), *arrays])
+    del arrays  # each user's array, now copied into items
     log = _make_log(items, lengths, item_ids, user_ids)
     if log.stats != payload["stats"]:
         raise ValueError("stored stats disagree with sequences")
@@ -264,8 +293,9 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
     own (an int64 array). A scope without transitions raises, as per user does a
     one-event user, and so does a negative item. With n = items.max() + 1 (N_r is
     the same for any n above every item), a transition a -> b is the key a * n + b
-    (per user plus owner * n^2, in chunks of users that keep keys below 2^63); once
-    sorted and deduplicated, a state's distinct successors are a run of equal key // n.
+    (per user plus owner * n^2, in entropy's chunks of users, few enough to keep keys
+    below 2^63); once sorted and deduplicated, a state's distinct successors are a
+    run of equal key // n.
     """
     items, offsets = np.asarray(items, np.int64), np.asarray(offsets)
     if items.min(initial=0) < 0:
@@ -274,27 +304,28 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
     if n * n >= 1 << 63:
         raise ValueError(f"item {n - 1} is too large for int64 transition keys")
     lengths = np.diff(offsets)
-    keys = np.delete(items[:-1] * n + items[1:], offsets[1:-1] - 1)  # none straddles two users
     if not per_user:
+        keys = np.delete(items[:-1] * n + items[1:], offsets[1:-1] - 1)  # none straddles two users
         if not len(keys):
             raise ValueError("no transitions in scope")
         return int(_runs(keys, n)[1].max())
     if np.any(lengths < 2):
         raise ValueError("no transitions in scope")
     fanout = np.zeros(len(lengths), dtype=np.int64)
-    starts = offsets - np.arange(len(offsets))  # user u's keys are keys[starts[u]:starts[u + 1]]
-    step = ((1 << 63) - 1) // (n * n)  # users per chunk
-    for lo in range(0, len(lengths), step):
-        hi = min(lo + step, len(lengths))
-        owner = np.repeat(np.arange(hi - lo), lengths[lo:hi] - 1)
-        states, runs = _runs(owner * (n * n) + keys[starts[lo]:starts[hi]], n)
+    for lo, hi in entropy._chunks(lengths, entropy.CHUNK_SYMBOLS, ((1 << 63) - 1) // (n * n)):
+        x = items[offsets[lo]:offsets[hi]]
+        keys = x[:-1] * n + x[1:]
+        if hi - lo > 1:  # a pair takes its first event's owner; a pair across two users goes
+            keys += np.repeat(np.arange(hi - lo) * (n * n), lengths[lo:hi])[:-1]
+            keys = np.delete(keys, offsets[lo + 1:hi] - offsets[lo] - 1)
+        states, runs = _runs(keys, n)
         np.maximum.at(fanout[lo:hi], states // n, runs)
     return fanout
 
 
 def _runs(keys: np.ndarray, n: int):
-    """Each distinct key // n and the number of distinct keys that share it."""
-    keys = np.sort(keys)  # np.unique hashes int64 keys first, several times slower here
-    states = keys[np.diff(keys, prepend=-1) != 0] // n
-    first = np.flatnonzero(np.diff(states, prepend=-1))
+    """Each distinct key // n and the number of distinct keys sharing it; sorts keys in place."""
+    keys.sort()  # np.unique hashes int64 keys first, several times slower here
+    states = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] // n
+    first = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
     return states[first], np.diff(first, append=len(states))

@@ -51,10 +51,10 @@ class Mechanism:
 
 def _emit(rng, config, table, row) -> np.ndarray:
     """Each step's item: a uniform member of table[row], or with chance eps any of n items."""
-    member = rng.integers(0, table.shape[1], size=config.length)
+    items = table[row, rng.integers(0, table.shape[1], size=config.length)]
     noise = rng.random(config.length) < config.params["eps"]
-    uniform = rng.integers(0, config.n, size=config.length)
-    return np.where(noise, uniform, table[row, member])
+    np.copyto(items, rng.integers(0, config.n, size=config.length), where=noise)
+    return items
 
 
 def _session_reset(rng, config, shared):
@@ -210,13 +210,19 @@ def generate(config: GeneratorConfig) -> SynthCorpus:
     independent of user order. Reset and switch events take effect before the
     step's emission. The log uses an identity vocabulary of size n: unseen items
     keep count 0, so the vocabulary size equals the configured item-space size.
+    Users fill one int64 array, row by row, that the log takes without a copy.
     """
     spec = MECHANISMS[config.mechanism]
     shared = spec.shared(np.random.default_rng([config.seed, 1]), config) if spec.shared else {}
-    draws = [spec.draw(np.random.default_rng([config.seed, 0, u]), config, shared)
-             for u in range(config.users)]
-    trace = {key: [entries[key] for _, entries in draws] for key in draws[0][1]}
-    log = log_from_sequences([items for items, _ in draws], n_items=config.n)
+    trace: dict = {}
+    for u in range(config.users):
+        drawn, entries = spec.draw(np.random.default_rng([config.seed, 0, u]), config, shared)
+        if not u:  # after the first draw, so that a huge length fails in it, as it always has
+            items = np.empty((config.users, config.length), np.int64)
+        items[u] = drawn
+        for key, value in entries.items():
+            trace.setdefault(key, []).append(value)
+    log = log_from_sequences(items, n_items=config.n)
     return SynthCorpus(log=log, config=config, oracle_hit1=oracle_hit1(config),
                        latent_trace={**trace, **shared})
 

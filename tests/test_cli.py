@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 from predlim.cli import main
 from predlim.sequence_core import log_from_json
@@ -467,11 +468,11 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
     empty, raw = tmp_path / "empty.csv", tmp_path / "raw.csv"
     empty.write_text("")
     write_raw_csv(raw)
-    huge = {}  # entropies whose exp(S) overflows a float, user 0's of five
-    for value, unit in (("1000", "nats"), ("1e308", "bits")):
-        huge[unit] = tmp_path / f"huge_{unit}.csv"
+    huge = {}  # entropies whose exp(S), or value in bits, overflows a float; user 0's of five
+    for value, unit in (("1000", "nats"), ("1e308", "bits"), ("1.5e308", "nats")):
+        huge[value] = tmp_path / f"huge_{value}.csv"
         rows = [f"{u},sampen,{value if u == 0 else '0.5'},{unit}," for u in range(5)]
-        huge[unit].write_text("\n".join(["user_index,estimator,value,unit,flags", *rows]) + "\n")
+        huge[value].write_text("\n".join(["user_index,estimator,value,unit,flags", *rows]) + "\n")
     cases = [
         (("ingest", "--input", str(empty)), f"{empty}: empty file"),
         (("ingest", "--input", str(raw), "--min-length", "0"), "min_length must be >= 1"),
@@ -479,10 +480,15 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
           "--p", "0.5"), "n must be >= 2"),
         (("score", "--log", log_path, "--method", "epl", "--entropy", str(perm)),
          f"{perm}: no usable entropy rows"),
-        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["nats"])),
+        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["1000"])),
          "entropy 1000.0 nats is too large for epl: exp(S) overflows a float"),
-        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["bits"])),
+        (("score", "--log", log_path, "--method", "epl", "--entropy", str(huge["1e308"])),
          "entropy 1e+308 bits is too large for epl: exp(S) overflows a float"),
+    ]
+    cases += [  # Fano reads bits, and 1.5e308 nats is 2.2e308 bits
+        (("score", "--log", log_path, "--method", method, "--entropy", str(huge["1.5e308"])),
+         "entropy 1.5e+308 nats is too large for bits: the converted value overflows a float")
+        for method in ("fano", "fano_nr")
     ]
     # numpy refuses a 7 PiB request at once, so nothing is allocated
     too_long = ("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
@@ -495,7 +501,9 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
     ]
     out = tmp_path / "out"
     for argv, message in cases:
-        code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            code, stdout, stderr = run_cli(capsys, *argv, "--output", str(out))
         assert (code, stdout, stderr) == (1, "", f"error: {message}\n"), argv
         assert not out.exists()
 

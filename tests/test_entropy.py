@@ -408,6 +408,20 @@ def test_lz_entropies_equal_each_sequence_alone(corpus, long, at):
         assert ests.flags[u] == ""
 
 
+def test_lz_chunk_longer_than_the_budget_matches_the_match_length_oracle():
+    # a 16-symbol budget makes the 82-event user a chunk of its own, five times the budget;
+    # its repeated period needs several doubling rounds, and its ranks, suffix starts and
+    # sparse table run in int32 (below 2^31 symbols), its packed keys in int64
+    rng = np.random.default_rng(5)
+    long = np.concatenate([np.tile(rng.integers(0, 3, 7), 6), rng.integers(0, 3, 40)])
+    corpus = [rng.integers(0, 3, 5).tolist(), long.tolist(), rng.integers(0, 3, 9).tolist()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 16)
+        ests = lz_entropies(*flat(corpus))
+    assert ests.params["lambda_sum"].tolist() == [sum(brute_match_lengths(x)) for x in corpus]
+    assert ests.value.tolist() == [brute_lz(x) for x in corpus]
+
+
 def test_lz_entropies_reject_a_single_event_anywhere():
     assert len(lz_entropies(*flat([]))) == 0
     with pytest.raises(ValueError, match="at least 2 events"):

@@ -80,6 +80,7 @@ def test_materialize_row_counts_and_holdout():
     scores = toy_scores(log)
     plan = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
     train, test = materialize(plan, log)
+    train = list(train)  # an iterator, read once
 
     lengths = {seq.user_index: seq.length for seq in log.sequences}
     expected_train = sum(lengths[int(u)] - 1 for u in plan.eval_users)
@@ -120,6 +121,7 @@ def test_selection_csv_round_trips_through_ingest(tmp_path):
     scores = toy_scores(log)
     plan = build_plan(log, scores, budget_fraction=0.5, strategy="high_pi", seed=2)
     train, test = materialize(plan, log)
+    train = list(train)  # an iterator, read once
     train_path = tmp_path / "train.csv"
     write_selection_csv(train, str(train_path))
     write_selection_csv(test, str(tmp_path / "test.csv"))

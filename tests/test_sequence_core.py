@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predlim import entropy
 from predlim.sequence_core import (
     UserSequence,
     ingest_csv,
@@ -172,12 +174,99 @@ def test_each_user_sequence_is_a_view_of_the_log_items(tmp_path):
             assert np.array_equal(s.items, log.items[start:end]) and s.length == end - start
 
 
+LONG = 200_000  # events in the memory tests below: 1.6 MB as int64
+
+
+def peak_bytes_per_event(fn, events):
+    """tracemalloc's peak while fn runs, above what was traced before it, per event."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / events
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_to_json_holds_one_piece_of_a_long_user_as_python_ints(tmp_path):
+    # One 200k-event user over 1,000 items. Encoding the whole user through tolist
+    # peaked at 54.0 bytes an event; a piece of entropy.CHUNK_SYMBOLS items at a time
+    # reads about 4.9. Bound: the items' own int64 array, 8 bytes an event.
+    items = np.random.default_rng(0).integers(0, 1000, LONG)
+    log = log_from_sequences([items], n_items=1000)
+    path = tmp_path / "log.json"
+    assert peak_bytes_per_event(lambda: log_to_json(log, str(path)), LONG) < 8
+    payload = {"schema": "predlim-log-v1", "items": list(log.item_ids),
+               "counts": log.counts.tolist(), "users": [{"user_id": "u0", "items": items.tolist()}],
+               "stats": log.stats}
+    assert path.read_text() == json.dumps(payload)  # the bytes json.dump writes
+
+
+def test_log_from_json_never_holds_the_log_as_python_ints(tmp_path):
+    # 200 users of 1,000 events over 1,000 items. Python ints for the whole log peaked at
+    # 38.3 bytes an event. json.load builds one user's list before the hook turns it into
+    # int64, so the bound is per log: the file's text (one byte a character) while the
+    # users' arrays fill, then those arrays and their concatenation, 16 bytes an event;
+    # about 16.7 is read.
+    items = np.random.default_rng(0).integers(0, 1000, LONG)
+    log = log_from_sequences(items.reshape(200, -1), n_items=1000)
+    path = tmp_path / "log.json"
+    log_to_json(log, str(path))
+    bound = path.stat().st_size / LONG + 16
+    assert peak_bytes_per_event(lambda: log_from_json(str(path)), LONG) < bound
+    assert np.array_equal(log_from_json(str(path)).items, items)
+
+
+def test_per_user_fanout_of_a_long_user_holds_few_int64_arrays():
+    # One 200k-event user over 1,000 items. Keys over the whole log, np.delete's copy,
+    # owner keys and diffs peaked at 45.8 bytes an event; one chunk's keys sorted in
+    # place, and its deduplicated states, read about 17.1. Bound: three int64 arrays.
+    items = np.random.default_rng(0).integers(0, 1000, LONG)
+    offsets = np.array([0, LONG])
+    fanout = []
+    assert peak_bytes_per_event(
+        lambda: fanout.append(transition_fanout(items, offsets, per_user=True)), LONG) < 24
+    assert fanout[0].tolist() == [transition_fanout(items, offsets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=25),
+             min_size=1, max_size=10),
+    st.sampled_from([6, 1 << 31, math.isqrt(((1 << 63) - 1) // 3)]),
+)
+def test_per_user_fanout_across_chunk_boundaries(user_lists, n):
+    # an 8-event budget puts chunk boundaries all through the log and a longer user in a
+    # chunk of its own; at the two large n, keys allow one and three users per chunk
+    values = np.array([0, 1, 2, n - 3, n - 2, n - 1])
+    arrays = [values[u] for u in user_lists]
+    arrays[0][-1] = n - 1  # so that the key base items.max() + 1 is n
+    items, offsets = np.concatenate(arrays), np.cumsum([0] + [len(a) for a in arrays])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "CHUNK_SYMBOLS", 8)
+        got = transition_fanout(items, offsets, per_user=True).tolist()
+    successors = [{} for _ in arrays]  # each user's successor sets, by direct enumeration
+    for sets, a in zip(successors, arrays):
+        for x, y in zip(a.tolist(), a[1:].tolist()):
+            sets.setdefault(x, set()).add(y)
+    assert got == [max(map(len, sets.values())) for sets in successors]
+
+
 def _saved_payload(tmp_path):
     """A saved two-user log: items [a, b], counts [2, 1], users u1 [0, 1] and u2 [0]."""
     rows = [("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3)]
     path = tmp_path / "log.json"
     log_to_json(ingest_csv(write_csv(tmp_path / "log.csv", rows)), str(path))
     return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_json_load_reads_a_user_object_the_loader_hook_leaves_as_a_list(tmp_path):
+    # the hook skips an object with a "schema" key, taking it for the top level
+    path, payload = _saved_payload(tmp_path)
+    payload["users"][0]["schema"] = "not the top level"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    log = log_from_json(str(path))
+    assert log.items.tolist() == [0, 1, 0] and log.items.dtype == np.int64
 
 
 def test_vocabulary_rejects_duplicate_item_ids(tmp_path):
