@@ -17,8 +17,6 @@ from .entropy import (
     sampen,
 )
 from .evaluation import (
-    ConsistencyReport,
-    DatasetScore,
     SweepTable,
     aggregate_dataset,
     consistency_report,
@@ -52,8 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CohortReport",
-    "ConsistencyReport",
-    "DatasetScore",
     "Distribution",
     "Entropies",
     "GeneratorConfig",

@@ -95,14 +95,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_per_user(path: str, what: str, num_users: int, columns: dict, keep) -> list:
-    """The users of the CSV at path, ascending, then each of columns in that order, over the rows
-    that keep(columns) marks; keep sees the rows in file order and may raise on one. A user on
-    two of them, none kept, or a user outside [0, num_users) raises."""
-    cols = evaluation.csv_columns(path, {"user_index": int, **columns})
-    mask = keep(cols)
-    cols = {k: list(compress(v, mask)) for k, v in cols.items()}
-    users, seen = cols.pop("user_index"), set()
+def _read_per_user(path: str, what: str, num_users: int, users: list, *columns) -> list:
+    """users ascending, then each of columns (one entry per row of the CSV at path) in that
+    order. A user on two rows, no rows, or a user outside [0, num_users) raises."""
+    seen: set[int] = set()
     if len(set(users)) < len(users):
         twice = next(u for u in users if u in seen or seen.add(u))
         raise ValueError(f"{path}: multiple {what} rows for user {twice}")
@@ -113,15 +109,17 @@ def _read_per_user(path: str, what: str, num_users: int, columns: dict, keep) ->
     if users[0] < 0 or users[-1] >= num_users:
         extra = users[0] if users[0] < 0 else users[users >= num_users][0]
         raise ValueError(f"{what} for user {extra}, who is not in the log")
-    return [users, *(np.array(v)[order] for v in cols.values())]
+    return [users, *(np.array(v)[order] for v in columns)]
 
 
 def _read_entropy(path: str, num_users: int) -> Entropies:
     """The entropy CSV at path as columns in user order, one row for each user of the log;
     perm_normalized rows, which epl and the Fano routes cannot map, are skipped."""
+    cols = evaluation.csv_columns(path, {"user_index": int, "estimator": str, "value": float,
+                                         "unit": str, "flags": str})
+    keep = [e != "perm_normalized" for e in cols["estimator"]]
     users, estimator, value, unit, flags = _read_per_user(
-        path, "entropy", num_users, {"estimator": str, "value": float, "unit": str, "flags": str},
-        keep=lambda c: [e != "perm_normalized" for e in c["estimator"]])
+        path, "entropy", num_users, *(list(compress(v, keep)) for v in cols.values()))
     if len(users) < num_users:
         raise ValueError(f"no entropy estimate for user {np.setdiff1d(range(num_users), users)[0]}")
     return Entropies(value, unit, estimator, flags)
@@ -174,13 +172,11 @@ def cmd_synth(args) -> int:
 def _read_scores(path: str, num_users: int) -> np.ndarray:
     """The score CSV at path as one value per user of the log, NaN for a user it has no row for;
     a score outside (0, 1], NaN included, raises naming the first such row of the file."""
-    def in_range(cols):
-        for u, v in zip(cols["user_index"], cols["value"]):
-            if not 0.0 < v <= 1.0:  # NaN too
-                raise ValueError(f"{path}: score {v!r} of user {u} is not in (0, 1]")
-        return [True] * len(cols["value"])
-
-    users, values = _read_per_user(path, "score", num_users, {"value": float}, keep=in_range)
+    users, values = evaluation.csv_columns(path, {"user_index": int, "value": float}).values()
+    for u, v in zip(users, values):
+        if not 0.0 < v <= 1.0:  # NaN too
+            raise ValueError(f"{path}: score {v!r} of user {u} is not in (0, 1]")
+    users, values = _read_per_user(path, "score", num_users, users, values)
     scores = np.full(num_users, np.nan)
     scores[users] = values
     return scores
@@ -236,18 +232,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     reference = evaluation.load_reference(args.reference)
-    by_method: dict[str, list[evaluation.DatasetScore]] = {}
+    by_method: dict[str, list[tuple]] = {}
     columns = {"dataset_id": str, "method": str, "predictability": float}
     for dataset_id, method, value in zip(*evaluation.csv_columns(args.scores, columns).values()):
         ref = reference.get(dataset_id)
-        by_method.setdefault(method, []).append(
-            evaluation.DatasetScore(dataset_id, value, method, ref["hit20"] if ref else None))
-    reports = {method: evaluation.consistency_report(scores)
-               for method, scores in sorted(by_method.items())}  # each checked before any output
-    payload = {}
-    for method, report in reports.items():
-        payload[method] = {k: v for k, v in dataclasses.asdict(report).items() if k != "method"}
-        print(f"{method}: rho {report.spearman_rho:.4f}, rmse {report.rmse:.4f}")
+        by_method.setdefault(method, []).append((dataset_id, value, ref["hit20"] if ref else None))
+    if not by_method:
+        raise ValueError(f"{args.scores}: no dataset scores")
+    payload = {method: evaluation.consistency_report(method, *zip(*rows))
+               for method, rows in sorted(by_method.items())}  # each checked before any output
+    for method, report in payload.items():
+        print(f"{method}: rho {report['spearman_rho']:.4f}, rmse {report['rmse']:.4f}")
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     return 0

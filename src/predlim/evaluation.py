@@ -34,8 +34,6 @@ from .sequence_core import transition_fanout  # noqa: F401  (the benchmark's tra
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
 __all__ = [
-    "DatasetScore",
-    "ConsistencyReport",
     "SweepRow",
     "SweepTable",
     "Scores",
@@ -57,23 +55,6 @@ __all__ = [
 DIFFICULTY_TARGETS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45,
                       0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
 N_GRID = (100, 316, 1000, 3162, 10000, 31623, 100000)
-
-
-@dataclass
-class DatasetScore:
-    dataset_id: str
-    predictability: float
-    method: str
-    reference_accuracy: float | None = None
-
-
-@dataclass
-class ConsistencyReport:
-    method: str
-    spearman_rho: float
-    rmse: float
-    pairs: list[dict]
-    warnings: list[str] = field(default_factory=list)
 
 
 def aggregate_dataset(scores, weights) -> float:
@@ -175,58 +156,38 @@ def load_reference(path: str | None = None) -> dict[str, dict]:
     return out
 
 
-def consistency_report(dataset_scores: list[DatasetScore]) -> ConsistencyReport:
-    """Rank and value agreement between predictability and reference accuracy.
+def consistency_report(method: str, dataset_ids, predictability, reference) -> dict:
+    """Rank and value agreement between one method's dataset predictability and reference accuracy.
 
-    Scores lacking a reference accuracy are excluded and listed in warnings.
-    Pairs carry both raw values and their average-tie ranks. A predictability
-    outside (0, 1], a reference accuracy that is not finite or a dataset
-    listed twice raises.
+    The three columns hold one entry per dataset; a reference of None excludes
+    its dataset and lists it in warnings. Returns spearman_rho, rmse, pairs
+    (both raw values and their average-tie ranks) and warnings. A
+    predictability outside (0, 1], a reference that is not finite or a dataset
+    listed twice raises, naming the dataset under method.
     """
-    if not dataset_scores:
-        raise ValueError("no dataset scores")
-    methods = {s.method for s in dataset_scores}
-    if len(methods) != 1:
-        raise ValueError(f"mixed methods in one report: {sorted(methods)}")
     seen: set[str] = set()
-    for s in dataset_scores:
-        where, ref = f"{s.dataset_id} under {s.method}", s.reference_accuracy
-        if not 0.0 < s.predictability <= 1.0:
-            raise ValueError(f"{where}: predictability {s.predictability} is not in (0, 1]")
+    for dataset_id, p, ref in zip(dataset_ids, predictability, reference):
+        where = f"{dataset_id} under {method}"
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"{where}: predictability {p} is not in (0, 1]")
         if ref is not None and not math.isfinite(ref):
             raise ValueError(f"{where}: reference accuracy {ref} is not finite")
-        if s.dataset_id in seen:
+        if dataset_id in seen:
             raise ValueError(f"{where}: listed twice")
-        seen.add(s.dataset_id)
-    kept = [s for s in dataset_scores if s.reference_accuracy is not None]
-    warnings = [
-        f"{s.dataset_id}: no reference accuracy, excluded"
-        for s in dataset_scores
-        if s.reference_accuracy is None
-    ]
+        seen.add(dataset_id)
+    kept = [row for row in zip(dataset_ids, predictability, reference) if row[2] is not None]
     if len(kept) < 2:
         raise ValueError("need at least 2 datasets with reference accuracies")
-    p_d = np.array([s.predictability for s in kept])
-    a_d = np.array([s.reference_accuracy for s in kept])
-    rank_p = _average_ranks(p_d)
-    rank_a = _average_ranks(a_d)
+    ids, p_d, a_d = zip(*kept)
+    p_d, a_d = np.array(p_d), np.array(a_d)
     pairs = [
-        {
-            "dataset_id": s.dataset_id,
-            "A_d": float(a),
-            "P_d": float(p),
-            "rank_A": float(ra),
-            "rank_P": float(rp),
-        }
-        for s, a, p, ra, rp in zip(kept, a_d, p_d, rank_a, rank_p)
+        {"dataset_id": d, "A_d": float(a), "P_d": float(p), "rank_A": float(ra),
+         "rank_P": float(rp)}
+        for d, a, p, ra, rp in zip(ids, a_d, p_d, _average_ranks(a_d), _average_ranks(p_d))
     ]
-    return ConsistencyReport(
-        method=next(iter(methods)),
-        spearman_rho=spearman(a_d, p_d),
-        rmse=rmse(a_d, p_d),
-        pairs=pairs,
-        warnings=warnings,
-    )
+    return {"spearman_rho": spearman(a_d, p_d), "rmse": rmse(a_d, p_d), "pairs": pairs,
+            "warnings": [f"{d}: no reference accuracy, excluded"
+                         for d, ref in zip(dataset_ids, reference) if ref is None]}
 
 
 @dataclass

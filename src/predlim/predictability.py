@@ -118,8 +118,6 @@ def _fano_forward(pi: np.ndarray, log2_rest):
 
 def _log2(n: np.ndarray):
     """math.log2 of each integer in n; np.log2 can be an ulp off (log2(1621), for one)."""
-    if n.size == 1:
-        return math.log2(n.item())
     distinct, inverse = np.unique(n, return_inverse=True)
     return np.array([math.log2(k) for k in distinct.tolist()])[inverse].reshape(n.shape)
 
@@ -137,15 +135,16 @@ def fano_values(s_bits, n) -> np.ndarray:
     full width keeps round-trips accurate everywhere on (1/n, 1).
     Out-of-range entropies clamp: S <= 0 gives Pi = 1, S >= log2 n gives 1/n.
     """
-    s_bits, n = np.asarray(s_bits, dtype=float), np.asarray(n, dtype=np.int64).reshape(-1)
+    s_bits, n = np.asarray(s_bits, dtype=float), np.asarray(n, dtype=np.int64)
     if n.min(initial=2) < 2:
         raise ValueError("n must be >= 2")
     if not np.isfinite(s_bits).all():
         raise ValueError("entropy must be finite")
+    n = np.broadcast_to(n, s_bits.shape)
     out = np.where(s_bits <= 0.0, 1.0, 1.0 / n)
     idx = np.flatnonzero((s_bits > 0.0) & (s_bits < _log2(n)))
     lo, hi, s_bits = out[idx], np.ones(len(idx)), s_bits[idx]  # S_F(lo) = log2 n > s_bits
-    rest = _log2(n - 1) if n.size == 1 else _log2(n[idx] - 1)
+    rest = _log2(n[idx] - 1)
     while len(idx):
         mid = 0.5 * (lo + hi)
         above = _fano_forward(mid, rest) > s_bits
@@ -154,8 +153,7 @@ def fano_values(s_bits, n) -> np.ndarray:
         done = hi - lo <= 1e-12
         if np.count_nonzero(done):
             out[idx[done]] = 0.5 * (lo[done] + hi[done])
-            idx, lo, hi, s_bits = (a[~done] for a in (idx, lo, hi, s_bits))
-            rest = rest[~done] if np.ndim(rest) else rest
+            idx, lo, hi, s_bits, rest = (a[~done] for a in (idx, lo, hi, s_bits, rest))
     return out
 
 

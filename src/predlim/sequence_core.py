@@ -304,23 +304,22 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
     if n * n >= 1 << 63:
         raise ValueError(f"item {n - 1} is too large for int64 transition keys")
     lengths = np.diff(offsets)
-    if not per_user:
-        keys = np.delete(items[:-1] * n + items[1:], offsets[1:-1] - 1)  # none straddles two users
-        if not len(keys):
-            raise ValueError("no transitions in scope")
-        return int(_runs(keys, n)[1].max())
-    if np.any(lengths < 2):
+    if per_user and np.any(lengths < 2):
         raise ValueError("no transitions in scope")
     fanout = np.zeros(len(lengths), dtype=np.int64)
-    for lo, hi in entropy._chunks(lengths, entropy.CHUNK_SYMBOLS, ((1 << 63) - 1) // (n * n)):
+    chunks = entropy._chunks(lengths, entropy.CHUNK_SYMBOLS, ((1 << 63) - 1) // (n * n))
+    # pooled is one chunk of every user, each pair's owner 0, so fanout[0] is the log's N_r
+    for lo, hi in chunks if per_user else [(0, len(lengths))]:
         x = items[offsets[lo]:offsets[hi]]
         keys = x[:-1] * n + x[1:]
-        if hi - lo > 1:  # a pair takes its first event's owner; a pair across two users goes
+        if per_user and hi - lo > 1:  # a pair takes its first event's owner
             keys += np.repeat(np.arange(hi - lo) * (n * n), lengths[lo:hi])[:-1]
-            keys = np.delete(keys, offsets[lo + 1:hi] - offsets[lo] - 1)
+        keys = np.delete(keys, offsets[lo + 1:hi] - offsets[lo] - 1)  # none straddles two users
+        if not len(keys):
+            raise ValueError("no transitions in scope")
         states, runs = _runs(keys, n)
         np.maximum.at(fanout[lo:hi], states // n, runs)
-    return fanout
+    return fanout if per_user else int(fanout[0])
 
 
 def _runs(keys: np.ndarray, n: int):

@@ -79,8 +79,11 @@ def _repeat_last(rng, config, shared):
 
 
 def _context_pool(rng, config):
-    c, m_c = config.params["c"], config.params["m_c"]
-    return {"contexts": np.array([rng.choice(config.n, m_c, replace=False) for _ in range(c)])}
+    m_c = config.params["m_c"]
+    contexts = np.empty((config.params["c"], m_c), np.int64)  # a table too large fails here
+    for row in contexts:
+        row[:] = rng.choice(config.n, m_c, replace=False)
+    return {"contexts": contexts}
 
 
 def _context_switch(rng, config, shared):

@@ -21,7 +21,6 @@ from predlim.entropy import (
     sampen,
 )
 from predlim.evaluation import (
-    DatasetScore,
     consistency_report,
     load_reference,
     rmse,
@@ -298,23 +297,16 @@ def test_criterion_08_reference_consistency(capsys):
 
     ids = ["AOTM", "Online Retail", "LastFM", "MovieLens-1M", "Bridge"]
     supplied = [0.12, 0.29, 0.34, 0.41, 0.66]
-    scores = [
-        DatasetScore(
-            dataset_id=d, predictability=p, method="epl",
-            reference_accuracy=ref[d]["hit20"],
-        )
-        for d, p in zip(ids, supplied)
-    ]
-    report = consistency_report(scores)
     accuracies = [ref[d]["hit20"] for d in ids]
-    rho_err = abs(report.spearman_rho - brute_spearman(supplied, accuracies))
-    rmse_err = abs(report.rmse - brute_rmse(supplied, accuracies))
+    report = consistency_report("epl", ids, supplied, accuracies)
+    rho_err = abs(report["spearman_rho"] - brute_spearman(supplied, accuracies))
+    rmse_err = abs(report["rmse"] - brute_rmse(supplied, accuracies))
 
     ok = round_trip and rho_err <= 1e-12 and rmse_err <= 1e-12
     verdict(
         capsys, 8, ok,
         f"reference round-trip {round_trip}, report rho err {rho_err:.2e}, "
-        f"rmse err {rmse_err:.2e} (rho {report.spearman_rho:.3f})",
+        f"rmse err {rmse_err:.2e} (rho {report['spearman_rho']:.3f})",
     )
     assert round_trip
     assert rho_err <= 1e-12

@@ -304,6 +304,11 @@ def test_report_rejects_a_bad_row(tmp_path, capsys):
         )
         assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
         assert not out.exists()
+    scores_path.write_text("dataset_id,method,predictability\n")  # a header and no rows
+    code, stdout, stderr = run_cli(capsys, "report", "--scores", str(scores_path),
+                                   "--output", str(out))
+    assert (code, stdout, stderr) == (1, "", f"error: {scores_path}: no dataset scores\n")
+    assert not out.exists()
 
 
 def test_a_short_row_or_a_missing_column_in_an_input_csv_is_one_error_line(tmp_path, capsys):
@@ -498,6 +503,14 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
           "--length", "1000000000000000", "--p", "0.5"), too_long),
         (("sweep", "--kind", "difficulty", "--mechanism", "repeat-last", "--targets", "0.5",
           "--reps", "1", "--users", "1", "--length", "1000000000000000"), too_long),
+    ]
+    # a context table of c rows is allocated before any row is drawn
+    context_switch = ("synth", "--mechanism", "context-switch", "--n", "50", "--users", "2",
+                      "--length", "30", "--eps", "0.5", "--c")
+    cases += [
+        ((*context_switch, "100000000000000000000"), "Maximum allowed dimension exceeded"),
+        ((*context_switch, "10000000000000"), "Unable to allocate 364. TiB for an array with "
+         "shape (10000000000000, 5) and data type int64"),
     ]
     out = tmp_path / "out"
     for argv, message in cases:

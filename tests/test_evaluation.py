@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from predlim import evaluation
 from predlim.entropy import Entropies
 from predlim.evaluation import (
-    DatasetScore,
     _average_ranks,
     aggregate_dataset,
     consistency_report,
@@ -200,49 +199,40 @@ def test_reference_round_trips_published_values():
 # consistency report
 
 
-def scores_from(pairs, method="epl"):
-    return [
-        DatasetScore(dataset_id=d, predictability=p, method=method, reference_accuracy=a)
-        for d, p, a in pairs
-    ]
+def report_of(pairs, method="epl"):
+    """consistency_report of (dataset_id, predictability, reference) rows, as columns."""
+    return consistency_report(method, *zip(*pairs))
 
 
 def test_consistency_perfect_agreement():
-    report = consistency_report(
-        scores_from([("a", 0.2, 0.2), ("b", 0.5, 0.5), ("c", 0.9, 0.9)])
-    )
-    assert report.spearman_rho == pytest.approx(1.0)
-    assert report.rmse == 0.0
-    assert report.warnings == []
+    report = report_of([("a", 0.2, 0.2), ("b", 0.5, 0.5), ("c", 0.9, 0.9)])
+    assert report["spearman_rho"] == pytest.approx(1.0)
+    assert report["rmse"] == 0.0
+    assert report["warnings"] == []
 
 
 def test_consistency_hand_calculation():
     pairs = [("a", 0.1, 0.4), ("b", 0.6, 0.3), ("c", 0.5, 0.5), ("d", 0.9, 0.8)]
-    report = consistency_report(scores_from(pairs))
+    report = report_of(pairs)
     p = [0.1, 0.6, 0.5, 0.9]
     a = [0.4, 0.3, 0.5, 0.8]
-    assert report.spearman_rho == pytest.approx(brute_spearman(a, p), abs=1e-12)
-    assert report.rmse == pytest.approx(brute_rmse(a, p), abs=1e-12)
-    by_id = {pair["dataset_id"]: pair for pair in report.pairs}
+    assert report["spearman_rho"] == pytest.approx(brute_spearman(a, p), abs=1e-12)
+    assert report["rmse"] == pytest.approx(brute_rmse(a, p), abs=1e-12)
+    by_id = {pair["dataset_id"]: pair for pair in report["pairs"]}
     assert by_id["d"]["rank_A"] == 4.0 and by_id["d"]["rank_P"] == 4.0
 
 
 def test_consistency_excludes_missing_references_with_warning():
-    report = consistency_report(
-        scores_from([("a", 0.2, 0.1), ("b", 0.5, 0.6), ("mystery", 0.4, None)])
-    )
-    assert len(report.pairs) == 2
-    assert any("mystery" in w for w in report.warnings)
+    report = report_of([("a", 0.2, 0.1), ("b", 0.5, 0.6), ("mystery", 0.4, None)])
+    assert len(report["pairs"]) == 2
+    assert any("mystery" in w for w in report["warnings"])
 
 
 def test_consistency_validation():
     with pytest.raises(ValueError):
-        consistency_report([])
-    mixed = scores_from([("a", 0.2, 0.1)]) + scores_from([("b", 0.5, 0.6)], method="fano")
-    with pytest.raises(ValueError, match="mixed"):
-        consistency_report(mixed)
+        consistency_report("epl", [], [], [])
     with pytest.raises(ValueError, match="at least 2"):
-        consistency_report(scores_from([("a", 0.2, 0.1), ("b", 0.5, None)]))
+        report_of([("a", 0.2, 0.1), ("b", 0.5, None)])
 
 
 @pytest.mark.parametrize(
@@ -260,7 +250,7 @@ def test_consistency_validation():
 def test_consistency_rejects_a_bad_row(bad, message):
     good = [("a", 0.2, 0.1), ("b", 0.5, 0.6), ("d", 1.0, 0.9)]
     with pytest.raises(ValueError, match=message):
-        consistency_report(scores_from(good[:2] + [bad] + good[2:]))
+        report_of(good[:2] + [bad] + good[2:])
 
 
 # sweep harnesses (small-scale behavior; full-scale runs live in the acceptance suite)
