@@ -7,9 +7,8 @@ generators with closed-form oracle ceilings, cohort splits, consistency
 statistics, and data-selection tooling reproduce the validation protocol.
 """
 
-from .cohort import CohortReport, compute_features, split_and_aggregate
+from .cohort import compute_features, split_and_aggregate
 from .entropy import (
-    Distribution,
     Entropies,
     lz_entropy,
     perm_entropy,
@@ -49,8 +48,6 @@ from .synth import GeneratorConfig, SynthCorpus, generate, invert_noise, oracle_
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohortReport",
-    "Distribution",
     "Entropies",
     "GeneratorConfig",
     "InteractionLog",

@@ -190,12 +190,10 @@ def cmd_cohort(args) -> int:
     features = compute_features(log, **given)
     report = split_and_aggregate(features, scores, args.dimension)
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=vars)
-    g1, g2 = report.groups
-    print(
-        f"{report.dimension}: Q1 mean {g1.mean_predictability:.4f} ({g1.user_count} users), "
-        f"Q2 mean {g2.mean_predictability:.4f} ({g2.user_count} users)"
-    )
+        json.dump(report, fh, indent=2)
+    print(f"{report['dimension']}: " + ", ".join(
+        f"{g['label']} mean {g['mean_predictability']:.4f} ({g['user_count']} users)"
+        for g in report["groups"]))
     return 0
 
 

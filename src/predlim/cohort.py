@@ -11,37 +11,18 @@ statistics reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sequence_core import InteractionLog
 
 __all__ = [
-    "CohortGroup",
-    "CohortReport",
     "compute_features",
     "split_and_aggregate",
 ]
 
 # Every split dimension, each a feature compute_features returns.
 DIMENSIONS = ("novelty", "longtail", "activity")
-
-
-@dataclass
-class CohortGroup:
-    label: str
-    user_count: int
-    mean_predictability: float
-    std: float
-    stderr: float
-    per_user_scores: list[tuple[int, float]]
-
-
-@dataclass
-class CohortReport:
-    dimension: str
-    groups: list[CohortGroup]
 
 
 def _tail_items(counts: np.ndarray, tail_mass: float) -> np.ndarray:
@@ -80,25 +61,29 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> dict[str, n
     return {"novelty": novelty, "longtail": exposure, "activity": lengths}
 
 
-def _group_stats(label: str, users: np.ndarray, scores: np.ndarray) -> CohortGroup:
+def _group_stats(label: str, users: np.ndarray, scores: np.ndarray) -> dict:
     values = scores[users]
     std = float(values.std(ddof=1)) if len(values) >= 2 else 0.0
-    return CohortGroup(
-        label=label,
-        user_count=len(users),
-        mean_predictability=float(values.mean()),
-        std=std,
-        stderr=std / math.sqrt(len(values)),
-        per_user_scores=list(zip(users.tolist(), values.tolist())),
-    )
+    return {
+        "label": label,
+        "user_count": len(users),
+        "mean_predictability": float(values.mean()),
+        "std": std,
+        "stderr": std / math.sqrt(len(values)),
+        "per_user_scores": list(zip(users.tolist(), values.tolist())),
+    }
 
 
 def split_and_aggregate(
     features: dict[str, np.ndarray],
     scores: np.ndarray,
     dimension: str,
-) -> CohortReport:
+) -> dict:
     """Median-split users on one feature and aggregate scores per group.
+
+    Returns the dict `predlim cohort` writes: {"dimension": ..., "groups": [Q1, Q2]},
+    each group's keys label, user_count, mean_predictability, std, stderr and
+    per_user_scores, its (user_index, score) pairs.
 
     features are compute_features' arrays and scores an array in the same user
     order, NaN for a user without a score, which raises. Q1 takes the lower
@@ -122,8 +107,6 @@ def split_and_aggregate(
     # a stable sort breaks ties by user index; Q1 = more active
     order = np.argsort(-feature if dimension == "activity" else feature, kind="stable")
     cut = math.ceil(len(order) / 2)
-    return CohortReport(
-        dimension=dimension,
-        groups=[_group_stats(label, part, scores)
-                for label, part in (("Q1", order[:cut]), ("Q2", order[cut:]))],
-    )
+    return {"dimension": dimension,
+            "groups": [_group_stats(label, part, scores)
+                       for label, part in (("Q1", order[:cut]), ("Q2", order[cut:]))]}

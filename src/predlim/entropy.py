@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Entropies",
-    "Distribution",
     "plugin_entropy",
     "sampen",
     "sampen_entropies",
@@ -79,41 +78,23 @@ class Entropies:
         return replace(self, value=value, unit=unit)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Explicit probability vector; probabilities must sum to 1 within 1e-9."""
+def plugin_entropy(probs, unit: str = "nats") -> Entropies:
+    """Shannon entropy -sum p log p of an explicit probability vector.
 
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1:
-            raise ValueError("probs must be 1-d")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-
-    @classmethod
-    def from_probs(cls, probs) -> "Distribution":
-        return cls(probs)
-
-    @property
-    def p_max(self) -> float:
-        return float(self.probs.max())
-
-
-def plugin_entropy(d: Distribution, unit: str = "nats") -> Entropies:
-    """Shannon entropy -sum p log p of an explicit distribution.
-
-    Zero-probability entries contribute nothing (0 log 0 = 0).
+    probs must be 1-d, non-negative and sum to 1 within 1e-9. Zero-probability
+    entries contribute nothing (0 log 0 = 0).
     """
-    p = d.probs[d.probs > 0]
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError("probs must be 1-d")
+    if np.any(probs < 0):
+        raise ValueError("probabilities must be non-negative")
+    if not abs(float(probs.sum()) - 1.0) <= 1e-9:  # a NaN entry fails too
+        raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+    p = probs[probs > 0]
     h_nats = float(-(p * np.log(p)).sum())
-    h_nats = max(h_nats, 0.0)  # guard tiny negative rounding on point masses
-    return Entropies(np.array([h_nats]), "nats", "plugin", np.array([""]),
-                     {"support_size": len(d.probs)}).to(unit)
+    h_nats = max(0.0, h_nats)  # a point mass gives -0.0, and rounding can give a tiny negative
+    return Entropies(np.array([h_nats]), "nats", "plugin", np.array([""])).to(unit)
 
 
 def sampen(items: np.ndarray, m: int = 2) -> Entropies:

@@ -201,7 +201,6 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
-    kind: str
     rows: list[SweepRow]
     rmse_by_method: dict[str, float] = field(default_factory=dict)
 
@@ -297,7 +296,7 @@ def _map_corpora(score, configs) -> list:
     return list(map(score, configs))
 
 
-def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, estimator,
+def _sweep(mechanism, points, fixed, methods, reps, users, length, seed, estimator,
            m) -> SweepTable:
     """The grid x rep loop shared by both sweeps.
 
@@ -328,7 +327,7 @@ def _sweep(kind, mechanism, points, fixed, methods, reps, users, length, seed, e
             vals = np.array([corpus[meth] for corpus in means[gi * reps:(gi + 1) * reps]])
             std = float(vals.std(ddof=1)) if len(vals) >= 2 else 0.0
             rows.append(SweepRow(float(value), meth, float(vals.mean()), std, reps))
-    return SweepTable(kind=kind, rows=rows)
+    return SweepTable(rows)
 
 
 def run_difficulty_sweep(
@@ -359,8 +358,8 @@ def run_difficulty_sweep(
     """
     methods = list(methods)
     fixed = dict(m=m_latent, rho=rho, c=c, m_c=m_c, s=s)
-    table = _sweep("difficulty", mechanism, [(t, n, t) for t in targets], fixed, methods, reps,
-                   users, length, seed, estimator, m)
+    table = _sweep(mechanism, [(t, n, t) for t in targets], fixed, methods, reps, users, length,
+                   seed, estimator, m)
     for meth in methods:
         means = [row.mean for row in table.rows if row.method == meth]
         table.rmse_by_method[meth] = rmse(means, list(targets))
@@ -388,5 +387,5 @@ def run_n_sweep(
     estimate should stay flat across the grid. Defaults as in
     run_difficulty_sweep.
     """
-    return _sweep("n", "context_switch", [(n, n, target_hit1) for n in n_grid],
+    return _sweep("context_switch", [(n, n, target_hit1) for n in n_grid],
                   dict(c=c, m_c=m_c, s=s), methods, reps, users, length, seed, estimator, m)

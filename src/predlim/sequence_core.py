@@ -314,7 +314,8 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
         keys = x[:-1] * n + x[1:]
         if per_user and hi - lo > 1:  # a pair takes its first event's owner
             keys += np.repeat(np.arange(hi - lo) * (n * n), lengths[lo:hi])[:-1]
-        keys = np.delete(keys, offsets[lo + 1:hi] - offsets[lo] - 1)  # none straddles two users
+        cuts = offsets[lo + 1:hi] - offsets[lo] - 1  # the pair across each user boundary
+        keys = np.delete(keys, cuts[(cuts >= 0) & (cuts < len(keys))])  # an empty user has none
         if not len(keys):
             raise ValueError("no transitions in scope")
         states, runs = _runs(keys, n)

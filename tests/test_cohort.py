@@ -64,10 +64,10 @@ def test_four_user_split_means():
     feats = features_for([1.0, 2.0, 3.0, 4.0])
     scores = np.array([0.1, 0.2, 0.3, 0.4])
     report = split_and_aggregate(feats, scores, "novelty")
-    q1, q2 = report.groups
-    assert q1.label == "Q1" and q2.label == "Q2"
-    assert q1.mean_predictability == pytest.approx(0.15)
-    assert q2.mean_predictability == pytest.approx(0.35)
+    q1, q2 = report["groups"]
+    assert q1["label"] == "Q1" and q2["label"] == "Q2"
+    assert q1["mean_predictability"] == pytest.approx(0.15)
+    assert q2["mean_predictability"] == pytest.approx(0.35)
 
 
 def test_identical_features_split_by_ceil():
@@ -75,8 +75,8 @@ def test_identical_features_split_by_ceil():
         feats = features_for([2.5] * n)
         scores = np.full(n, 0.5)
         report = split_and_aggregate(feats, scores, "novelty")
-        assert report.groups[0].user_count == math.ceil(n / 2)
-        assert report.groups[1].user_count == n // 2
+        assert report["groups"][0]["user_count"] == math.ceil(n / 2)
+        assert report["groups"][1]["user_count"] == n // 2
 
 
 def test_split_is_a_partition():
@@ -84,18 +84,19 @@ def test_split_is_a_partition():
     feats = features_for(rng.random(11))
     scores = rng.random(11)
     report = split_and_aggregate(feats, scores, "novelty")
-    q1_users = {u for u, _ in report.groups[0].per_user_scores}
-    q2_users = {u for u, _ in report.groups[1].per_user_scores}
+    q1, q2 = report["groups"]
+    q1_users = {u for u, _ in q1["per_user_scores"]}
+    q2_users = {u for u, _ in q2["per_user_scores"]}
     assert q1_users | q2_users == set(range(11))
     assert q1_users & q2_users == set()
-    assert abs(report.groups[0].user_count - report.groups[1].user_count) <= 1
+    assert abs(q1["user_count"] - q2["user_count"]) <= 1
 
 
 def test_activity_labels_are_reversed():
     feats = features_for([10, 1, 7, 3], dimension="activity")
     scores = 0.1 * (np.arange(4) + 1)
     report = split_and_aggregate(feats, scores, "activity")
-    q1_users = {u for u, _ in report.groups[0].per_user_scores}
+    q1_users = {u for u, _ in report["groups"][0]["per_user_scores"]}
     assert q1_users == {0, 2}  # Q1 takes the more active users
 
 
@@ -104,12 +105,12 @@ def test_group_stats_recompute():
     feats = features_for(rng.random(9))
     scores = rng.random(9)
     report = split_and_aggregate(feats, scores, "novelty")
-    for group in report.groups:
-        vals = np.array([v for _, v in group.per_user_scores])
-        assert group.mean_predictability == pytest.approx(vals.mean(), abs=1e-12)
+    for group in report["groups"]:
+        vals = np.array([v for _, v in group["per_user_scores"]])
+        assert group["mean_predictability"] == pytest.approx(vals.mean(), abs=1e-12)
         expected_std = vals.std(ddof=1) if len(vals) >= 2 else 0.0
-        assert group.std == pytest.approx(expected_std, abs=1e-12)
-        assert group.stderr == pytest.approx(expected_std / math.sqrt(len(vals)), abs=1e-12)
+        assert group["std"] == pytest.approx(expected_std, abs=1e-12)
+        assert group["stderr"] == pytest.approx(expected_std / math.sqrt(len(vals)), abs=1e-12)
 
 
 def test_split_validation():
@@ -138,9 +139,9 @@ def test_generator_controlled_activity_ordering():
     feats = compute_features(log)
     scores = np.concatenate([epl(sampen(s.items, m=2)).value for s in log.sequences])
     report = split_and_aggregate(feats, scores, "activity")
-    q1, q2 = report.groups
-    assert {u for u, _ in q1.per_user_scores} == set(range(10))
-    assert q1.mean_predictability > q2.mean_predictability
+    q1, q2 = report["groups"]
+    assert {u for u, _ in q1["per_user_scores"]} == set(range(10))
+    assert q1["mean_predictability"] > q2["mean_predictability"]
 
 
 def test_features_deterministic_and_relabel_invariant():

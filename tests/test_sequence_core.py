@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predlim import entropy
@@ -400,6 +400,25 @@ def test_fanout_matches_enumeration_oracle(user_lists):
     assert per_user == fanout_oracle(log.sequences, "per_user")
     each = [fanout_oracle([s], "pooled") for s in two.sequences]
     assert fanouts(two, per_user=True).tolist() == each
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=12), min_size=1,
+                max_size=8))
+@example([[0, 1, 2], []])  # a trailing empty user: no boundary pair past the end
+@example([[], [0, 1, 0, 2]])  # a leading one: the last pair stays, so N_r is 2
+def test_pooled_fanout_with_empty_users_matches_set_reference(user_lists):
+    items = np.array([x for u in user_lists for x in u], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(u) for u in user_lists])
+    successors = {}
+    for u in user_lists:
+        for x, y in zip(u, u[1:]):
+            successors.setdefault(x, set()).add(y)
+    if not successors:
+        with pytest.raises(ValueError, match="transitions"):
+            transition_fanout(items, offsets)
+    else:
+        assert transition_fanout(items, offsets) == max(map(len, successors.values()))
 
 
 @pytest.mark.parametrize("n", [1 << 31, math.isqrt(((1 << 63) - 1) // 3)])

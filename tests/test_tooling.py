@@ -1,11 +1,13 @@
 """Names that other code looks up in predlim's modules still resolve.
 
 A traced benchmark run replaces each (module, attribute) pair listed in
-benchmarks/tracing.py; one that no longer resolves would crash the run. A
-name left in a module's __all__ after its definition is deleted would break
-`from predlim.<module> import *`.
+benchmarks/tracing.py; one that no longer resolves would crash the run, and an
+import kept in src only for the tracer (`# noqa: F401`) that it no longer wraps
+is dead. A name left in a module's __all__ after its definition is deleted
+would break `from predlim.<module> import *`.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -15,10 +17,15 @@ import predlim
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 
 
-def test_every_traced_name_resolves(monkeypatch):
+def traced_pairs(monkeypatch):
+    """The (module, attribute) pairs benchmarks/tracing.py wraps."""
     monkeypatch.syspath_prepend(BENCHMARKS)
     tracing = importlib.import_module("tracing")
-    pairs = [(module, attr) for module, attr, _ in tracing.TIMED + tracing.COUNTED]
+    return [(module, attr) for module, attr, _ in tracing.TIMED + tracing.COUNTED]
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    pairs = traced_pairs(monkeypatch)
     assert pairs
     missing = [
         (module, attr)
@@ -26,6 +33,26 @@ def test_every_traced_name_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_every_tracer_only_import_is_still_wrapped(monkeypatch):
+    # a `# noqa: F401` import in src is kept only for the tracer to wrap; one the tracer
+    # no longer lists is dead and should go
+    wrapped = set(traced_pairs(monkeypatch))
+    src = os.path.dirname(predlim.__file__)
+    kept = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        module = "predlim" if name == "__init__.py" else f"predlim.{name[:-3]}"
+        kept += [(module, alias.asname or alias.name) for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "# noqa: F401" in lines[node.end_lineno - 1] for alias in node.names]
+    assert kept
+    assert [pair for pair in kept if pair not in wrapped] == []
 
 
 def test_every_exported_name_resolves():
