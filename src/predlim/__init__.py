@@ -33,7 +33,7 @@ from .predictability import (
     fano_nr,
     perm_predictability,
 )
-from .selection import SelectionPlan, build_plan, materialize
+from .selection import build_plan, materialize
 from .sequence_core import (
     InteractionLog,
     UserSequence,
@@ -52,7 +52,6 @@ __all__ = [
     "GeneratorConfig",
     "InteractionLog",
     "Scores",
-    "SelectionPlan",
     "SweepTable",
     "SynthCorpus",
     "UserSequence",

@@ -23,7 +23,7 @@ from . import evaluation, selection
 from .cohort import DIMENSIONS, compute_features, split_and_aggregate
 from .entropy import UNITS, Entropies, perm_entropies
 from .predictability import ESTIMATORS, METHODS
-from .sequence_core import ingest_csv, log_from_json, log_to_json
+from .sequence_core import ingest_csv, log_from_json, log_to_json, write_csv
 from .synth import MECHANISMS, GeneratorConfig, generate, invert_noise, params_for
 
 # Unused here; the benchmark's tracer wraps these names in this module.
@@ -87,10 +87,7 @@ def cmd_estimate(args) -> int:
         count = len(est)
         rows = zip(range(len(est)), repeat(est.estimator), map(repr, est.value.tolist()),
                    repeat(est.unit), est.flags.tolist())
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_index", "estimator", "value", "unit", "flags"])
-        writer.writerows(rows)
+    write_csv(args.output, ["user_index", "estimator", "value", "unit", "flags"], rows)
     print(f"wrote {count} estimates to {args.output}")
     return 0
 
@@ -136,11 +133,8 @@ def cmd_score(args) -> int:
     sizes, n = scores.effective_size, scores.n
     size = repeat("") if sizes is None else map(repr, sizes.tolist())
     n_used = repeat("") if n is None else n.tolist()
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_index", "method", "value", "effective_size", "n_used"])
-        writer.writerows(zip(users, repeat(args.method), map(repr, scores.value.tolist()), size,
-                             n_used))
+    write_csv(args.output, ["user_index", "method", "value", "effective_size", "n_used"],
+              zip(users, repeat(args.method), map(repr, scores.value.tolist()), size, n_used))
     print(f"wrote {len(users)} scores to {args.output}")
     return 0
 
@@ -266,10 +260,10 @@ def cmd_select(args) -> int:
     selection.write_selection_csv(train, os.path.join(args.output_dir, "train.csv"))
     selection.write_selection_csv(test, os.path.join(args.output_dir, "test.csv"))
     with open(os.path.join(args.output_dir, "plan.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(dataclasses.asdict(plan), default=lambda array: array.tolist()))
+        fh.write(json.dumps(plan, default=lambda array: array.tolist()))
     print(
-        f"{plan.strategy}: selected {len(plan.selected)} of {len(plan.candidate_users)} "
-        f"candidates; {len(plan.eval_users)} eval users"
+        f"{plan['strategy']}: selected {len(plan['selected'])} of "
+        f"{len(plan['candidate_users'])} candidates; {len(plan['eval_users'])} eval users"
     )
     return 0
 

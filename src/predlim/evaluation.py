@@ -29,7 +29,7 @@ from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer w
 from .predictability import ESTIMATORS, METHODS, Scores, epl, fano_invert, fano_nr
 from .predictability import perm_predictabilities
 from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
-from .sequence_core import InteractionLog
+from .sequence_core import InteractionLog, write_csv
 from .sequence_core import transition_fanout  # noqa: F401  (the benchmark's tracer wraps it)
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
@@ -205,13 +205,9 @@ class SweepTable:
     rmse_by_method: dict[str, float] = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["grid_value", "method", "mean", "std", "rep_count"])
-            for row in self.rows:
-                writer.writerow(
-                    [row.grid_value, row.method, repr(row.mean), repr(row.std), row.rep_count]
-                )
+        write_csv(path, ["grid_value", "method", "mean", "std", "rep_count"],
+                  ([r.grid_value, r.method, repr(r.mean), repr(r.std), r.rep_count]
+                   for r in self.rows))
 
 
 def estimate_entropies(items, offsets, estimator: str, m=None) -> Entropies:

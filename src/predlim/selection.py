@@ -12,29 +12,17 @@ are byte-identical across strategies.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from .sequence_core import InteractionLog
+from .sequence_core import InteractionLog, write_csv
 
-__all__ = ["SelectionPlan", "build_plan", "materialize", "write_selection_csv"]
+__all__ = ["build_plan", "materialize", "write_selection_csv"]
 
 STRATEGIES = ("high_pi", "random", "low_pi")
 Row = tuple[str, str, int]  # user_id, item_id, timestamp
-
-
-@dataclass
-class SelectionPlan:
-    strategy: str
-    budget_fraction: float
-    seed: int
-    eval_users: np.ndarray       # user indices, ascending
-    candidate_users: np.ndarray  # user indices, ascending; disjoint from eval
-    selected: np.ndarray         # subset of candidate_users, ascending
 
 
 def build_plan(
@@ -45,8 +33,11 @@ def build_plan(
     seed: int,
     eval_fraction: float = 0.5,
     min_length: int = 5,
-) -> SelectionPlan:
+) -> dict:
     """Partition eligible users and select a budgeted candidate subset.
+
+    The plan is the dict plan.json holds: strategy, budget_fraction, seed, then the ascending
+    user-index arrays eval_users, candidate_users (disjoint from eval) and selected.
 
     Eligibility requires length >= max(min_length, 2): an eval user must have
     a prefix and a final instance. The eval set is a seeded draw of
@@ -88,18 +79,12 @@ def build_plan(
     else:
         draw_rng = np.random.default_rng([seed, 2])
         chosen = draw_rng.choice(candidates, size=k, replace=False)
-    return SelectionPlan(
-        eval_users=eval_users,
-        candidate_users=candidates,
-        budget_fraction=budget_fraction,
-        strategy=strategy,
-        seed=seed,
-        selected=np.sort(chosen),
-    )
+    return {"strategy": strategy, "budget_fraction": budget_fraction, "seed": seed,
+            "eval_users": eval_users, "candidate_users": candidates, "selected": np.sort(chosen)}
 
 
-def materialize(plan: SelectionPlan, log: InteractionLog) -> tuple[Iterator[Row], list[Row]]:
-    """Rows for train.csv and test.csv under the plan.
+def materialize(plan: dict, log: InteractionLog) -> tuple[Iterator[Row], list[Row]]:
+    """Rows for train.csv and test.csv under the plan build_plan returns.
 
     Train holds each eval user's first T_u - 1 events plus every selected
     candidate's full sequence; test holds one row per eval user, the held-out
@@ -108,21 +93,18 @@ def materialize(plan: SelectionPlan, log: InteractionLog) -> tuple[Iterator[Row]
     iterator that makes each user's rows as the writer reaches them.
     """
     reverse, ids, offsets = log.item_ids, log.user_ids, log.offsets.tolist()
-    eval_set = set(plan.eval_users.tolist())
+    eval_set = set(plan["eval_users"].tolist())
 
     def user_rows(u: int) -> Iterator[Row]:
         start, end = offsets[u], offsets[u + 1] - (u in eval_set)
         names = map(reverse.__getitem__, log.items[start:end].tolist())
         return zip(repeat(ids[u]), names, range(end - start))
 
-    train = chain.from_iterable(map(user_rows, sorted(eval_set.union(plan.selected.tolist()))))
+    train = chain.from_iterable(map(user_rows, sorted(eval_set.union(plan["selected"].tolist()))))
     test = [(ids[u], reverse[log.items[offsets[u + 1] - 1]], offsets[u + 1] - offsets[u] - 1)
-            for u in plan.eval_users.tolist()]
+            for u in plan["eval_users"].tolist()]
     return train, test
 
 
 def write_selection_csv(rows: Iterable[Row], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "item_id", "timestamp"])
-        writer.writerows(rows)
+    write_csv(path, ["user_id", "item_id", "timestamp"], rows)

@@ -13,8 +13,9 @@ import csv
 import json
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "log_to_json",
     "log_from_json",
     "transition_fanout",
+    "write_csv",
 ]
 
 LOG_SCHEMA = "predlim-log-v1"
@@ -173,6 +175,12 @@ def ingest_csv(
                      [user_ids[k] for k in by_first[long].tolist()])
 
 
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    """Write the header, then each of rows (read once, as the writer reaches it), as UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(chain([header], rows))
+
+
 def log_from_sequences(item_arrays, n_items: int | None = None) -> InteractionLog:
     """Build a log from integer sequences over an identity vocabulary.
 
@@ -229,17 +237,17 @@ def log_to_json(log: InteractionLog, path: str) -> None:
 
 
 def _int64_items(obj: dict) -> dict:
-    """json.load's object_hook: a user's "items" become int64 as the parser closes the user.
-
-    The top-level object (it has "schema") and a list holding a non-int (exact types: numpy
-    would truncate a float and cast a bool) or an int beyond int64 stay for log_from_json.
-    """
+    """json.load's object_hook: an object with "user_id" is a user, whose "items" list becomes
+    int64 as the parser closes it. Exact types, as numpy would truncate a float and cast a bool."""
     items = obj.get("items")
-    if type(items) is list and "schema" not in obj and set(map(type, items)) <= {int}:
+    if "user_id" in obj and type(items) is list:
+        if not set(map(type, items)) <= {int}:
+            bad = next(v for v in items if type(v) is not int)
+            raise ValueError(f"item index {bad!r} is not an integer")
         try:
             obj["items"] = np.array(items, np.int64)
-        except OverflowError:
-            pass
+        except OverflowError:  # beyond int64, so beyond any vocabulary
+            raise ValueError("item index out of vocabulary range") from None
     return obj
 
 
@@ -266,14 +274,7 @@ def log_from_json(path: str) -> InteractionLog:
             raise ValueError(f"{what} {bad[0]!r} is not a string")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids in vocabulary")
-    arrays = [entry.pop("items") for entry in users]  # int64, or a list _int64_items left
-    bad = [v for x in arrays if isinstance(x, list) for v in x if type(v) is not int]
-    if bad:
-        raise ValueError(f"item index {bad[0]!r} is not an integer")
-    try:  # a list left holds ints, one beyond int64 unless its object had a "schema" key
-        arrays = [np.array(x, np.int64) if isinstance(x, list) else x for x in arrays]
-    except OverflowError:  # beyond int64, so beyond any vocabulary
-        raise ValueError("item index out of vocabulary range") from None
+    arrays = [entry.pop("items") for entry in users]  # int64, from _int64_items
     lengths = np.array([len(x) for x in arrays], dtype=np.int64)
     items = np.concatenate([np.zeros(0, np.int64), *arrays])
     del arrays  # each user's array, now copied into items

@@ -148,7 +148,7 @@ class SynthCorpus:
     log: InteractionLog
     config: GeneratorConfig
     oracle_hit1: float
-    latent_trace: dict | None = None
+    latent_trace: dict
 
 
 def oracle_hit1(config: GeneratorConfig) -> float:
@@ -237,8 +237,6 @@ def simulate_oracle(corpus: SynthCorpus) -> float:
     the lowest-index member of the active set (session_reset, context_switch)
     or the previous item (repeat_last). Expectation equals oracle_hit1.
     """
-    if corpus.latent_trace is None:
-        raise ValueError("corpus has no latent trace")
     config, trace = corpus.config, corpus.latent_trace
     x = corpus.log.items.reshape(config.users, config.length)  # every user has length events
     if config.mechanism == "repeat_last":

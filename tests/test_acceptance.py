@@ -373,13 +373,13 @@ def test_criterion_10_selection_protocol(capsys, tmp_path):
             path = tmp_path / f"test_{budget}_{strategy}.csv"
             write_selection_csv(test_rows, str(path))
             blobs.add(path.read_bytes())
-            counts.add(len(plan.selected))
+            counts.add(len(plan["selected"]))
         identical = len(blobs) == 1
         equal_counts = len(counts) == 1
-        k = len(plans["high_pi"].selected)
-        pool = len(plans["high_pi"].candidate_users)
-        high = set(map(int, plans["high_pi"].selected))
-        low = set(map(int, plans["low_pi"].selected))
+        k = len(plans["high_pi"]["selected"])
+        pool = len(plans["high_pi"]["candidate_users"])
+        high = set(map(int, plans["high_pi"]["selected"]))
+        low = set(map(int, plans["low_pi"]["selected"]))
         disjoint = (not high & low) if 2 * k <= pool else True
         all_ok &= identical and equal_counts and disjoint
         notes.append(

@@ -260,8 +260,8 @@ def _saved_payload(tmp_path):
     return path, json.loads(path.read_text(encoding="utf-8"))
 
 
-def test_json_load_reads_a_user_object_the_loader_hook_leaves_as_a_list(tmp_path):
-    # the hook skips an object with a "schema" key, taking it for the top level
+def test_json_load_converts_a_user_object_that_holds_a_schema_key(tmp_path):
+    # the hook takes any object with a "user_id" for a user, whatever else it holds
     path, payload = _saved_payload(tmp_path)
     payload["users"][0]["schema"] = "not the top level"
     path.write_text(json.dumps(payload), encoding="utf-8")

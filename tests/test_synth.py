@@ -219,13 +219,6 @@ def test_simulate_oracle_perfect_repeat():
     assert simulate_oracle(corpus) == 1.0
 
 
-def test_simulate_oracle_requires_trace():
-    corpus = generate(config("repeat_last", p=0.5, users=2, length=20))
-    corpus.latent_trace = None
-    with pytest.raises(ValueError, match="trace"):
-        simulate_oracle(corpus)
-
-
 def se3(h, events):
     return 3 * math.sqrt(h * (1 - h) / events)
 

@@ -79,3 +79,14 @@ def test_library_names_the_benchmark_calls_untraced_resolve():
     offsets = corpus.log.offsets
     for u, x in enumerate(seqs):
         assert list(x) == list(corpus.log.items[offsets[u]:offsets[u + 1]])
+
+
+def test_one_csv_writer_in_the_package():
+    # every CSV predlim writes goes through sequence_core.write_csv
+    src = os.path.dirname(predlim.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                found += [name] * fh.read().count("csv.writer(")
+    assert found == ["sequence_core.py"]
