@@ -31,6 +31,11 @@ from .entropy import lz_entropy, perm_entropy, sampen  # noqa: F401
 from .predictability import epl, fano_invert, fano_nr, perm_predictability  # noqa: F401
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line, too, ends in main's one error: line
+        raise ValueError(message)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -124,7 +129,7 @@ def _read_entropy(path: str, num_users: int) -> Entropies:
 
 def cmd_score(args) -> int:
     log = log_from_json(args.log)
-    if METHODS[args.method].reads_entropy != bool(args.entropy):
+    if METHODS[args.method]["reads_entropy"] != bool(args.entropy):
         need = "required" if not args.entropy else "not read"
         raise ValueError(f"--entropy is {need} for method {args.method}")
     entropy = _read_entropy(args.entropy, log.num_users) if args.entropy else None
@@ -142,11 +147,11 @@ def cmd_score(args) -> int:
 def cmd_synth(args) -> int:
     mechanism = args.mechanism.replace("-", "_")
     spec = MECHANISMS[mechanism]
-    every = {k for row in MECHANISMS.values() for k in (*row.fixed, row.noise)}
-    fixed = _given(args, f"mechanism {args.mechanism}", (*spec.fixed, spec.noise), every)
-    noise = fixed.pop(spec.noise, None)
+    every = {k for row in MECHANISMS.values() for k in (*row["fixed"], row["noise"])}
+    fixed = _given(args, f"mechanism {args.mechanism}", (*spec["fixed"], spec["noise"]), every)
+    noise = fixed.pop(spec["noise"], None)
     if (args.target_hit1 is None) == (noise is None):
-        raise ValueError(f"give exactly one of --target-hit1 or --{spec.noise}")
+        raise ValueError(f"give exactly one of --target-hit1 or --{spec['noise']}")
     if noise is None:
         noise = invert_noise(mechanism, args.target_hit1, n=args.n, **fixed)
     params = params_for(mechanism, noise, **fixed)
@@ -196,11 +201,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("--mechanism is required for a difficulty sweep")
     mechanism = "context_switch" if args.kind == "n" else args.mechanism.replace("-", "_")
     # --m is sampen's template length, so the session-reset set size is --m-latent
-    reads = [{"m": "m_latent"}.get(k, k) for k in MECHANISMS[mechanism].fixed]
+    reads = [{"m": "m_latent"}.get(k, k) for k in MECHANISMS[mechanism]["fixed"]]
     reads += ["n_grid", "target_hit1"] if args.kind == "n" else ["mechanism", "targets", "n"]
     methods = args.methods.split(",")
     what = "an n sweep" if args.kind == "n" else f"a {args.mechanism} difficulty sweep"
-    if any(METHODS[meth].reads_entropy for meth in methods if meth in METHODS):
+    if any(METHODS[meth]["reads_entropy"] for meth in methods if meth in METHODS):
         estimator = args.estimator or "sampen"
         reads += ["estimator", *ESTIMATORS[estimator]]
         what += f" by {estimator}"
@@ -269,9 +274,9 @@ def cmd_select(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="predlim", description=__doc__)
+    parser = _Parser(prog="predlim", description=__doc__)
     mechanisms = [name.replace("_", "-") for name in MECHANISMS]
-    fixed = {name: spec.fixed for name, spec in MECHANISMS.items()}
+    fixed = {name: spec["fixed"] for name, spec in MECHANISMS.items()}
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="read a (user,item,timestamp) CSV into log JSON")
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entropy", default=None)
     p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument(
-        "--n-scope", choices=list(dict.fromkeys(s for m in METHODS.values() for s in m.scopes)),
+        "--n-scope", choices=list(dict.fromkeys(s for m in METHODS.values() for s in m["scopes"])),
         help="Fano candidate size: global for fano; pooled (default) or per-user for fano_nr",
     )
     _table_options(p, {"perm": ESTIMATORS["perm"]})
@@ -362,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError, csv.Error, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

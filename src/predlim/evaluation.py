@@ -238,10 +238,10 @@ def score_log(
     spec = METHODS.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}")
-    if n_scope is not None and n_scope not in spec.scopes:
-        takes = " or ".join(spec.scopes) or "no n_scope"
+    if n_scope is not None and n_scope not in spec["scopes"]:
+        takes = " or ".join(spec["scopes"]) or "no n_scope"
         raise ValueError(f"method {method} takes {takes}, not n_scope {n_scope!r}")
-    if not spec.reads_entropy:
+    if not spec["reads_entropy"]:
         if entropy is not None:
             raise ValueError(f"method {method} reads no entropy")
         given = {k: v for k, v in (("d_set", d_set), ("tau", tau)) if v is not None}
@@ -256,7 +256,7 @@ def score_log(
         return epl(entropy)
     if method == "fano":
         return fano_invert(entropy, log.num_items)
-    return fano_nr(entropy, log.items, log.offsets, (n_scope or spec.scopes[0]) == "per-user")
+    return fano_nr(entropy, log.items, log.offsets, (n_scope or spec["scopes"][0]) == "per-user")
 
 
 def _corpus_means(config: GeneratorConfig, methods, estimator: str, m: int) -> dict[str, float]:
@@ -267,7 +267,7 @@ def _corpus_means(config: GeneratorConfig, methods, estimator: str, m: int) -> d
     corpus vocabulary (the generator's n) and N_r is pooled across the corpus.
     """
     log = generate(config).log
-    reads = {meth for meth in methods if METHODS[meth].reads_entropy}
+    reads = {meth for meth in methods if METHODS[meth]["reads_entropy"]}
     entropy = estimate_entropies(log.items, log.offsets, estimator, m) if reads else None
     return {meth: float(np.mean(score_log(log, meth, entropy if meth in reads else None).value))
             for meth in methods}

@@ -47,22 +47,14 @@ ESTIMATORS = {
 _PERM = ESTIMATORS["perm"]  # the defaults of the perm functions below
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """What a scoring method reads besides the log."""
-
-    reads_entropy: bool
-    scopes: tuple[str, ...] = ()  # accepted n_scope values, the default first
-
-
-# Every scoring method. The Fano candidate size N is the global vocabulary for
-# fano, and the pooled or per-user successor fan-out, clamped to 2, for
-# fano_nr. perm reads the sequence itself, through d_set and tau.
+# Every scoring method: whether it reads entropy, and the n_scope values it takes, the default
+# first. The Fano candidate size N is the global vocabulary for fano, and the pooled or per-user
+# successor fan-out, clamped to 2, for fano_nr. perm reads the sequence, through d_set and tau.
 METHODS = {
-    "epl": MethodSpec(reads_entropy=True),
-    "fano": MethodSpec(reads_entropy=True, scopes=("global",)),
-    "fano_nr": MethodSpec(reads_entropy=True, scopes=("pooled", "per-user")),
-    "perm": MethodSpec(reads_entropy=False),
+    "epl": {"reads_entropy": True, "scopes": ()},
+    "fano": {"reads_entropy": True, "scopes": ("global",)},
+    "fano_nr": {"reads_entropy": True, "scopes": ("pooled", "per-user")},
+    "perm": {"reads_entropy": False, "scopes": ()},
 }
 
 

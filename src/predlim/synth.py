@@ -21,7 +21,6 @@ in what order they are produced.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,15 +37,6 @@ __all__ = [
     "generate",
     "simulate_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class Mechanism:
-    noise: str  # the free parameter invert_noise solves for, always the last
-    fixed: dict  # the fixed parameters and their defaults, in params order
-    draw: Callable  # (user rng, config, shared) -> (the user's items, their trace entries)
-    set_size: str | None = None  # the size k of the active set; None for k = 1
-    shared: Callable | None = None  # (corpus rng, config) -> the trace entries users share
 
 
 def _emit(rng, config, table, row) -> np.ndarray:
@@ -96,13 +86,16 @@ def _context_switch(rng, config, shared):
     return _emit(rng, config, shared["contexts"], cid), {"context": cid}
 
 
-# Every mechanism. p is the chance of repeating the previous item, which the
-# oracle predicts; eps is the chance of a uniform draw over all n items.
+# Every mechanism: "noise" names the free parameter invert_noise solves for, last in params;
+# "fixed" maps the fixed parameters to their defaults, in params order; "draw" maps (user rng,
+# config, shared) to the user's items and trace entries. Only some have "set_size", naming the
+# active-set size k (else k = 1), and "shared": (corpus rng, config) -> trace all users share.
 MECHANISMS = {
-    "session_reset": Mechanism("eps", {"m": 1, "rho": 0.05}, _session_reset, set_size="m"),
-    "repeat_last": Mechanism("p", {}, _repeat_last),
-    "context_switch": Mechanism("eps", {"c": 5, "m_c": 5, "s": 0.05}, _context_switch,
-                                set_size="m_c", shared=_context_pool),
+    "session_reset": {"noise": "eps", "fixed": {"m": 1, "rho": 0.05}, "draw": _session_reset,
+                      "set_size": "m"},
+    "repeat_last": {"noise": "p", "fixed": {}, "draw": _repeat_last},
+    "context_switch": {"noise": "eps", "fixed": {"c": 5, "m_c": 5, "s": 0.05},
+                       "draw": _context_switch, "set_size": "m_c", "shared": _context_pool},
 }
 # The range of every generator parameter; "n" stands for the item-space size.
 PARAM_RANGES = {"m": (1, "n"), "m_c": (1, "n"), "c": (2, math.inf),
@@ -159,9 +152,9 @@ def oracle_hit1(config: GeneratorConfig) -> float:
     """
     spec = MECHANISMS[config.mechanism]
     p = config.params
-    k = p[spec.set_size] if spec.set_size else 1
-    noise = p[spec.noise]
-    if spec.noise == "p":
+    k = p[spec["set_size"]] if "set_size" in spec else 1
+    noise = p[spec["noise"]]
+    if spec["noise"] == "p":
         return noise / k + (1.0 - noise) / config.n
     return (1.0 - noise) / k + noise / config.n
 
@@ -176,11 +169,11 @@ def invert_noise(mechanism: str, target_hit1: float, n: int, **fixed) -> float:
     """
     params = params_for(mechanism, None, **fixed)
     spec = MECHANISMS[mechanism]
-    del params[spec.noise]
+    del params[spec["noise"]]
     _check_ranges(n, params)
-    k = params[spec.set_size] if spec.set_size else 1
+    k = params[spec["set_size"]] if "set_size" in spec else 1
     lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
-    if spec.noise == "p":
+    if spec["noise"] == "p":
         value = (target_hit1 - 1.0 / n) / (1.0 / k - 1.0 / n)
     else:
         value = (1.0 / k - target_hit1) / (1.0 / k - 1.0 / n) if k != n else 0.0
@@ -201,8 +194,9 @@ def params_for(mechanism: str, noise: float | None, **fixed) -> dict:
     if mechanism not in MECHANISMS:
         raise ValueError(f"mechanism must be one of {tuple(MECHANISMS)}")
     spec = MECHANISMS[mechanism]
-    params = {k: default if fixed.get(k) is None else fixed[k] for k, default in spec.fixed.items()}
-    return {**params, spec.noise: noise}
+    params = {k: default if fixed.get(k) is None else fixed[k]
+              for k, default in spec["fixed"].items()}
+    return {**params, spec["noise"]: noise}
 
 
 def generate(config: GeneratorConfig) -> SynthCorpus:
@@ -216,10 +210,11 @@ def generate(config: GeneratorConfig) -> SynthCorpus:
     Users fill one int64 array, row by row, that the log takes without a copy.
     """
     spec = MECHANISMS[config.mechanism]
-    shared = spec.shared(np.random.default_rng([config.seed, 1]), config) if spec.shared else {}
+    shared = (spec["shared"](np.random.default_rng([config.seed, 1]), config)
+              if "shared" in spec else {})
     trace: dict = {}
     for u in range(config.users):
-        drawn, entries = spec.draw(np.random.default_rng([config.seed, 0, u]), config, shared)
+        drawn, entries = spec["draw"](np.random.default_rng([config.seed, 0, u]), config, shared)
         if not u:  # after the first draw, so that a huge length fails in it, as it always has
             items = np.empty((config.users, config.length), np.int64)
         items[u] = drawn

@@ -369,6 +369,34 @@ def test_module_entry_point_help():
         assert sub in proc.stdout
 
 
+def test_a_malformed_command_line_is_one_error_line_and_exit_1(capsys):
+    score = ["score", "--log", "log.json", "--output", "out.csv"]
+    cases = {
+        "a bad int": (score + ["--method", "perm", "--tau", "abc"],
+                      "error: argument --tau: invalid int value: 'abc'"),
+        "a bad choice": (score + ["--method", "bogus"], "error: argument --method: invalid choice"),
+        "a missing required option": (score, "error: the following arguments are required: "
+                                             "--method"),
+        "a missing option value": (score + ["--method"],
+                                   "error: argument --method: expected one argument"),
+        "an unknown command": (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        "no command": ([], "error: the following arguments are required: command"),
+    }
+    for case, (argv, start) in cases.items():
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout, len(stderr.splitlines())) == (1, "", 1), case
+        assert stderr.startswith(start), (case, stderr)
+    # --help still prints usage and exits 0
+    for argv in (["--help"], ["score", "--help"]):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0
+        else:
+            raise AssertionError(f"{argv} did not exit")
+        assert "usage: predlim" in capsys.readouterr().out
+
+
 def test_importing_the_cli_or_evaluation_leaves_multiprocessing_unimported():
     code = "import sys, predlim.cli, predlim.evaluation; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,6 +1,6 @@
 """Why two acceptance criteria fail: each explanation in the README, pinned as a passing test.
 
-test_acceptance.py keeps criteria 5(c) and 9 as they are, failing. These tests check the
+test_acceptance.py keeps criteria 4, 5(c) and 9 as they are, failing. These tests check the
 explanation for each instead, so an estimator change that breaks the explanation shows up
 here. Every tolerance is three standard errors of the quantity it bounds, with the standard
 error taken from that quantity's own spread over seeds or users, as measured and stated below.
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from predlim.entropy import lz_entropies, perm_entropies
-from predlim.evaluation import N_GRID, _rep_seed
+from predlim.evaluation import DIFFICULTY_TARGETS, N_GRID, _rep_seed, rmse, run_difficulty_sweep
 from predlim.synth import GeneratorConfig, generate, invert_noise, params_for
 
 
@@ -73,3 +73,38 @@ def test_criterion_05c_perm_reads_the_plugin_bias_of_uniform_patterns(capsys):
               "read " + "; ".join(", ".join(f"{v:.4f}" for v in r) for r in readings)
               + " at N = 100, 1000, 1e5")
     assert within, (readings, errors)
+
+
+def test_criterion_04_session_reset_epl_reads_the_squared_ceiling(capsys):
+    # Criterion 4's session-reset half gates epl's RMSE against the targets at 0.15. sampen's
+    # A/B is a conditional collision probability C, and any next-item distribution with top
+    # probability p_max has p_max^2 <= C <= p_max. On session-reset C reads about the square of
+    # the ceiling, so epl = exp(-S) lies below every target and tracks target^2; on
+    # repeat-last it tracks the target itself. Run on the criterion's own sweeps (the
+    # run_difficulty_sweep defaults, epl only). Measured: session-reset RMSE 0.0160 against
+    # target^2 and 0.1951 against the target; repeat-last 0.0318 against the target and
+    # 0.1687 against target^2. The per-target std over the 10 reps is at most 0.0086, and the
+    # RMS standard error of the 18 per-target means is about 0.0015. Rerunning moves the
+    # means by about that RMS standard error, and so, by the triangle inequality, moves an
+    # RMSE against a fixed curve by no more. Each half must therefore be nearer one curve than
+    # the other by more than 2 x 3 RMS standard errors, taken from the run's own spread; and
+    # every session-reset mean must lie 3 standard errors below its target.
+    targets = np.array(DIFFICULTY_TARGETS)
+    found = {}
+    for mechanism in ("session_reset", "repeat_last"):
+        rows = run_difficulty_sweep(mechanism, methods=("epl",)).rows
+        means = np.array([r.mean for r in rows])
+        errors = np.array([r.std / math.sqrt(r.rep_count) for r in rows])
+        found[mechanism] = (means, errors, rmse(means, targets), rmse(means, targets**2),
+                            3 * math.sqrt(np.mean(errors**2)))
+    means, errors, to_target, to_square, margin = found["session_reset"]
+    session_ok = to_target - to_square > 2 * margin and (means + 3 * errors < targets).all()
+    means, errors, repeat_to_target, repeat_to_square, repeat_margin = found["repeat_last"]
+    repeat_ok = repeat_to_square - repeat_to_target > 2 * repeat_margin
+    verdict = "confirmed" if session_ok and repeat_ok else "UNCONFIRMED"
+    with capsys.disabled():
+        print(f"criterion 4 explanation {verdict}: epl rmse vs target, target^2: "
+              f"session_reset {to_target:.4f}, {to_square:.4f}; "
+              f"repeat_last {repeat_to_target:.4f}, {repeat_to_square:.4f}")
+    assert session_ok, found["session_reset"]
+    assert repeat_ok, found["repeat_last"]

@@ -79,6 +79,25 @@ def test_library_names_the_benchmark_calls_untraced_resolve():
     offsets = corpus.log.offsets
     for u, x in enumerate(seqs):
         assert list(x) == list(corpus.log.items[offsets[u]:offsets[u + 1]])
+    # benchmarks/sweeps.py reads each sweep row through vars() and rmse_by_method as a dict
+    small = dict(methods=("epl", "perm"), reps=1, users=3, length=20)
+    for table, rmse_keys in (
+        (evaluation.run_difficulty_sweep("repeat_last", targets=(0.5,), n=50, **small),
+         {"epl", "perm"}),
+        (evaluation.run_n_sweep(n_grid=(100,), **small), set()),
+    ):
+        assert [set(vars(row)) for row in table.rows] == [
+            {"grid_value", "method", "mean", "std", "rep_count"}] * 2
+        assert isinstance(table.rmse_by_method, dict)
+        assert set(table.rmse_by_method) == rmse_keys
+
+
+def test_every_lookup_table_row_is_a_plain_dict():
+    from predlim.predictability import ESTIMATORS, METHODS
+    from predlim.synth import MECHANISMS
+
+    for table in (ESTIMATORS, METHODS, MECHANISMS):
+        assert table and all(type(row) is dict for row in table.values())
 
 
 def test_one_csv_writer_in_the_package():
