@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -118,7 +120,7 @@ def ingest_csv(
     if max_events is not None and max_events < 0:
         raise ValueError("max_events must be >= 0")
     user_code, item_code = {}, {}  # id -> integer code, numbered in file order
-    users, items, stamps = array("q"), array("q"), []
+    users, items, stamps = array("q"), array("q"), array("q")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -137,13 +139,13 @@ def ingest_csv(
                 raise ValueError(
                     f"{path}: line {lineno}: timestamp {row[2]!r} is not an integer"
                 ) from None
+            except OverflowError:  # beyond int64: Python ints from here on
+                stamps = [*stamps, int(row[2])]
             users.append(user_code.setdefault(row[0], len(user_code)))
             items.append(item_code.setdefault(row[1], len(item_code)))
 
-    try:
-        stamps = np.array(stamps, dtype=np.int64)
-    except OverflowError:  # beyond int64: compared as Python ints
-        stamps = np.array(stamps, dtype=object)
+    # a list only once a timestamp is beyond int64: then compared as Python ints
+    stamps = np.array(stamps, object) if type(stamps) is list else np.frombuffer(stamps, np.int64)
     # stable: file order breaks timestamp ties; max_events None keeps every row
     order = np.argsort(stamps, kind="stable")[:max_events]
     if dedup:  # each row's timestamp rank, in time order
@@ -219,7 +221,8 @@ class _Names(Sequence):
 
 def log_to_json(log: InteractionLog, path: str) -> None:
     """Write the log as json.dump would, through json.dumps's C encoder one user at a time,
-    or a piece of entropy.CHUNK_SYMBOLS items at a time of a longer user."""
+    or a piece of entropy.CHUNK_SYMBOLS items at a time of a longer user; then its arrays,
+    for log_from_json to load without parsing, to path + ".npy" (see _RECORDS)."""
     head = {"schema": LOG_SCHEMA, "items": list(log.item_ids), "counts": log.counts.tolist(),
             "users": []}
     piece = entropy.CHUNK_SYMBOLS
@@ -234,6 +237,68 @@ def log_to_json(log: InteractionLog, path: str) -> None:
             if b - a > piece:
                 fh.write("]}")
         fh.write("], " + json.dumps({"stats": log.stats})[1:])
+    _save_arrays(log, path)
+
+
+# path + ".npy" holds np.save records of these dtypes: the JSON's byte length and CRC-32 (its
+# binding), items, offsets, then the item and the user ids, each as UTF-8 bytes and end offsets
+_RECORDS = (np.int64, np.int64, np.int64, np.uint8, np.int64, np.uint8, np.int64)
+
+
+def _binding(path: str) -> np.ndarray:
+    """The byte length and CRC-32 of the file at path, read 64 KiB at a time."""
+    crc = 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            crc = zlib.crc32(block, crc)
+        return np.array([fh.tell(), crc], np.int64)
+
+
+def _save_arrays(log: InteractionLog, path: str) -> None:
+    """Write path + ".npy", bound to the JSON at path; ids keep a lone surrogate, as JSON does."""
+    records = [_binding(path), log.items, log.offsets]
+    for ids in (log.item_ids, log.user_ids):
+        encoded = [s.encode("utf-8", "surrogatepass") for s in ids]
+        records += [np.frombuffer(b"".join(encoded), np.uint8), np.cumsum([*map(len, encoded)])]
+    with open(path + ".npy", "wb") as fh:
+        for record, dtype in zip(records, _RECORDS):  # through tofile, without a copy
+            np.save(fh, np.asarray(record, dtype), allow_pickle=False)
+
+
+def _unpack(blob: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The ids whose UTF-8 bytes end at ends in blob."""
+    bounds = np.r_[0, ends]
+    if bounds[-1] != len(blob) or (np.diff(bounds) < 0).any():
+        raise ValueError("id end offsets do not split the id bytes")
+    if len(ends) and not (blob == 0).any():  # a NUL put at each end splits them at C speed
+        return np.insert(blob, ends[:-1], 0).tobytes().decode("utf-8", "surrogatepass").split("\0")
+    data, bounds = blob.tobytes(), bounds.tolist()
+    return [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
+
+
+def _load_arrays(path: str) -> InteractionLog | None:
+    """The log in path + ".npy"; None if there is none, or if it is bound to other JSON."""
+    if not os.path.exists(path + ".npy"):
+        return None
+    with open(path + ".npy", "rb") as fh:
+        try:
+            records = []
+            for dtype in _RECORDS:
+                records.append(np.lib.format.read_array(fh, allow_pickle=False))
+                if records[-1].dtype != dtype or records[-1].ndim != 1:
+                    raise ValueError(f"record {len(records)} is not a 1-d {np.dtype(dtype)} array")
+                if len(records) == 1 and not np.array_equal(records[0], _binding(path)):
+                    return None  # the JSON was written again or edited: it is the source of truth
+            _, items, offsets, *ids = records
+            lengths, item_ids, user_ids = np.diff(offsets), _unpack(*ids[:2]), _unpack(*ids[2:])
+            if (offsets[:1].tolist() != [0] or offsets[-1] != len(items) or (lengths < 1).any()
+                    or len(lengths) != len(user_ids)):
+                raise ValueError("offsets do not split items into a non-empty user per user id")
+            if len(set(item_ids)) != len(item_ids):
+                raise ValueError("duplicate item ids in vocabulary")
+            return _make_log(items, lengths, item_ids, user_ids)
+        except ValueError as exc:
+            raise ValueError(f"{path}.npy: {exc}; delete it or re-run ingest") from None
 
 
 def _int64_items(obj: dict) -> dict:
@@ -252,7 +317,10 @@ def _int64_items(obj: dict) -> dict:
 
 
 def log_from_json(path: str) -> InteractionLog:
-    """Load a log written by log_to_json, rejecting one that disagrees with itself."""
+    """Load a log written by log_to_json: from the arrays written beside it while they are
+    bound to the JSON on disk, else from the JSON, rejecting one that disagrees with itself."""
+    if (log := _load_arrays(path)) is not None:
+        return log
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh, object_hook=_int64_items)
     schema = payload.get("schema") if isinstance(payload, dict) else None
@@ -293,10 +361,11 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
     the largest |N(x)|: pooled over all users (an int), or per_user each user's
     own (an int64 array). A scope without transitions raises, as per user does a
     one-event user, and so does a negative item. With n = items.max() + 1 (N_r is
-    the same for any n above every item), a transition a -> b is the key a * n + b
-    (per user plus owner * n^2, in entropy's chunks of users, few enough to keep keys
-    below 2^63); once sorted and deduplicated, a state's distinct successors are a
-    run of equal key // n.
+    the same for any n above every item), a transition a -> b is the key a * n + b,
+    made in entropy's chunks of users (per user plus owner * n^2, few enough users to
+    keep keys below 2^63); once sorted and deduplicated, a state's distinct successors
+    are a run of equal key // n. Pooled keeps each chunk's distinct keys and counts
+    the runs once over them all.
     """
     items, offsets = np.asarray(items, np.int64), np.asarray(offsets)
     if items.min(initial=0) < 0:
@@ -307,26 +376,35 @@ def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = F
     lengths = np.diff(offsets)
     if per_user and np.any(lengths < 2):
         raise ValueError("no transitions in scope")
-    fanout = np.zeros(len(lengths), dtype=np.int64)
-    chunks = entropy._chunks(lengths, entropy.CHUNK_SYMBOLS, ((1 << 63) - 1) // (n * n))
-    # pooled is one chunk of every user, each pair's owner 0, so fanout[0] is the log's N_r
-    for lo, hi in chunks if per_user else [(0, len(lengths))]:
+    fanout, distinct = np.zeros(len(lengths), dtype=np.int64), []
+    most = ((1 << 63) - 1) // (n * n) if per_user else None
+    for lo, hi in entropy._chunks(lengths, entropy.CHUNK_SYMBOLS, most):
         x = items[offsets[lo]:offsets[hi]]
         keys = x[:-1] * n + x[1:]
         if per_user and hi - lo > 1:  # a pair takes its first event's owner
             keys += np.repeat(np.arange(hi - lo) * (n * n), lengths[lo:hi])[:-1]
         cuts = offsets[lo + 1:hi] - offsets[lo] - 1  # the pair across each user boundary
         keys = np.delete(keys, cuts[(cuts >= 0) & (cuts < len(keys))])  # an empty user has none
-        if not len(keys):
-            raise ValueError("no transitions in scope")
-        states, runs = _runs(keys, n)
-        np.maximum.at(fanout[lo:hi], states // n, runs)
-    return fanout if per_user else int(fanout[0])
+        if per_user:
+            states, runs = _runs(keys, n)
+            np.maximum.at(fanout[lo:hi], states // n, runs)
+        elif len(keys):
+            distinct.append(_distinct(keys))
+    if per_user:
+        return fanout
+    if not distinct:
+        raise ValueError("no transitions in scope")
+    return int(_runs(np.concatenate(distinct), n)[1].max())
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, in order; sorts keys in place."""
+    keys.sort()  # np.unique hashes int64 keys first, several times slower here
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _runs(keys: np.ndarray, n: int):
     """Each distinct key // n and the number of distinct keys sharing it; sorts keys in place."""
-    keys.sort()  # np.unique hashes int64 keys first, several times slower here
-    states = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] // n
+    states = _distinct(keys) // n
     first = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
     return states[first], np.diff(first, append=len(states))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
+
 from predlim.cli import main
 from predlim.sequence_core import log_from_json
 
@@ -397,10 +399,17 @@ def test_a_malformed_command_line_is_one_error_line_and_exit_1(capsys):
         assert "usage: predlim" in capsys.readouterr().out
 
 
-def test_importing_the_cli_or_evaluation_leaves_multiprocessing_unimported():
+def test_importing_the_cli_or_evaluation_leaves_multiprocessing_unimported(tmp_path, capsys):
     code = "import sys, predlim.cli, predlim.evaluation; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    # nor does loading a log through its arrays import hashlib, which loads OpenSSL
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    code = ("import sys, predlim.cli; predlim.cli.log_from_json(sys.argv[1]); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, log_path], capture_output=True, text=True)
+    assert os.path.exists(log_path + ".npy")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_a_sweep_failing_in_a_worker_is_one_error_line_and_leaves_no_process(
@@ -986,6 +995,54 @@ def _fails_with_one_line(capsys, argv, out, message):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout, stderr) == (1, "", f"error: {message}\n"), argv
     assert not out.exists()
+
+
+def test_a_damaged_npy_beside_a_log_is_one_error_line(tmp_path, capsys):
+    # the binding still matches the JSON, so the arrays are read, and fail
+    log_path, _ = _session_corpus(tmp_path, capsys)
+    npy = tmp_path / "corpus" / "log.json.npy"
+    good = npy.read_bytes()
+
+    def write(data):
+        return lambda: npy.write_bytes(data)
+
+    def replace(k, new):
+        """A damage that rewrites the np.save records with record k replaced by new(record)."""
+        def damage():
+            with open(npy, "rb") as fh:
+                records = [np.load(fh) for _ in range(7)]
+            records[k] = new(records[k])
+            with open(npy, "wb") as fh:
+                for record in records:
+                    np.save(fh, record, allow_pickle=True)
+        return damage
+
+    cases = [
+        ("empty", write(b""), "EOF: reading magic string"),
+        ("truncated", write(good[:len(good) // 2]), "Failed to read all data for array"),
+        ("float items", replace(1, lambda a: a.astype(float)), "record 2 is not a 1-d int64 array"),
+        ("decreasing offsets", replace(2, lambda a: a[[0, 2, 1, 3, 4, 5]]),
+         "offsets do not split items into a non-empty user per user id"),
+        ("invalid UTF-8", replace(3, lambda a: np.full_like(a, 0xFF)),
+         "'utf-8' codec can't decode byte 0xff in position 0"),
+        ("pickled", replace(3, lambda a: a.astype(object)),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        ("id ends past the bytes", replace(4, lambda a: a + 1),
+         "id end offsets do not split the id bytes"),
+        ("item 1 named as item 0", replace(3, lambda a: np.r_[a[:1], a[:1], a[2:]]),
+         "duplicate item ids in vocabulary"),
+        ("two user ids as one", replace(6, lambda a: np.delete(a, -2)),
+         "offsets do not split items into a non-empty user per user id"),
+    ]
+    out = tmp_path / "entropy-again.csv"
+    for name, damage, detail in cases:
+        damage()
+        code, stdout, stderr = run_cli(capsys, "estimate", "--log", log_path, "--output", str(out))
+        assert (code, stdout, stderr.count("\n")) == (1, "", 1), name
+        assert stderr.startswith(f"error: {npy}: ") and detail in stderr, (name, stderr)
+        assert stderr.endswith("; delete it or re-run ingest\n") and not out.exists(), name
+        npy.write_bytes(good)
+    assert run_cli(capsys, "estimate", "--log", log_path, "--output", str(out))[0] == 0
 
 
 def test_a_non_integer_user_index_is_one_error_line(tmp_path, capsys):

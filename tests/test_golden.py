@@ -9,14 +9,18 @@ difficulty sweep and a small item-space sweep write their tables, and report
 compares a hand-written dataset-score CSV with the shipped reference
 accuracies. Each file's sha256 must equal the value recorded in GOLDEN, so a
 refactor that changes any output byte fails here. A change meant to alter an
-output records the new hash, and says why, in the same change.
+output records the new hash, and says why, in the same change. Each log's
+arrays (the .npy written beside it) must then load as the same log as its JSON.
 """
 
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from predlim.cli import main
+from predlim.sequence_core import log_from_json
 
 GOLDEN = {
     "cohort.json": "b817d6e457b6580212dd5142cdba8e70bf3c6fedc4dd91b54c4a435af455c80b",
@@ -27,7 +31,9 @@ GOLDEN = {
     "events-ties.csv": "d16c66b4f216012ce1772e726960a3ee86890c9da9929ac691369cabaa9a4ee9",
     "events.csv": "b774d3a75368da45c557776c76654e9eaf0a597d8abd4ea9fcf5c0b2ea69337f",
     "log-dedup.json": "67b18fe8cdb61f44d54f5bf3ed009f3abe7ec9ef3c2398a250ba8f202ef4bf54",
+    "log-dedup.json.npy": "7bac5cbb8669a2520c99400f6288e53002265039ce4389acd7651acfa72278e6",
     "log.json": "c9e3c59210238411860340e053c60240a0e14c0a82c14c22490e5a6563648bf6",
+    "log.json.npy": "297c2557d262c4f0247dc44f61da0d4369d69b9c4c652bdea62456ebc7ccd35d",
     "report.json": "6eec6cf2b4afff338b2ee5258b28b589c68f48c07257d7dd222f925bafe1d7ff",
     "score-epl.csv": "ec9b81a9b91b561e0149d5eb093d5356271d030e0373d7f7201d5e1ae920a87d",
     "score-fano.csv": "a686b3ab338e611817d225f10f906cd325382fe1d7f214cc3b344e08ac4962d7",
@@ -41,12 +47,15 @@ GOLDEN = {
     "sweep-n.csv": "8be594f7bbca872ec37f47e6b9e634c7ec4824c59b6ebbc0710e887a5c920ba6",
     "synth-context-switch/latent.json": "d4161d11cb3769ddad4b93129a3e5c64952a4af17a44a611bf4c4b26527fd9d9",
     "synth-context-switch/log.json": "41fffb0a6a8ff64d66b4a6333ba39a8f3110c2660ecf0a1fd4520ce1e3e02cbc",
+    "synth-context-switch/log.json.npy": "a1fcab93e1d0d0d2b190e38d2741c4476f37cf4dde8b2185485291ea954301a5",
     "synth-context-switch/oracle.json": "6f811d785499ea4e099c568f95f0f4d57d31a0ee5d67fa0690443e32d079d3c0",
     "synth-repeat-last/latent.json": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     "synth-repeat-last/log.json": "edbb60dd5a27877b4ec81ef699cd8883c3391f520cd49f22d9b1f099d69b9aa8",
+    "synth-repeat-last/log.json.npy": "44bfaaf15a5135c8651d7cbeadbe8315684a91aa9fede3219d8a748778cf0cce",
     "synth-repeat-last/oracle.json": "93605d393c76530769d6b087a8680b13db52a0fc0b97de70293cdf26b060abb5",
     "synth/latent.json": "6a16e383096b3797061069f6ac2b4faef2a1de907a3af81e93f4144af2115579",
     "synth/log.json": "349efc39fe5d3ac4dc7118b6ff11c777f35f9910cc691c8c2c1cd8eb1229885d",
+    "synth/log.json.npy": "638a07ebd1ddef18329f18f725ca10e20ba19898f30ecb4a305e81b9e652208b",
     "synth/oracle.json": "1024e4c16e74e768b3a568a353d6efee4c12068aac9c647f1f35b5ccc2225c75",
 }
 
@@ -73,7 +82,7 @@ def write_events(path, n_events=4000, n_users=150, seed=0, span=10**9):
         )
 
 
-def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys):
+def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
     def p(name):
         return str(tmp_path / name)
 
@@ -131,3 +140,15 @@ def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys):
         if path.is_file()
     }
     assert digests == GOLDEN
+    # each log loads from the arrays beside it, with the JSON parser off, as from its JSON alone
+    for npy in sorted(tmp_path.rglob("log*.json.npy")):
+        with monkeypatch.context() as mp:
+            mp.setattr(json, "load", lambda *args, **kwargs: pytest.fail("the JSON was parsed"))
+            from_arrays = log_from_json(str(npy)[:-4])
+        npy.unlink()
+        from_json = log_from_json(str(npy)[:-4])
+        assert from_arrays.item_ids == from_json.item_ids
+        assert from_arrays.user_ids == from_json.user_ids
+        for field in ("items", "offsets"):
+            a, b = getattr(from_arrays, field), getattr(from_json, field)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)

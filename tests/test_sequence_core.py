@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from predlim import entropy
 from predlim.sequence_core import (
+    InteractionLog,
     UserSequence,
     ingest_csv,
     log_from_json,
@@ -54,6 +55,16 @@ def test_shuffled_timestamps_sort_into_time_order(tmp_path):
     assert log.num_users == 1
     seq = log.sequences[0]
     assert [log.item_ids[i] for i in seq.items] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("past", [1 << 63, -(1 << 63) - 1])
+def test_timestamps_that_pass_int64_partway_through_the_file_sort_as_python_ints(tmp_path, past):
+    # int64 holds the first rows; past it, ingest falls back to Python ints for every row
+    stamps = [7, -(1 << 63), (1 << 63) - 1, 7, 0, past, -1, past, (1 << 63) - 1, 3 * past, 0]
+    rows = [("u1", f"i{k}", t) for k, t in enumerate(stamps)]
+    log = ingest_csv(write_csv(tmp_path / "log.csv", rows))
+    in_time = [item for _, item, _ in sorted(rows, key=lambda row: row[2])]  # stable
+    assert [log.item_ids[i] for i in log.items] == in_time
 
 
 def test_min_length_filter_drops_short_users(tmp_path):
@@ -202,17 +213,24 @@ def test_log_to_json_holds_one_piece_of_a_long_user_as_python_ints(tmp_path):
     assert path.read_text() == json.dumps(payload)  # the bytes json.dump writes
 
 
-def test_log_from_json_never_holds_the_log_as_python_ints(tmp_path):
+@pytest.mark.parametrize("load, users", [("json", 200), ("arrays", 200), ("arrays", 1)])
+def test_log_from_json_never_holds_the_log_as_python_ints(tmp_path, load, users):
     # 200 users of 1,000 events over 1,000 items. Python ints for the whole log peaked at
     # 38.3 bytes an event. json.load builds one user's list before the hook turns it into
     # int64, so the bound is per log: the file's text (one byte a character) while the
     # users' arrays fill, then those arrays and their concatenation, 16 bytes an event;
-    # about 16.7 is read.
+    # about 16.7 is read. From the arrays beside it, the log is the .npy's records as
+    # loaded, plus the ids as Python strings: about 8.7 is read, for one long user too.
     items = np.random.default_rng(0).integers(0, 1000, LONG)
-    log = log_from_sequences(items.reshape(200, -1), n_items=1000)
+    log = log_from_sequences(items.reshape(users, -1), n_items=1000)
     path = tmp_path / "log.json"
     log_to_json(log, str(path))
-    bound = path.stat().st_size / LONG + 16
+    npy = tmp_path / "log.json.npy"
+    if load == "json":
+        npy.unlink()
+        bound = path.stat().st_size / LONG + 16
+    else:
+        bound = npy.stat().st_size / LONG + 1
     assert peak_bytes_per_event(lambda: log_from_json(str(path)), LONG) < bound
     assert np.array_equal(log_from_json(str(path)).items, items)
 
@@ -307,6 +325,52 @@ def test_json_load_rejects_a_log_that_disagrees_with_itself(tmp_path, change, me
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         log_from_json(str(path))
+
+
+def assert_same_log(got, want):
+    assert type(got.item_ids) is list and got.item_ids == list(want.item_ids)
+    assert type(got.user_ids) is list and got.user_ids == list(want.user_ids)
+    for a, b in ((got.items, want.items), (got.offsets, want.offsets)):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def load_without_json(monkeypatch, path):
+    """log_from_json(path) with the JSON parser switched off, so only the arrays can serve."""
+    with monkeypatch.context() as mp:
+        mp.setattr(json, "load", lambda *args, **kwargs: pytest.fail("the JSON was parsed"))
+        return log_from_json(str(path))
+
+
+@pytest.mark.parametrize("names", [
+    ["a,b", 'say "hi"', "two\nlines", "日本", "é", "x"],  # split at a NUL put after each id
+    ["a,b", 'say "hi"', "two\nlines", "日本", "trailing\0", "\0"],  # ids that hold a NUL
+])
+def test_the_arrays_give_the_log_the_json_gives(tmp_path, monkeypatch, names):
+    items = np.array([0, 1, 2, 3, 4, 4, 5, 0, 3], np.int64)
+    log = InteractionLog(names, items, np.array([0, 2, 5, 9]), names[3:][::-1])
+    path = tmp_path / "log.json"
+    log_to_json(log, str(path))
+    assert_same_log(load_without_json(monkeypatch, path), log)
+    (tmp_path / "log.json.npy").unlink()
+    assert_same_log(log_from_json(str(path)), log)
+
+
+def test_a_generated_log_gives_the_same_log_from_its_arrays(tmp_path, monkeypatch):
+    log = generate(GeneratorConfig("repeat_last", 20, 4, 30, 1, {"p": 0.5})).log
+    path = tmp_path / "log.json"
+    log_to_json(log, str(path))
+    assert_same_log(load_without_json(monkeypatch, path), log)
+    log_to_json(log, str(tmp_path / "again.json"))  # the same log gives the same bytes
+    assert (tmp_path / "again.json.npy").read_bytes() == (tmp_path / "log.json.npy").read_bytes()
+
+
+def test_a_log_without_current_arrays_is_read_from_its_json(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    payload["users"][0]["user_id"] = "edited"  # the .npy is now bound to other bytes
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert log_from_json(str(path)).user_ids == ["edited", "u2"]
+    (tmp_path / "log.json.npy").unlink()  # and with no .npy at all
+    assert log_from_json(str(path)).user_ids == ["edited", "u2"]
 
 
 def test_json_rejects_unknown_schema(tmp_path):
