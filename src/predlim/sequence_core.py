@@ -9,6 +9,7 @@ operates on the integer sequences only.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import os
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 LOG_SCHEMA = "predlim-log-v1"
+_HEADER = ["user_id", "item_id", "timestamp"]
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes set
 
 
 @dataclass
@@ -113,20 +116,75 @@ def ingest_csv(
     previous surviving (user, item, timestamp) row of the same user is dropped.
     Users with fewer than min_length events are then removed; item indices are
     assigned in first-appearance order over the surviving rows so that vocabulary
-    counts sum to the log's interactions.
+    counts sum to the log's interactions. A plain file (see _read_plain) is read
+    by array code, any other by the csv module; the log, or the error, is the same.
+    A file that is not UTF-8 raises a ValueError naming the line and the byte.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
     if max_events is not None and max_events < 0:
         raise ValueError("max_events must be >= 0")
-    user_code, item_code = {}, {}  # id -> integer code, numbered in file order
+    try:
+        users, items, stamps, user_ids, item_ids = _read_plain(path) or _read_rows(path)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {_bad_utf8(path)}") from None
+    # stable: file order breaks timestamp ties; max_events None keeps every row
+    order = _stable_order(stamps)[:max_events]
+    if dedup:  # each row's timestamp rank, in time order
+        stamps = stamps[order]
+        tick = np.cumsum(np.r_[False, stamps[1:] != stamps[:-1]])
+    del stamps
+    user, item = users[order], items[order]
+    del users, items, order
+    first = np.full(len(user_ids), len(user))  # each user code's first time position
+    np.minimum.at(first, user, np.arange(len(user)))
+    by_first = np.argsort(first)  # user codes in order of their first event, absent ones last
+    user = np.argsort(by_first)[user]  # each row's user, ranked by first event
+    at = _stable_order(user)  # time positions, grouped by user rank
+    user, grouped = user[at], item[at]
+    if dedup:  # drop a row equal to its predecessor in (user, item, timestamp rank)
+        keep = np.any([np.diff(a, prepend=-1) != 0 for a in (user, grouped, tick[at])], axis=0)
+        user, grouped, at = user[keep], grouped[keep], at[keep]
+    counts = np.bincount(user, minlength=len(user_ids))
+    long = counts >= min_length
+    if not long.any():
+        raise ValueError(f"{path}: no interactions left after filtering")
+    grouped, at = grouped[long[user]], at[long[user]]
+    # each kept item's first time position; a row dedup dropped repeats an item kept before it
+    first = np.full(len(item_ids), len(item))
+    np.minimum.at(first, grouped, at)
+    item_order = np.argsort(first)[:np.count_nonzero(first < len(item))]  # by first appearance
+    place = np.zeros(len(item_ids), dtype=np.int64)
+    place[item_order] = np.arange(len(item_order))
+    return _make_log(place[grouped], counts[long], [item_ids[k] for k in item_order.tolist()],
+                     [user_ids[k] for k in by_first[long].tolist()])
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable"). Integer keys in int64 are packed with their row into
+    one int64 (by rank if their span is too wide) for one plain sort, several times faster."""
+    n = len(keys)
+    if keys.dtype == object or not n:  # Python ints beyond int64
+        return np.argsort(keys, kind="stable")
+    low = int(keys.min())
+    if (int(keys.max()) - low + 1) * n >= 1 << 63:
+        keys, low = np.unique(keys, return_inverse=True)[1], 0
+    packed = (keys - low) * n + np.arange(n)
+    packed.sort()
+    return packed % n
+
+
+def _read_rows(path: str):
+    """ingest_csv's columns by the csv module: user codes, item codes and timestamps, row by
+    row, then the user and the item ids, each numbered in file order."""
+    user_code, item_code = {}, {}  # id -> integer code
     users, items, stamps = array("q"), array("q"), array("q")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if [c.strip().lower() for c in header] != ["user_id", "item_id", "timestamp"]:
+        if [c.strip().lower() for c in header] != _HEADER:
             raise ValueError(f"{path}: line 1: expected header user_id,item_id,timestamp")
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -143,38 +201,131 @@ def ingest_csv(
                 stamps = [*stamps, int(row[2])]
             users.append(user_code.setdefault(row[0], len(user_code)))
             items.append(item_code.setdefault(row[1], len(item_code)))
-
     # a list only once a timestamp is beyond int64: then compared as Python ints
     stamps = np.array(stamps, object) if type(stamps) is list else np.frombuffer(stamps, np.int64)
-    # stable: file order breaks timestamp ties; max_events None keeps every row
-    order = np.argsort(stamps, kind="stable")[:max_events]
-    if dedup:  # each row's timestamp rank, in time order
-        stamps = stamps[order]
-        tick = np.cumsum(np.r_[False, stamps[1:] != stamps[:-1]])
-    del stamps
-    user, item = np.frombuffer(users, np.int64)[order], np.frombuffer(items, np.int64)[order]
-    first = np.full(len(user_code), len(user))  # each user code's first time position
-    np.minimum.at(first, user, np.arange(len(user)))
-    by_first = np.argsort(first)  # user codes in order of their first event, absent ones last
-    user = np.argsort(by_first)[user]  # each row's user, ranked by first event
-    at = np.argsort(user, kind="stable")  # time positions, grouped by user rank
-    user, grouped = user[at], item[at]
-    if dedup:  # drop a row equal to its predecessor in (user, item, timestamp rank)
-        keep = np.any([np.diff(a, prepend=-1) != 0 for a in (user, grouped, tick[at])], axis=0)
-        user, grouped, at = user[keep], grouped[keep], at[keep]
-    counts = np.bincount(user, minlength=len(user_code))
-    long = counts >= min_length
-    if not long.any():
-        raise ValueError(f"{path}: no interactions left after filtering")
-    grouped, at = grouped[long[user]], at[long[user]]
-    # kept rows in time order; a row dedup dropped repeats an item its user kept before it
-    kept, first = np.unique(item[np.sort(at)], return_index=True)
-    item_order = kept[np.argsort(first)]  # kept items in order of first appearance
-    place = np.zeros(len(item_code), dtype=np.int64)
-    place[item_order] = np.arange(len(item_order))
-    user_ids, item_ids = list(user_code), list(item_code)
-    return _make_log(place[grouped], counts[long], [item_ids[k] for k in item_order.tolist()],
-                     [user_ids[k] for k in by_first[long].tolist()])
+    return (np.frombuffer(users, np.int64), np.frombuffer(items, np.int64), stamps,
+            list(user_code), list(item_code))
+
+
+def _read_plain(path: str):
+    """_read_rows's columns by array code, ids numbered in an order of their own, from a
+    plain file; None for any other, which _read_rows then reads to the same log or error.
+
+    Plain: no quote, no NUL and no CR but before LF; the header (after an optional BOM)
+    matched as _read_rows matches it; then every line blank or a non-empty user, a comma,
+    a non-empty item, a comma and a timestamp -?[0-9]{1,18}; no field longer than
+    csv.field_size_limit(). Bytes that are not UTF-8 raise UnicodeDecodeError, as there.
+    """
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size + 8)  # zeros past the end: see _codes
+        size = fh.readinto(memoryview(raw)[:-8])
+    skip = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    buf = np.frombuffer(raw, np.uint8)[skip:]  # positions below are in buf
+    text = buf[:size - skip]
+    if not len(text) or (text == ord('"')).any() or (text == 0).any():
+        return None
+    if (buf[np.flatnonzero(text == ord("\r")) + 1] != ord("\n")).any():
+        return None
+    position = np.int32 if len(buf) < 1 << 31 else np.int64  # at half the memory, if it fits
+    lf = np.flatnonzero(text == ord("\n")).astype(position)
+    if text[-1] != ord("\n"):  # a last line without a newline
+        lf = np.r_[lf, len(text)].astype(position)
+    ends = lf - (buf[lf - 1] == ord("\r"))  # buf[-1] is a zero
+    starts = np.r_[0, lf[:-1] + 1].astype(position)
+    del lf
+    header = bytes(buf[:ends[0]]).decode("utf-8").split(",")
+    limit = csv.field_size_limit()
+    if max(map(len, header)) > limit or [c.strip().lower() for c in header] != _HEADER:
+        return None
+    filled = ends > starts  # blank lines are skipped
+    filled[0] = False
+    starts, ends = starts[filled], ends[filled]
+    commas = np.flatnonzero(text == ord(",")).astype(position)[2:]  # past the header's two
+    if not len(starts) or len(commas) != 2 * len(starts):
+        return None
+    first, second = commas[0::2], commas[1::2]
+    # comma pair k lies in line k; with two commas a line in all, no line holds more
+    if not ((starts < first) & (first + 1 < second) & (second < ends)).all():
+        return None
+    stamps = _stamps(buf, second + 1, ends)
+    user_len, item_len = first - starts, second - first - 1
+    del ends, second
+    if stamps is None or max(user_len.max(), item_len.max()) > limit:
+        return None
+    users, user_ids = _codes(buf, starts, user_len)
+    del starts, user_len
+    items, item_ids = _codes(buf, first + 1, item_len)
+    return users, items, stamps, user_ids, item_ids
+
+
+def _stamps(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The integers buf[starts[r]:ends[r]] as int64; None unless each is -?[0-9]{1,18}."""
+    minus = buf[starts] == ord("-")
+    digits = ends - starts - minus
+    if digits.min() < 1 or digits.max() > 18:
+        return None
+    stamps = np.zeros(len(ends), np.int64)
+    for j in range(int(digits.max()), 0, -1):  # the digit j places from the end, in a column
+        digit = buf[ends - j] - np.uint8(ord("0"))  # wraps: a byte not a digit is above 9
+        digit[digits < j] = 0
+        if (digit > 9).any():
+            return None
+        stamps *= 10
+        stamps += digit
+    return np.negative(stamps, out=stamps, where=minus)
+
+
+def _codes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Codes of the ids buf[starts[r]:starts[r] + lengths[r]], 0.. and equal where the bytes
+    are, and the ids they code, each decoded once.
+
+    An id's bytes are read 8 at a time, as one word masked to the id's end (no id holds a
+    NUL, so the mask tells "u" from "u\\0"); the ids are ranked by their first word, then a
+    longer id by its code so far and its next word, over only the rows still that long.
+    The 8 bytes past the text in buf keep every word inside it.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(buf, 8)
+
+    def word(rows, at: int) -> np.ndarray:
+        mask = _LOW_BYTES[np.minimum(lengths[rows] - at, 8)]
+        return windows[starts[rows] + at].view("<u8")[:, 0] & mask
+
+    code = _rank(word(slice(None), 0))
+    rows, at = np.flatnonzero(lengths > 8), 8
+    while len(rows):  # new codes past the others: a code the rows leave keeps the shorter ids
+        code[rows] = code.max() + 1 + _rank(word(rows, at), code[rows])
+        at += 8
+        rows = rows[lengths[rows] > at]
+    if at > 8:  # the codes left by a longer id's rows are gaps: close them
+        code = _rank(code)
+    held = np.empty(code.max() + 1, np.int64)  # one row holding each code
+    held[code] = np.arange(len(code))
+    ends = np.cumsum(lengths[held])  # of each code's id, in the ids' bytes one after another
+    ids = buf[np.arange(ends[-1]) + np.repeat(starts[held] - ends + lengths[held], lengths[held])]
+    return code, _unpack(ids, ends, "strict")
+
+
+def _rank(*keys: np.ndarray) -> np.ndarray:
+    """Each row's dense rank under keys, the last key the primary one, as np.lexsort reads them."""
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+    step = np.zeros(len(order), bool)  # where the rank goes up, in order
+    for key in keys:
+        step[1:] |= np.diff(key[order]) != 0
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.cumsum(step)
+    return rank
+
+
+def _bad_utf8(path: str) -> str:
+    """Where the file at path first fails to decode as UTF-8: its line and byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"line {line}: invalid UTF-8 (byte 0x{data[exc.start]:02x})"
+    return "invalid UTF-8"
 
 
 def write_csv(path: str, header: list[str], rows: Iterable) -> None:
@@ -265,15 +416,15 @@ def _save_arrays(log: InteractionLog, path: str) -> None:
             np.save(fh, np.asarray(record, dtype), allow_pickle=False)
 
 
-def _unpack(blob: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The ids whose UTF-8 bytes end at ends in blob."""
+def _unpack(blob: np.ndarray, ends: np.ndarray, errors: str = "surrogatepass") -> list[str]:
+    """The ids whose UTF-8 bytes end at ends in blob, decoded with the errors handler given."""
     bounds = np.r_[0, ends]
     if bounds[-1] != len(blob) or (np.diff(bounds) < 0).any():
         raise ValueError("id end offsets do not split the id bytes")
     if len(ends) and not (blob == 0).any():  # a NUL put at each end splits them at C speed
-        return np.insert(blob, ends[:-1], 0).tobytes().decode("utf-8", "surrogatepass").split("\0")
+        return np.insert(blob, ends[:-1], 0).tobytes().decode("utf-8", errors).split("\0")
     data, bounds = blob.tobytes(), bounds.tolist()
-    return [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
+    return [data[a:b].decode("utf-8", errors) for a, b in zip(bounds, bounds[1:])]
 
 
 def _load_arrays(path: str) -> InteractionLog | None:

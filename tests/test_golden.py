@@ -13,14 +13,16 @@ output records the new hash, and says why, in the same change. Each log's
 arrays (the .npy written beside it) must then load as the same log as its JSON.
 """
 
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from predlim import sequence_core
 from predlim.cli import main
-from predlim.sequence_core import log_from_json
+from predlim.sequence_core import ingest_csv, log_from_json
 
 GOLDEN = {
     "cohort.json": "b817d6e457b6580212dd5142cdba8e70bf3c6fedc4dd91b54c4a435af455c80b",
@@ -152,3 +154,19 @@ def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
         for field in ("items", "offsets"):
             a, b = getattr(from_arrays, field), getattr(from_json, field)
             assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_the_golden_events_take_the_array_path(tmp_path, monkeypatch):
+    write_events(tmp_path / "events.csv")
+    write_events(tmp_path / "events-ties.csv", n_users=40, seed=1, span=30)
+    runs = [(tmp_path / "events.csv", {"min_length": 5}),
+            (tmp_path / "events-ties.csv", {"dedup": True, "max_events": 3000})]
+    with monkeypatch.context() as mp:
+        mp.setattr(sequence_core, "_read_plain", lambda path: None)
+        by_csv = [ingest_csv(str(path), **kwargs) for path, kwargs in runs]
+    monkeypatch.setattr(csv, "reader", lambda *args, **kwargs: pytest.fail("csv.reader ran"))
+    for (path, kwargs), expected in zip(runs, by_csv):
+        log = ingest_csv(str(path), **kwargs)
+        assert log.user_ids == expected.user_ids and log.item_ids == expected.item_ids
+        assert np.array_equal(log.items, expected.items)
+        assert np.array_equal(log.offsets, expected.offsets)

@@ -1,16 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from predlim import entropy
+from predlim import entropy, sequence_core
 from predlim.sequence_core import (
     InteractionLog,
     UserSequence,
@@ -502,6 +504,18 @@ def test_fanout_near_the_int64_key_limit(n):
         transition_fanout(np.array([0, (1 << 32) - 1]), np.array([0, 2]))
 
 
+def read_by(read):
+    """A context in which ingest_csv reads a file as named: "csv-only" makes the array reader
+    decline every file, so the csv loop reads it; "array" fails the test if the csv loop runs;
+    "as-is" leaves the choice to ingest_csv."""
+    if read == "csv-only":
+        return mock.patch.object(sequence_core, "_read_plain", lambda path: None)
+    if read == "array":
+        return mock.patch.object(sequence_core, "_read_rows",
+                                 side_effect=AssertionError("the csv loop read the file"))
+    return contextlib.nullcontext()
+
+
 def reference_ingest(text, min_length, max_events, dedup):
     """ingest_csv's rules by the csv module, sorted and dicts: ({user: items}, vocabulary)."""
     rows = [r for r in csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))][1:]
@@ -540,8 +554,10 @@ def reference_ingest(text, min_length, max_events, dedup):
     max_events=st.one_of(st.none(), st.integers(-2, 30)),
     dedup=st.booleans(),
 )
+@pytest.mark.parametrize("read", ["as-is", "csv-only"])
 def test_ingest_matches_a_reference_parser(
-    tmp_path_factory, rows, header, eol, quoting, blank_after, bom, min_length, max_events, dedup
+    tmp_path_factory, read, rows, header, eol, quoting, blank_after, bom, min_length, max_events,
+    dedup
 ):
     body = io.StringIO()
     writer = csv.writer(body, lineterminator=eol, quoting=quoting)
@@ -560,7 +576,8 @@ def test_ingest_matches_a_reference_parser(
         with pytest.raises(ValueError, match="max_events"):
             ingest()
         return
-    assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
+    with read_by(read):
+        assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
 
 
 def assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup):
@@ -594,8 +611,9 @@ def assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
     max_events=st.one_of(st.none(), st.integers(0, 400)),
     dedup=st.booleans(),
 )
+@pytest.mark.parametrize("read", ["as-is", "csv-only"])
 def test_ingest_matches_a_reference_parser_on_many_users_and_items(
-    tmp_path_factory, rows, repeats, min_length, max_events, dedup
+    tmp_path_factory, read, rows, repeats, min_length, max_events, dedup
 ):
     for k, later in repeats:
         if rows:  # a row given twice in a row, which dedup drops, or one tick later
@@ -612,7 +630,8 @@ def test_ingest_matches_a_reference_parser_on_many_users_and_items(
     def ingest():
         return ingest_csv(str(path), min_length=min_length, max_events=max_events, dedup=dedup)
 
-    assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
+    with read_by(read):
+        assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
 
 
 def test_log_to_json_writes_the_bytes_json_dump_wrote(tmp_path):
@@ -633,3 +652,136 @@ def test_log_to_json_writes_the_bytes_json_dump_wrote(tmp_path):
         json.dump(payload, fh)
     assert (tmp_path / "log.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
     assert log.item_ids == ['a,b', "日本", 'é"x']
+
+
+# ids that end inside, at and past an 8-byte word, that differ only after byte 8 or 16, and
+# whose multi-byte characters straddle a word boundary ("abcdefgé" puts é at bytes 7-8)
+PLAIN_IDS = st.builds(
+    str.__add__,
+    st.sampled_from(["", "u", "abcdefg", "abcdefgé", "abcdefgh", "abcdefghijklmnop", "日本語",
+                     "x" * 60]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='",\r\n\0'),
+            max_size=16),
+).filter(lambda s: 1 <= len(s.encode()) <= 70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    users=st.lists(PLAIN_IDS, min_size=6, max_size=6, unique=True),
+    items=st.lists(PLAIN_IDS, min_size=8, max_size=8, unique=True),
+    rows=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7),
+                  st.one_of(st.integers(-3, 3), st.integers(-(10**18) + 1, 10**18 - 1))),
+        min_size=1, max_size=60,
+    ),
+    stamp_format=st.sampled_from(["{}", "{:03d}"]),
+    header=st.sampled_from(["user_id,item_id,timestamp", "User_ID, Item_Id ,TIMESTAMP",
+                            " user_id\t,item_id,timestamp "]),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    blank_after=st.sets(st.integers(0, 60)),
+    final_eol=st.booleans(),
+    bom=st.booleans(),
+    min_length=st.integers(1, 4),
+    max_events=st.one_of(st.none(), st.integers(0, 70)),
+    dedup=st.booleans(),
+)
+def test_the_array_reader_takes_plain_files_and_matches_a_reference_parser(
+    tmp_path_factory, users, items, rows, stamp_format, header, eol, blank_after, final_eol, bom,
+    min_length, max_events, dedup
+):
+    lines = [header]
+    for k, (u, i, t) in enumerate(rows):
+        lines.append(f"{users[u]},{items[i]},{stamp_format.format(t)}")
+        lines += [""] * (k in blank_after)
+    text = ("\ufeff" if bom else "") + eol.join(lines) + (eol if final_eol else "")
+    path = tmp_path_factory.getbasetemp() / "plain.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def ingest():
+        return ingest_csv(str(path), min_length=min_length, max_events=max_events, dedup=dedup)
+
+    with read_by("array"):
+        assert_ingest_matches_reference(ingest, text, min_length, max_events, dedup)
+
+
+def ingest_outcome(path, read="as-is"):
+    """ingest_csv's log at path as plain data, or its error's type and message."""
+    try:
+        with read_by(read):
+            log = ingest_csv(str(path))
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return log.user_ids, list(log.item_ids), log.items.tolist(), log.offsets.tolist()
+
+
+HEADER = b"user_id,item_id,timestamp\n"
+LIMIT = csv.field_size_limit()
+DECLINED = {  # each file after the header; the csv loop gives a log or an error
+    "quote": b'u1,"a",1\n',
+    "lone CR": b"u1,a,1\ru2,b,2\n",
+    "CR at the end": b"u1,a,1\r",
+    "NUL": b"u1,a\0,1\n",
+    "19-digit timestamp": b"u1,a,1000000000000000000\n",
+    "plus sign": b"u1,a,+5\n",
+    "leading space": b"u1,a, 5\n",
+    "underscore": b"u1,a,1_0\n",
+    "minus alone": b"u1,a,-\n",
+    "empty user": b",a,5\n",
+    "empty item": b"u1,,5\n",
+    "empty timestamp": b"u1,a,\n",
+    "2 fields": b"u1,a\n",
+    "4 fields": b"u1,a,5,6\n",
+    "field past the limit": b"u1," + b"x" * (LIMIT + 1) + b",5\n",
+    "header only": b"",
+}
+
+
+@pytest.mark.parametrize("body", DECLINED.values(), ids=DECLINED.keys())
+def test_the_array_reader_declines_what_the_csv_loop_must_read(tmp_path, body):
+    path = tmp_path / "events.csv"
+    path.write_bytes(HEADER + body)
+    assert sequence_core._read_plain(str(path)) is None
+    assert ingest_outcome(path) == ingest_outcome(path, "csv-only")
+
+
+@pytest.mark.parametrize("data", [
+    b"",  # an empty file
+    b"\xef\xbb\xbf",  # a byte-order mark alone
+    b"user,item,ts\nu1,a,5\n",
+    b"user_id,item_id,timestamp,x\nu1,a,5\n",
+    b"user_id,item_id,timestamp" + b" " * LIMIT + b"\nu1,a,5\n",  # a header field past the limit
+    b"\nuser_id,item_id,timestamp\nu1,a,5\n",  # a blank first line is the header
+], ids=["empty", "BOM alone", "other names", "4 names", "past the limit", "blank first line"])
+def test_a_header_the_array_reader_declines_gives_the_csv_loops_error(tmp_path, data):
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    assert sequence_core._read_plain(str(path)) is None
+    assert ingest_outcome(path)[0] in ("ValueError", "Error")  # csv.Error past the limit
+    assert ingest_outcome(path) == ingest_outcome(path, "csv-only")
+
+
+@pytest.mark.parametrize("data", [
+    HEADER.replace(b"\n", b"\r\n") + b"u1,a,5\r\n\r\nu1,b,-0\r\n",
+    b"\xef\xbb\xbf" + HEADER + b"\n\nu1,a,007\n\nu2,a,-999999999999999999",
+    HEADER + b"u1," + b"x" * LIMIT + b",999999999999999999\nu1,b,3\n",  # at the limit
+    HEADER + b"u 1,\xc3\xa9 ,5\n\xc2\x85u1,\xe2\x80\xa8,5\n",  # spaces and Unicode breaks are data
+], ids=["CRLF, blank lines, -0", "BOM, 007, 18 digits, no final newline", "field at the limit",
+        "spaces and Unicode line breaks"])
+def test_the_array_reader_takes_plain_files_as_the_csv_loop_reads_them(tmp_path, data):
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    assert ingest_outcome(path, "array") == ingest_outcome(path, "csv-only")
+
+
+@pytest.mark.parametrize("read", ["as-is", "csv-only"])
+@pytest.mark.parametrize("header, line", [(HEADER, 20_002), (b"user_id,item_\xffid,timestamp\n", 1)])
+def test_invalid_utf8_names_the_file_line_and_byte(tmp_path, read, header, line):
+    # the bad byte of the body lies past the first 64 KiB, where the decoder's own position
+    # is one inside a chunk
+    rows = "".join(f"u{k % 50},i{k},{k}\n" for k in range(20_000)).encode()
+    path = tmp_path / "events.csv"
+    path.write_bytes(header + rows + b"u1,caf\xff,5\n")
+    assert len(header + rows) > 1 << 16
+    with read_by(read), pytest.raises(ValueError) as raised:
+        ingest_csv(str(path))
+    assert str(raised.value) == f"{path}: line {line}: invalid UTF-8 (byte 0xff)"
