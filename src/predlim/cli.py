@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands cover the full pipeline: ingest a raw CSV into the canonical log
-JSON, estimate per-user entropy, map entropies to predictability scores,
-generate oracle-controlled synthetic corpora, aggregate cohorts, run the
-difficulty and item-space sweeps, compare dataset scores against the shipped
-reference accuracies, and materialize budgeted training-data selections.
+Subcommands cover the full pipeline: ingest a raw CSV into the log JSON and
+its arrays (<log>.npy, bound to the JSON's bytes), estimate per-user entropy,
+map entropies to predictability scores, generate oracle-controlled synthetic
+corpora, aggregate cohorts, run the difficulty and item-space sweeps, compare
+dataset scores against the shipped reference accuracies, and materialize
+budgeted training-data selections. Every command that reads a log loads it
+from its arrays alone, through log_from_json; none parses the JSON.
 """
 
 from __future__ import annotations

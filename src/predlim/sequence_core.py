@@ -186,16 +186,16 @@ def _read_rows(path: str):
             raise ValueError(f"{path}: empty file")
         if [c.strip().lower() for c in header] != _HEADER:
             raise ValueError(f"{path}: line 1: expected header user_id,item_id,timestamp")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:  # reader.line_num: the line a row ends on, past any quoted newline
             if not row:
                 continue
             if len(row) != 3 or not row[0] or not row[1]:
-                raise ValueError(f"{path}: line {lineno}: malformed row {row!r}")
+                raise ValueError(f"{path}: line {reader.line_num}: malformed row {row!r}")
             try:
                 stamps.append(int(row[2]))
             except ValueError:
                 raise ValueError(
-                    f"{path}: line {lineno}: timestamp {row[2]!r} is not an integer"
+                    f"{path}: line {reader.line_num}: timestamp {row[2]!r} is not an integer"
                 ) from None
             except OverflowError:  # beyond int64: Python ints from here on
                 stamps = [*stamps, int(row[2])]
@@ -427,82 +427,32 @@ def _unpack(blob: np.ndarray, ends: np.ndarray, errors: str = "surrogatepass") -
     return [data[a:b].decode("utf-8", errors) for a, b in zip(bounds, bounds[1:])]
 
 
-def _load_arrays(path: str) -> InteractionLog | None:
-    """The log in path + ".npy"; None if there is none, or if it is bound to other JSON."""
-    if not os.path.exists(path + ".npy"):
-        return None
-    with open(path + ".npy", "rb") as fh:
-        try:
-            records = []
+def log_from_json(path: str) -> InteractionLog:
+    """Load the log that log_to_json wrote to path from its arrays, path + ".npy" (see
+    _RECORDS), which must be bound to the JSON at path as it is now; the JSON itself is not
+    parsed. A missing, stale or damaged .npy raises one ValueError that names it."""
+    binding = _binding(path)
+    try:
+        if not os.path.exists(path + ".npy"):
+            raise ValueError("no such file")
+        records = []
+        with open(path + ".npy", "rb") as fh:
             for dtype in _RECORDS:
                 records.append(np.lib.format.read_array(fh, allow_pickle=False))
                 if records[-1].dtype != dtype or records[-1].ndim != 1:
                     raise ValueError(f"record {len(records)} is not a 1-d {np.dtype(dtype)} array")
-                if len(records) == 1 and not np.array_equal(records[0], _binding(path)):
-                    return None  # the JSON was written again or edited: it is the source of truth
-            _, items, offsets, *ids = records
-            lengths, item_ids, user_ids = np.diff(offsets), _unpack(*ids[:2]), _unpack(*ids[2:])
-            if (offsets[:1].tolist() != [0] or offsets[-1] != len(items) or (lengths < 1).any()
-                    or len(lengths) != len(user_ids)):
-                raise ValueError("offsets do not split items into a non-empty user per user id")
-            if len(set(item_ids)) != len(item_ids):
-                raise ValueError("duplicate item ids in vocabulary")
-            return _make_log(items, lengths, item_ids, user_ids)
-        except ValueError as exc:
-            raise ValueError(f"{path}.npy: {exc}; delete it or re-run ingest") from None
-
-
-def _int64_items(obj: dict) -> dict:
-    """json.load's object_hook: an object with "user_id" is a user, whose "items" list becomes
-    int64 as the parser closes it. Exact types, as numpy would truncate a float and cast a bool."""
-    items = obj.get("items")
-    if "user_id" in obj and type(items) is list:
-        if not set(map(type, items)) <= {int}:
-            bad = next(v for v in items if type(v) is not int)
-            raise ValueError(f"item index {bad!r} is not an integer")
-        try:
-            obj["items"] = np.array(items, np.int64)
-        except OverflowError:  # beyond int64, so beyond any vocabulary
-            raise ValueError("item index out of vocabulary range") from None
-    return obj
-
-
-def log_from_json(path: str) -> InteractionLog:
-    """Load a log written by log_to_json: from the arrays written beside it while they are
-    bound to the JSON on disk, else from the JSON, rejecting one that disagrees with itself."""
-    if (log := _load_arrays(path)) is not None:
-        return log
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh, object_hook=_int64_items)
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema != LOG_SCHEMA:
-        raise ValueError(f"{path}: unknown log schema {schema!r}")
-    missing = [field for field in ("items", "users", "counts", "stats") if field not in payload]
-    if missing:
-        raise ValueError(f'{path}: no "{missing[0]}" field')
-    item_ids, users = payload["items"], payload["users"]
-    if not (isinstance(item_ids, list) and isinstance(users, list)) or not all(
-        isinstance(entry, dict) and isinstance(entry.get("items"), (list, np.ndarray))
-        for entry in users
-    ):
-        raise ValueError("items and users must be lists, each user an object with a list of items")
-    user_ids = [entry.get("user_id") for entry in users]
-    for what, ids in (("item id", item_ids), ("user id", user_ids)):
-        bad = [v for v in ids if not isinstance(v, str)]
-        if bad:
-            raise ValueError(f"{what} {bad[0]!r} is not a string")
-    if len(set(item_ids)) != len(item_ids):
-        raise ValueError("duplicate item ids in vocabulary")
-    arrays = [entry.pop("items") for entry in users]  # int64, from _int64_items
-    lengths = np.array([len(x) for x in arrays], dtype=np.int64)
-    items = np.concatenate([np.zeros(0, np.int64), *arrays])
-    del arrays  # each user's array, now copied into items
-    log = _make_log(items, lengths, item_ids, user_ids)
-    if log.stats != payload["stats"]:
-        raise ValueError("stored stats disagree with sequences")
-    if log.counts.tolist() != payload["counts"]:
-        raise ValueError("stored vocabulary counts disagree with sequences")
-    return log
+                if len(records) == 1 and not np.array_equal(records[0], binding):
+                    raise ValueError(f"bound to other bytes than {path}")
+        _, items, offsets, *ids = records
+        lengths, item_ids, user_ids = np.diff(offsets), _unpack(*ids[:2]), _unpack(*ids[2:])
+        if (offsets[:1].tolist() != [0] or offsets[-1] != len(items) or (lengths < 1).any()
+                or len(lengths) != len(user_ids)):
+            raise ValueError("offsets do not split items into a non-empty user per user id")
+        if len(set(item_ids)) != len(item_ids):
+            raise ValueError("duplicate item ids in vocabulary")
+        return _make_log(items, lengths, item_ids, user_ids)
+    except ValueError as exc:
+        raise ValueError(f"{path}.npy: {exc}; re-run ingest") from None
 
 
 def transition_fanout(items: np.ndarray, offsets: np.ndarray, per_user: bool = False):

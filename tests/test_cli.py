@@ -749,50 +749,6 @@ def test_duplicate_user_rows_are_rejected(tmp_path, capsys):
     assert code == 1 and "multiple entropy rows for user 0" in stderr
 
 
-def test_estimate_rejects_a_log_with_non_integer_item_indices(tmp_path, capsys):
-    # each of the first three logs agrees with itself once numpy casts its indices to int64
-    def user(items):
-        return {"users": [{"user_id": "u", "items": items}]}
-
-    cases = [
-        ("fraction", user([0.7, 1.2]), "item index 0.7 is not an integer"),
-        ("bool", user([True, False]), "item index True is not an integer"),
-        ("string", user(["0", "1"]), "item index '0' is not an integer"),
-        ("scalar", user(5), "items and users must be lists, each user an object with a list of items"),
-        ("list-id", {"items": [[1], "b"]}, "item id [1] is not a string"),
-        ("number-id", {"items": ["a", 7]}, "item id 7 is not a string"),
-        ("no-users", {"users": [], "counts": [0, 0], "stats": {
-            "num_users": 0, "num_items": 2, "num_interactions": 0, "avg_length": 0.0}},
-         "no sequences"),  # agrees with itself
-        ("list-user-id", {"users": [{"user_id": ["x"], "items": [0, 1]}]},
-         "user id ['x'] is not a string"),
-        ("number-user-id", {"users": [{"user_id": 5, "items": [0, 1]}]},
-         "user id 5 is not a string"),
-        ("no-user-id", {"users": [{"items": [0, 1]}]}, "user id None is not a string"),
-        ("user-twice", {"users": [{"user_id": "u", "items": [0, 1]}] * 2, "counts": [2, 2],
-                        "stats": {"num_users": 2, "num_items": 2, "num_interactions": 4,
-                                  "avg_length": 2.0}},
-         "user id 'u' is given twice"),  # agrees with itself
-    ]
-    cases += [(f"no-{field}", {field: None}, f'{{path}}: no "{field}" field')  # None: left out
-              for field in ("items", "users", "counts", "stats")]
-    for name, change, message in cases:
-        log_path = tmp_path / f"{name}.json"
-        payload = {
-            "schema": "predlim-log-v1", "items": ["a", "b"], "counts": [1, 1], **user([0, 1]),
-            "stats": {"num_users": 1, "num_items": 2, "num_interactions": 2, "avg_length": 2.0},
-            **change,
-        }
-        log_path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
-        out = tmp_path / f"{name}.csv"
-        code, _, stderr = run_cli(
-            capsys, "estimate", "--log", str(log_path), "--estimator", "lz", "--output", str(out)
-        )
-        assert code == 1, name
-        assert stderr == f"error: {message.format(path=log_path)}\n"
-        assert not out.exists()
-
-
 SMALL_SWEEP = ("--methods", "epl,perm", "--reps", "1", "--users", "6", "--length", "40")
 
 
@@ -1040,9 +996,45 @@ def test_a_damaged_npy_beside_a_log_is_one_error_line(tmp_path, capsys):
         code, stdout, stderr = run_cli(capsys, "estimate", "--log", log_path, "--output", str(out))
         assert (code, stdout, stderr.count("\n")) == (1, "", 1), name
         assert stderr.startswith(f"error: {npy}: ") and detail in stderr, (name, stderr)
-        assert stderr.endswith("; delete it or re-run ingest\n") and not out.exists(), name
+        assert stderr.endswith("; re-run ingest\n") and not out.exists(), name
         npy.write_bytes(good)
     assert run_cli(capsys, "estimate", "--log", log_path, "--output", str(out))[0] == 0
+
+
+def test_a_missing_stale_or_damaged_npy_is_one_error_line_in_every_command(tmp_path, capsys):
+    # the JSON is never parsed, so a missing, stale or damaged .npy leaves no log to load
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    scores = str(tmp_path / "scores.csv")
+    assert run_cli(capsys, "score", "--log", log_path, "--entropy", est_path,
+                   "--method", "epl", "--output", scores)[0] == 0
+    log, npy = tmp_path / "corpus" / "log.json", tmp_path / "corpus" / "log.json.npy"
+    good_log, good_npy = log.read_bytes(), npy.read_bytes()
+    damages = [
+        ("missing", npy.unlink, "no such file"),
+        ("stale", lambda: log.write_bytes(good_log + b"\n"), f"bound to other bytes than {log}"),
+        ("damaged", lambda: npy.write_bytes(good_npy[:len(good_npy) // 2]),
+         "Failed to read all data for array"),
+    ]
+    out = {c: str(tmp_path / c) for c in ("estimate", "score", "cohort", "select")}
+    commands = {
+        "estimate": ("--output", out["estimate"]),
+        "score": ("--entropy", est_path, "--method", "epl", "--output", out["score"]),
+        "cohort": ("--scores", scores, "--dimension", "novelty", "--output", out["cohort"]),
+        "select": ("--scores", scores, "--strategy", "highpi", "--budget", "0.5",
+                   "--output-dir", out["select"]),
+    }
+    for name, damage, detail in damages:
+        for command, argv in commands.items():
+            damage()
+            code, stdout, stderr = run_cli(capsys, command, "--log", log_path, *argv)
+            assert (code, stdout, stderr.count("\n")) == (1, "", 1), (name, command)
+            assert stderr.startswith(f"error: {npy}: ") and detail in stderr, (name, stderr)
+            assert stderr.endswith("; re-run ingest\n"), (name, command)
+            assert not os.path.exists(out[command]), (name, command)
+            log.write_bytes(good_log)
+            npy.write_bytes(good_npy)
+    for command, argv in commands.items():  # the same commands on the sound log
+        assert run_cli(capsys, command, "--log", log_path, *argv)[0] == 0, command
 
 
 def test_a_non_integer_user_index_is_one_error_line(tmp_path, capsys):

@@ -9,8 +9,9 @@ difficulty sweep and a small item-space sweep write their tables, and report
 compares a hand-written dataset-score CSV with the shipped reference
 accuracies. Each file's sha256 must equal the value recorded in GOLDEN, so a
 refactor that changes any output byte fails here. A change meant to alter an
-output records the new hash, and says why, in the same change. Each log's
-arrays (the .npy written beside it) must then load as the same log as its JSON.
+output records the new hash, and says why, in the same change. Each log, loaded
+from its arrays (the .npy written beside it), must then hold every field that
+json.load reads in its JSON.
 """
 
 import csv
@@ -84,7 +85,7 @@ def write_events(path, n_events=4000, n_users=150, seed=0, span=10**9):
         )
 
 
-def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
+def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys):
     def p(name):
         return str(tmp_path / name)
 
@@ -142,18 +143,21 @@ def test_cli_chain_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
         if path.is_file()
     }
     assert digests == GOLDEN
-    # each log loads from the arrays beside it, with the JSON parser off, as from its JSON alone
-    for npy in sorted(tmp_path.rglob("log*.json.npy")):
-        with monkeypatch.context() as mp:
-            mp.setattr(json, "load", lambda *args, **kwargs: pytest.fail("the JSON was parsed"))
-            from_arrays = log_from_json(str(npy)[:-4])
-        npy.unlink()
-        from_json = log_from_json(str(npy)[:-4])
-        assert from_arrays.item_ids == from_json.item_ids
-        assert from_arrays.user_ids == from_json.user_ids
-        for field in ("items", "offsets"):
-            a, b = getattr(from_arrays, field), getattr(from_json, field)
-            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    # each log, loaded from the arrays beside it, is what json.load reads in its JSON
+    for path in sorted(str(npy)[:-4] for npy in tmp_path.rglob("log*.json.npy")):
+        log = log_from_json(path)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert list(payload) == ["schema", "items", "counts", "users", "stats"]
+        assert payload["schema"] == "predlim-log-v1"
+        assert payload["items"] == log.item_ids and payload["counts"] == log.counts.tolist()
+        assert [user["user_id"] for user in payload["users"]] == log.user_ids
+        lengths = [len(user["items"]) for user in payload["users"]]
+        assert log.offsets.dtype == np.int64
+        assert log.offsets.tolist() == np.cumsum([0, *lengths]).tolist()
+        assert log.items.dtype == np.int64
+        assert log.items.tolist() == [k for user in payload["users"] for k in user["items"]]
+        assert payload["stats"] == log.stats
 
 
 def test_the_golden_events_take_the_array_path(tmp_path, monkeypatch):

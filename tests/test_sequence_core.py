@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -108,17 +109,25 @@ def test_dedup_is_opt_in(tmp_path):
     assert deduped.stats["num_interactions"] == 2
 
 
-def test_malformed_row_names_line_number(tmp_path):
+@pytest.mark.parametrize("body, line", [
+    ("u1,a,1\nu1,a\n", 3),
+    ('"a\nb",x,1\nu,v\n', 4),  # after a quoted field that spans two lines
+], ids=["plain", "after-quoted-newline"])
+def test_malformed_row_names_line_number(tmp_path, body, line):
     path = tmp_path / "bad.csv"
-    path.write_text("user_id,item_id,timestamp\nu1,a,1\nu1,a\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 3"):
+    path.write_text("user_id,item_id,timestamp\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {line}: malformed row"):
         ingest_csv(str(path))
 
 
-def test_non_integer_timestamp_names_line_number(tmp_path):
+@pytest.mark.parametrize("body, line", [
+    ("u1,a,noon\n", 2),
+    ('"a\nb",x,1\nu,v,noon\n', 4),  # after a quoted field that spans two lines
+], ids=["plain", "after-quoted-newline"])
+def test_non_integer_timestamp_names_line_number(tmp_path, body, line):
     path = tmp_path / "bad.csv"
-    path.write_text("user_id,item_id,timestamp\nu1,a,noon\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
+    path.write_text("user_id,item_id,timestamp\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {line}: timestamp 'noon' is not an integer"):
         ingest_csv(str(path))
 
 
@@ -215,24 +224,16 @@ def test_log_to_json_holds_one_piece_of_a_long_user_as_python_ints(tmp_path):
     assert path.read_text() == json.dumps(payload)  # the bytes json.dump writes
 
 
-@pytest.mark.parametrize("load, users", [("json", 200), ("arrays", 200), ("arrays", 1)])
-def test_log_from_json_never_holds_the_log_as_python_ints(tmp_path, load, users):
-    # 200 users of 1,000 events over 1,000 items. Python ints for the whole log peaked at
-    # 38.3 bytes an event. json.load builds one user's list before the hook turns it into
-    # int64, so the bound is per log: the file's text (one byte a character) while the
-    # users' arrays fill, then those arrays and their concatenation, 16 bytes an event;
-    # about 16.7 is read. From the arrays beside it, the log is the .npy's records as
-    # loaded, plus the ids as Python strings: about 8.7 is read, for one long user too.
+@pytest.mark.parametrize("users", [200, 1])
+def test_log_from_json_never_holds_the_log_as_python_ints(tmp_path, users):
+    # 200 users of 1,000 events, or one user of 200k, over 1,000 items. Python ints for the
+    # whole log peaked at 38.3 bytes an event. The log is the .npy's records as loaded,
+    # plus the ids as Python strings: about 8.7 is read.
     items = np.random.default_rng(0).integers(0, 1000, LONG)
     log = log_from_sequences(items.reshape(users, -1), n_items=1000)
     path = tmp_path / "log.json"
     log_to_json(log, str(path))
-    npy = tmp_path / "log.json.npy"
-    if load == "json":
-        npy.unlink()
-        bound = path.stat().st_size / LONG + 16
-    else:
-        bound = npy.stat().st_size / LONG + 1
+    bound = (tmp_path / "log.json.npy").stat().st_size / LONG + 1
     assert peak_bytes_per_event(lambda: log_from_json(str(path)), LONG) < bound
     assert np.array_equal(log_from_json(str(path)).items, items)
 
@@ -272,61 +273,69 @@ def test_per_user_fanout_across_chunk_boundaries(user_lists, n):
     assert got == [max(map(len, sets.values())) for sets in successors]
 
 
-def _saved_payload(tmp_path):
-    """A saved two-user log: items [a, b], counts [2, 1], users u1 [0, 1] and u2 [0]."""
+def _saved_log(tmp_path):
+    """A saved two-user log: items [a, b], users u1 [0, 1] and u2 [0]."""
     rows = [("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3)]
     path = tmp_path / "log.json"
     log_to_json(ingest_csv(write_csv(tmp_path / "log.csv", rows)), str(path))
-    return path, json.loads(path.read_text(encoding="utf-8"))
+    return path
 
 
-def test_json_load_converts_a_user_object_that_holds_a_schema_key(tmp_path):
-    # the hook takes any object with a "user_id" for a user, whatever else it holds
-    path, payload = _saved_payload(tmp_path)
-    payload["users"][0]["schema"] = "not the top level"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    log = log_from_json(str(path))
-    assert log.items.tolist() == [0, 1, 0] and log.items.dtype == np.int64
+def _id_records(k, *names):
+    """Records k and k + 1 for these ids: their UTF-8 bytes and their end offsets."""
+    data = [name.encode() for name in names]
+    return {k: np.frombuffer(b"".join(data), np.uint8), k + 1: np.cumsum([0, *map(len, data)])[1:]}
 
 
-def test_vocabulary_rejects_duplicate_item_ids(tmp_path):
-    path, payload = _saved_payload(tmp_path)
-    payload["items"][1] = "a"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate"):
+def _rewrite_records(npy, change):
+    """Write the np.save records of npy again, record k replaced by change[k] (None drops it);
+    the binding, record 0, is kept, so the arrays are still read."""
+    with open(npy, "rb") as fh:
+        records = [np.load(fh) for _ in range(7)]
+    with open(npy, "wb") as fh:
+        for record in (change.get(k, record) for k, record in enumerate(records)):
+            if record is not None:
+                np.save(fh, record, allow_pickle=True)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({2: [0, 3, 3]}, "offsets do not split items into a non-empty user per user id"),
+    ({1: [0, 2, 0]}, "item index out of vocabulary range"),
+    ({1: [0, 1, -1]}, "item index out of vocabulary range"),
+    # indices that are not int64: a fraction, a bool, a string, a scalar
+    ({1: np.array([0, 1.5, 0])}, "record 2 is not a 1-d int64 array"),
+    ({1: np.array([False, True, False])}, "record 2 is not a 1-d int64 array"),
+    ({1: np.array(["0", "1", "0"])}, "record 2 is not a 1-d int64 array"),
+    ({1: np.int64(5)}, "record 2 is not a 1-d int64 array"),
+    ({1: np.zeros(0, np.int64), 2: [0], **_id_records(5)}, "no sequences"),
+    (_id_records(5, "u1", "u1"), "user id 'u1' is given twice"),
+    (_id_records(3, "a", "a"), "duplicate item ids in vocabulary"),
+    ({3: np.array([7, 8])}, "record 4 is not a 1-d uint8 array"),  # ids as numbers
+    ({5: None, 6: None}, "EOF: reading magic string"),  # no user ids
+], ids=["empty-user", "index-past-vocabulary", "negative-index", "fraction", "bool", "string",
+        "scalar", "no-users", "user-twice", "item-twice", "numeric-ids", "no-user-ids"])
+def test_arrays_that_disagree_with_themselves_are_rejected(tmp_path, change, message):
+    path = _saved_log(tmp_path)
+    assert log_from_json(str(path)).user_ids == ["u1", "u2"]
+    _rewrite_records(f"{path}.npy", change)
+    with pytest.raises(ValueError) as info:
         log_from_json(str(path))
+    assert str(info.value).startswith(f"{path}.npy: ") and message in str(info.value)
+    assert str(info.value).endswith("; re-run ingest")
 
 
-def _users(u1, u2):
-    return {"users": [{"user_id": "u1", "items": u1}, {"user_id": "u2", "items": u2}]}
-
-
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        (_users([0, 1], []), "empty user sequence"),
-        (_users([0, 2], [0]), "out of vocabulary range"),
-        (_users([0, 1], [-1]), "out of vocabulary range"),
-        ({"stats": {"num_users": 2, "num_items": 2, "num_interactions": 3, "avg_length": 2.0}},
-         "stats disagree"),
-        (_users([0, 1], [1]), "counts disagree"),
-        # the same total split differently: only a full comparison sees it
-        ({"counts": [1, 2]}, "counts disagree"),
-        (_users([0, 1], [2**70]), "out of vocabulary range"),
-        # indices that numpy would truncate or cast: a fraction, a bool, a string
-        (_users([0, 1.5], [0]), "not an integer"),
-        (_users([0, True], [0]), "not an integer"),
-        (_users([0, "1"], [0]), "not an integer"),
-    ],
-)
-def test_json_load_rejects_a_log_that_disagrees_with_itself(tmp_path, change, message):
-    path, payload = _saved_payload(tmp_path)
-    assert payload["counts"] == [2, 1]
-    log_from_json(str(path))
-    payload.update(change)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: os.remove(f"{path}.npy"), "no such file"),
+    (lambda path: path.write_text(path.read_text().replace("u1", "v1")),
+     "bound to other bytes than {path}"),
+], ids=["missing", "stale"])
+def test_a_log_without_current_arrays_is_not_loaded(tmp_path, damage, message):
+    # the JSON is never parsed: without arrays bound to its bytes there is no log
+    path = _saved_log(tmp_path)
+    damage(path)
+    with pytest.raises(ValueError) as info:
         log_from_json(str(path))
+    assert str(info.value) == f"{path}.npy: {message.format(path=path)}; re-run ingest"
 
 
 def assert_same_log(got, want):
@@ -336,50 +345,40 @@ def assert_same_log(got, want):
         assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
-def load_without_json(monkeypatch, path):
-    """log_from_json(path) with the JSON parser switched off, so only the arrays can serve."""
-    with monkeypatch.context() as mp:
-        mp.setattr(json, "load", lambda *args, **kwargs: pytest.fail("the JSON was parsed"))
-        return log_from_json(str(path))
+def assert_matches_its_json(log, path):
+    """Every field of the JSON at path, read by json.load, says what log holds."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    bounds = log.offsets.tolist()
+    assert payload == {
+        "schema": "predlim-log-v1", "items": list(log.item_ids), "counts": log.counts.tolist(),
+        "users": [{"user_id": uid, "items": log.items[a:b].tolist()}
+                  for uid, a, b in zip(log.user_ids, bounds, bounds[1:])],
+        "stats": log.stats,
+    }
 
 
 @pytest.mark.parametrize("names", [
     ["a,b", 'say "hi"', "two\nlines", "日本", "é", "x"],  # split at a NUL put after each id
     ["a,b", 'say "hi"', "two\nlines", "日本", "trailing\0", "\0"],  # ids that hold a NUL
 ])
-def test_the_arrays_give_the_log_the_json_gives(tmp_path, monkeypatch, names):
+def test_the_arrays_give_the_log_the_json_gives(tmp_path, names):
     items = np.array([0, 1, 2, 3, 4, 4, 5, 0, 3], np.int64)
     log = InteractionLog(names, items, np.array([0, 2, 5, 9]), names[3:][::-1])
     path = tmp_path / "log.json"
     log_to_json(log, str(path))
-    assert_same_log(load_without_json(monkeypatch, path), log)
-    (tmp_path / "log.json.npy").unlink()
-    assert_same_log(log_from_json(str(path)), log)
+    loaded = log_from_json(str(path))
+    assert_same_log(loaded, log)
+    assert_matches_its_json(loaded, path)
 
 
-def test_a_generated_log_gives_the_same_log_from_its_arrays(tmp_path, monkeypatch):
+def test_a_generated_log_gives_the_same_log_from_its_arrays(tmp_path):
     log = generate(GeneratorConfig("repeat_last", 20, 4, 30, 1, {"p": 0.5})).log
     path = tmp_path / "log.json"
     log_to_json(log, str(path))
-    assert_same_log(load_without_json(monkeypatch, path), log)
+    assert_same_log(log_from_json(str(path)), log)
     log_to_json(log, str(tmp_path / "again.json"))  # the same log gives the same bytes
     assert (tmp_path / "again.json.npy").read_bytes() == (tmp_path / "log.json.npy").read_bytes()
-
-
-def test_a_log_without_current_arrays_is_read_from_its_json(tmp_path):
-    path, payload = _saved_payload(tmp_path)
-    payload["users"][0]["user_id"] = "edited"  # the .npy is now bound to other bytes
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert log_from_json(str(path)).user_ids == ["edited", "u2"]
-    (tmp_path / "log.json.npy").unlink()  # and with no .npy at all
-    assert log_from_json(str(path)).user_ids == ["edited", "u2"]
-
-
-def test_json_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "log.json"
-    path.write_text(json.dumps({"schema": "other"}), encoding="utf-8")
-    with pytest.raises(ValueError, match="schema"):
-        log_from_json(str(path))
 
 
 def fanouts(log, per_user=False):

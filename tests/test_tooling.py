@@ -109,3 +109,18 @@ def test_one_csv_writer_in_the_package():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 found += [name] * fh.read().count("csv.writer(")
     assert found == ["sequence_core.py"]
+
+
+def test_no_module_parses_json():
+    # a log loads from its arrays alone; no module reads JSON back in
+    src = os.path.dirname(predlim.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "json"
+                      or isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                      and getattr(node.value, "id", None) == "json"]
+    assert found == []
