@@ -48,8 +48,6 @@ def compute_features(log: InteractionLog, tail_mass: float = 0.8) -> dict[str, n
     natural log. tail_mass is the share of interactions the head set must
     cover; items outside that head are the long tail.
     """
-    if not log.num_users:
-        raise ValueError("empty log")
     if not (0.0 < tail_mass < 1.0):
         raise ValueError("tail_mass must lie in (0, 1)")
     counts = log.counts

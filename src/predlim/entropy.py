@@ -13,6 +13,7 @@ calls on one array, and perm_entropy returns a float.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -311,23 +312,19 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> float:
     return float(value)
 
 
-_PATTERN_RANKS: dict[int, np.ndarray] = {}  # filled on first use: importing builds nothing
-
-
+@functools.cache  # built on first use: importing builds nothing
 def _pattern_ranks(d: int) -> np.ndarray:
     """table[bits] ranks the ordinal pattern with those pair bits (see _pair_bits) among
     the d! stable argsort rows, in lexicographic order; -1 where no order has them.
 
     Rows sort as their codes sum_k p[k] d^(d-1-k) do. Built once, about 0.6 ms at d = 5.
     """
-    if d not in _PATTERN_RANKS:
-        table = [-1] * (1 << d * (d - 1) // 2)
-        for r, p in enumerate(itertools.permutations(range(d))):
-            rank = [p.index(i) for i in range(d)]
-            table[sum((rank[j] < rank[i]) << (j * (j - 1) // 2 + i)
-                      for j in range(d) for i in range(j))] = r
-        _PATTERN_RANKS[d] = np.array(table)
-    return _PATTERN_RANKS[d]
+    table = [-1] * (1 << d * (d - 1) // 2)
+    for r, p in enumerate(itertools.permutations(range(d))):
+        rank = [p.index(i) for i in range(d)]
+        table[sum((rank[j] < rank[i]) << (j * (j - 1) // 2 + i)
+                  for j in range(d) for i in range(j))] = r
+    return np.array(table)
 
 
 def _pair_bits(x: np.ndarray, d: int, tau: int) -> np.ndarray:

@@ -58,6 +58,20 @@ class InteractionLog:
     offsets: np.ndarray  # user u's items are items[offsets[u]:offsets[u + 1]]
     user_ids: list[str]
 
+    def __post_init__(self) -> None:
+        """Check the layout; every way of building a log raises these errors."""
+        lengths = np.diff(self.offsets)
+        if not self.user_ids:
+            raise ValueError("no sequences")
+        if (self.offsets[:1].tolist() != [0] or self.offsets[-1] != len(self.items)
+                or (lengths < 1).any() or len(lengths) != len(self.user_ids)):
+            raise ValueError("offsets do not split items into a non-empty user per user id")
+        if len(set(self.user_ids)) < len(self.user_ids):
+            twice = next(uid for uid, n in Counter(self.user_ids).items() if n > 1)
+            raise ValueError(f"user id {twice!r} is given twice")
+        if self.items.min() < 0 or self.items.max() >= len(self.item_ids):
+            raise ValueError("item index out of vocabulary range")
+
     @property
     def sequences(self) -> list[UserSequence]:
         """Each user's UserSequence, built on each access; its items are views into items."""
@@ -82,23 +96,6 @@ class InteractionLog:
     def stats(self) -> dict:
         return {"num_users": self.num_users, "num_items": self.num_items,
                 "num_interactions": len(self.items), "avg_length": len(self.items) / self.num_users}
-
-
-def _make_log(items, lengths, item_ids: Sequence[str], user_ids: list[str]) -> InteractionLog:
-    """The one constructor of an InteractionLog: user u is user_ids[u], with lengths[u] events.
-
-    items holds indices into item_ids, user after user.
-    """
-    if not len(lengths):
-        raise ValueError("no sequences")
-    if not lengths.all():
-        raise ValueError("empty user sequence")
-    if len(set(user_ids)) < len(user_ids):
-        twice = next(uid for uid, n in Counter(user_ids).items() if n > 1)
-        raise ValueError(f"user id {twice!r} is given twice")
-    if items.min() < 0 or items.max() >= len(item_ids):
-        raise ValueError("item index out of vocabulary range")
-    return InteractionLog(item_ids, items, np.r_[0, np.cumsum(lengths)], user_ids)
 
 
 def ingest_csv(
@@ -156,8 +153,9 @@ def ingest_csv(
     item_order = np.argsort(first)[:np.count_nonzero(first < len(item))]  # by first appearance
     place = np.zeros(len(item_ids), dtype=np.int64)
     place[item_order] = np.arange(len(item_order))
-    return _make_log(place[grouped], counts[long], [item_ids[k] for k in item_order.tolist()],
-                     [user_ids[k] for k in by_first[long].tolist()])
+    return InteractionLog([item_ids[k] for k in item_order.tolist()], place[grouped],
+                          np.r_[0, np.cumsum(counts[long])],
+                          [user_ids[k] for k in by_first[long].tolist()])
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -348,11 +346,11 @@ def log_from_sequences(item_arrays, n_items: int | None = None) -> InteractionLo
         items = item_arrays.astype(np.int64, copy=False).reshape(-1)
     else:
         items = np.concatenate([np.zeros(0, np.int64), *item_arrays]).astype(np.int64, copy=False)
-    if n_items is None:  # _make_log rejects no arrays and an empty one
+    if n_items is None:  # the log rejects no arrays and an empty one
         n_items = int(items.max(initial=-1)) + 1
     lengths = np.array([len(a) for a in item_arrays], dtype=np.int64)
     user_ids = [f"u{u}" for u in range(len(item_arrays))]
-    return _make_log(items, lengths, _Names(range(n_items)), user_ids)
+    return InteractionLog(_Names(range(n_items)), items, np.r_[0, np.cumsum(lengths)], user_ids)
 
 
 @dataclass(frozen=True)
@@ -428,9 +426,9 @@ def _unpack(blob: np.ndarray, ends: np.ndarray, errors: str = "surrogatepass") -
 
 
 def log_from_json(path: str) -> InteractionLog:
-    """Load the log that log_to_json wrote to path from its arrays, path + ".npy" (see
-    _RECORDS), which must be bound to the JSON at path as it is now; the JSON itself is not
-    parsed. A missing, stale or damaged .npy raises one ValueError that names it."""
+    """Load the log that log_to_json wrote to path from its arrays, path + ".npy" (see _RECORDS),
+    bound to the JSON at path as it is now; the JSON is not parsed. A missing, stale or damaged
+    .npy raises one ValueError that names it; the log checks its own layout as it is built."""
     binding = _binding(path)
     try:
         if not os.path.exists(path + ".npy"):
@@ -444,13 +442,10 @@ def log_from_json(path: str) -> InteractionLog:
                 if len(records) == 1 and not np.array_equal(records[0], binding):
                     raise ValueError(f"bound to other bytes than {path}")
         _, items, offsets, *ids = records
-        lengths, item_ids, user_ids = np.diff(offsets), _unpack(*ids[:2]), _unpack(*ids[2:])
-        if (offsets[:1].tolist() != [0] or offsets[-1] != len(items) or (lengths < 1).any()
-                or len(lengths) != len(user_ids)):
-            raise ValueError("offsets do not split items into a non-empty user per user id")
+        item_ids = _unpack(*ids[:2])
         if len(set(item_ids)) != len(item_ids):
             raise ValueError("duplicate item ids in vocabulary")
-        return _make_log(items, lengths, item_ids, user_ids)
+        return InteractionLog(item_ids, items, offsets, _unpack(*ids[2:]))
     except ValueError as exc:
         raise ValueError(f"{path}.npy: {exc}; re-run ingest") from None
 

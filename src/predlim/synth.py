@@ -102,18 +102,6 @@ PARAM_RANGES = {"m": (1, "n"), "m_c": (1, "n"), "c": (2, math.inf),
                 "rho": (0, 1), "s": (0, 1), "eps": (0, 1), "p": (0, 1)}
 
 
-def _check_ranges(n: int, params: dict) -> None:
-    """Raise naming the first of n and params outside its range."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n >= 1 << 63:  # the generators draw items as int64
-        raise ValueError(f"n must be below 2^63, got {n}")
-    for name, value in params.items():
-        lo, hi = PARAM_RANGES[name]
-        if not lo <= value <= (n if hi == "n" else hi):
-            raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     mechanism: str
@@ -133,7 +121,14 @@ class GeneratorConfig:
             raise ValueError(
                 f"{self.mechanism} needs params {sorted(expected)}, got {sorted(self.params)}"
             )
-        _check_ranges(self.n, self.params)
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
+        if self.n >= 1 << 63:  # the generators draw items as int64
+            raise ValueError(f"n must be below 2^63, got {self.n}")
+        for name, value in self.params.items():
+            lo, hi = PARAM_RANGES[name]
+            if not lo <= value <= (self.n if hi == "n" else hi):
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass
@@ -160,28 +155,23 @@ def oracle_hit1(config: GeneratorConfig) -> float:
 
 
 def invert_noise(mechanism: str, target_hit1: float, n: int, **fixed) -> float:
-    """Solve the oracle closed form for the free noise parameter.
+    """Solve oracle_hit1's closed form for the free noise: repeat_last's p, the others' eps.
 
-    repeat_last solves for p, the others for eps. The active-set size comes
-    from fixed, or its default, as in params_for. Errors name the feasible
-    target interval when the requested level cannot be reached. Round-trip
-    through oracle_hit1 agrees with the target to 1e-12.
+    It is affine in the noise, so its values at noise 0 and 1, each through a GeneratorConfig
+    that checks n and the fixed parameters (from fixed or their defaults, as in params_for),
+    solve it; a round trip agrees with the target to 1e-12. Errors name the feasible target
+    interval when the target cannot be reached.
     """
-    params = params_for(mechanism, None, **fixed)
-    spec = MECHANISMS[mechanism]
-    del params[spec["noise"]]
-    _check_ranges(n, params)
-    k = params[spec["set_size"]] if "set_size" in spec else 1
-    lo, hi = min(1.0 / k, 1.0 / n), max(1.0 / k, 1.0 / n)
-    if spec["noise"] == "p":
-        value = (target_hit1 - 1.0 / n) / (1.0 / k - 1.0 / n)
-    else:
-        value = (1.0 / k - target_hit1) / (1.0 / k - 1.0 / n) if k != n else 0.0
+    at0, at1 = (oracle_hit1(GeneratorConfig(mechanism, n, 1, 2, 0,
+                                            params_for(mechanism, noise, **fixed)))
+                for noise in (0.0, 1.0))
+    lo, hi = min(at0, at1), max(at0, at1)
+    value = (target_hit1 - at0) / (at1 - at0) if at0 != at1 else 0.0
     if not (lo <= target_hit1 <= hi) or not (-1e-12 <= value <= 1.0 + 1e-12):
         raise ValueError(
             f"target {target_hit1} outside feasible interval [{lo}, {hi}] for {mechanism}"
         )
-    return min(max(value, 0.0), 1.0)
+    return min(max(0.0, value), 1.0)  # max(0.0, -0.0) is 0.0
 
 
 def params_for(mechanism: str, noise: float | None, **fixed) -> dict:

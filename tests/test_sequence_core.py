@@ -358,6 +358,22 @@ def assert_matches_its_json(log, path):
     }
 
 
+@pytest.mark.parametrize("item_ids, items, offsets, user_ids, message", [
+    (["a", "b"], [0, 1, 0, 1, 1], [0, 4], ["u"], "offsets do not split items"),
+    (["a", "b"], [0, 1, 0], [1, 3], ["u"], "offsets do not split items"),
+    (["a", "b"], [0, 1, 0], [0, 2, 2, 3], ["u", "v", "w"], "offsets do not split items"),
+    (["a", "b"], [0, 1, 0], [0, 3], ["u", "v"], "offsets do not split items"),
+    (["a", "b"], [0, 1, 0], [0, 1, 3], ["u", "u"], "user id 'u' is given twice"),
+    (["a"], [0, 3], [0, 2], ["u"], "item index out of vocabulary range"),
+    (["a"], [], [0], [], "no sequences"),
+], ids=["ends-early", "starts-late", "user-without-events", "user-without-span", "user-twice",
+        "index-past-vocabulary", "no-users"])
+def test_a_log_built_with_a_broken_layout_raises(item_ids, items, offsets, user_ids, message):
+    # a log that builds is one log_from_json would load back after log_to_json
+    with pytest.raises(ValueError, match=message):
+        InteractionLog(item_ids, np.array(items, np.int64), np.array(offsets), user_ids)
+
+
 @pytest.mark.parametrize("names", [
     ["a,b", 'say "hi"', "two\nlines", "日本", "é", "x"],  # split at a NUL put after each id
     ["a,b", 'say "hi"', "two\nlines", "日本", "trailing\0", "\0"],  # ids that hold a NUL

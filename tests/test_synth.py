@@ -85,6 +85,45 @@ def test_invert_rejects_unreachable_targets():
         invert_noise("context_switch", 0.5, n=100, m_c=5)
 
 
+def _hand_inverse(mechanism, target, n, k):
+    """The noise solved by hand from oracle_hit1's forms, clamped to [0, 1]; None if infeasible."""
+    lo, hi = min(1 / k, 1 / n), max(1 / k, 1 / n)
+    if mechanism == "repeat_last":
+        value = (target - 1 / n) / (1 - 1 / n)
+    else:
+        value = (1 / k - target) / (1 / k - 1 / n) if k != n else 0.0
+    if not (lo <= target <= hi) or not (-1e-12 <= value <= 1 + 1e-12):
+        return None
+    return min(max(value, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("mechanism, set_size", [
+    ("repeat_last", None), ("session_reset", "m"), ("context_switch", "m_c")])
+@pytest.mark.parametrize("n", [2, 3, 100, 10**5, 10**9])
+def test_invert_equals_the_hand_derived_inverse(mechanism, set_size, n):
+    # the sweeps' benchmark check recomputes eps by this form: the corpora rest on equal bits
+    for k in range(1, 8) if set_size else [1]:
+        fixed = {set_size: k} if set_size else {}
+        if k > n:
+            with pytest.raises(ValueError) as info:
+                invert_noise(mechanism, 0.5, n=n, **fixed)
+            assert str(info.value) == f"{set_size} must lie in [1, n], got {k}"
+            continue
+        lo, hi = min(1 / k, 1 / n), max(1 / k, 1 / n)
+        inside = np.linspace(lo, hi, 9).tolist() + [0.3, 0.1234, 1 / 3]
+        outside = [np.nextafter(lo, -1), np.nextafter(hi, 2), lo / 2, hi + 0.01, 0.0, 1.5, -0.25]
+        for target in map(float, inside + outside):
+            want = _hand_inverse(mechanism, target, n, k)
+            if want is None:
+                with pytest.raises(ValueError) as info:
+                    invert_noise(mechanism, target, n=n, **fixed)
+                assert str(info.value) == (
+                    f"target {target} outside feasible interval [{lo}, {hi}] for {mechanism}")
+            else:
+                got = invert_noise(mechanism, target, n=n, **fixed)
+                assert got == want and math.copysign(1.0, got) == 1.0, (k, target)
+
+
 # config validation
 
 
