@@ -12,7 +12,6 @@ from its arrays alone, through log_from_json; none parses the JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -25,7 +24,7 @@ from . import evaluation, selection
 from .cohort import DIMENSIONS, compute_features, split_and_aggregate
 from .entropy import UNITS, Entropies, perm_entropies
 from .predictability import ESTIMATORS, METHODS
-from .sequence_core import ingest_csv, log_from_json, log_to_json, write_csv
+from .sequence_core import csv_columns, ingest_csv, log_from_json, log_to_json, write_csv
 from .synth import MECHANISMS, GeneratorConfig, generate, invert_noise, params_for
 
 # Unused here; the benchmark's tracer wraps these names in this module.
@@ -119,8 +118,8 @@ def _read_per_user(path: str, what: str, num_users: int, users: list, *columns) 
 def _read_entropy(path: str, num_users: int) -> Entropies:
     """The entropy CSV at path as columns in user order, one row for each user of the log;
     perm_normalized rows, which epl and the Fano routes cannot map, are skipped."""
-    cols = evaluation.csv_columns(path, {"user_index": int, "estimator": str, "value": float,
-                                         "unit": str, "flags": str})
+    cols = csv_columns(path, {"user_index": int, "estimator": str, "value": float, "unit": str,
+                              "flags": str})
     keep = [e != "perm_normalized" for e in cols["estimator"]]
     users, estimator, value, unit, flags = _read_per_user(
         path, "entropy", num_users, *(list(compress(v, keep)) for v in cols.values()))
@@ -173,7 +172,7 @@ def cmd_synth(args) -> int:
 def _read_scores(path: str, num_users: int) -> np.ndarray:
     """The score CSV at path as one value per user of the log, NaN for a user it has no row for;
     a score outside (0, 1], NaN included, raises naming the first such row of the file."""
-    users, values = evaluation.csv_columns(path, {"user_index": int, "value": float}).values()
+    users, values = csv_columns(path, {"user_index": int, "value": float}).values()
     for u, v in zip(users, values):
         if not 0.0 < v <= 1.0:  # NaN too
             raise ValueError(f"{path}: score {v!r} of user {u} is not in (0, 1]")
@@ -233,7 +232,7 @@ def cmd_report(args) -> int:
     reference = evaluation.load_reference(args.reference)
     by_method: dict[str, list[tuple]] = {}
     columns = {"dataset_id": str, "method": str, "predictability": float}
-    for dataset_id, method, value in zip(*evaluation.csv_columns(args.scores, columns).values()):
+    for dataset_id, method, value in zip(*csv_columns(args.scores, columns).values()):
         ref = reference.get(dataset_id)
         by_method.setdefault(method, []).append((dataset_id, value, ref["hit20"] if ref else None))
     if not by_method:
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError, csv.Error, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -306,9 +306,8 @@ def perm_entropy(items: np.ndarray, d: int, tau: int = 1) -> float:
     value = perm_entropies(np.asarray(items), np.array([0, len(items)]), (d,), tau)[0, 0]
     if math.isnan(value):
         n_vec = max(len(items) - (d - 1) * tau, 0)
-        raise ValueError(
-            f"length {len(items)} gives {n_vec} embedding vectors; need >= 5 at d={d}, tau={tau}"
-        )
+        raise ValueError(f"length {len(items)} gives {n_vec} embedding vectors; need >= 5 at "
+                         f"d={d}, tau={tau}, and length >= d*tau + 1 = {d * tau + 1}")
     return float(value)
 
 

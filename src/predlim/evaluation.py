@@ -5,16 +5,15 @@ estimate_entropies and score it by one method through score_log, as
 predictability.METHODS says; both pass columns, one entry per user.
 Per-user predictability scores roll up to one number per dataset via a
 weighted mean (weight = prediction events a user defines, T_u - 1, or
-uniform). Rank agreement with reference accuracies uses Spearman correlation
-with average-rank ties; value agreement uses RMSE. The two sweep harnesses
-drive the synthetic generators: a difficulty sweep holds the item space fixed
-and varies the oracle ceiling, an N-sweep holds the ceiling fixed and varies
-the item-space size across orders of magnitude.
+uniform). Rank agreement with reference accuracies (read, as every CSV is, by
+sequence_core.csv_columns) uses Spearman correlation with average-rank ties; value
+agreement uses RMSE. The two sweep harnesses drive the synthetic generators: a
+difficulty sweep holds the item space fixed and varies the oracle ceiling, an N-sweep
+holds the ceiling fixed and varies the item-space size across orders of magnitude.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
@@ -29,7 +28,7 @@ from .entropy import lz_entropy, sampen  # noqa: F401  (the benchmark's tracer w
 from .predictability import ESTIMATORS, METHODS, Scores, epl, fano_invert, fano_nr
 from .predictability import perm_predictabilities
 from .predictability import perm_predictability  # noqa: F401  (the benchmark's tracer wraps it)
-from .sequence_core import InteractionLog, write_csv
+from .sequence_core import InteractionLog, csv_columns, write_csv
 from .sequence_core import transition_fanout  # noqa: F401  (the benchmark's tracer wraps it)
 from .synth import GeneratorConfig, generate, invert_noise, params_for
 
@@ -111,32 +110,6 @@ def rmse(a, b) -> float:
     if len(x) == 0:
         raise ValueError("need at least 1 point")
     return float(np.sqrt(np.mean((x - y) ** 2)))
-
-
-def csv_columns(path, columns: dict) -> dict[str, list]:
-    """Each of columns of the CSV file at path as a list over its non-blank rows, parsed by
-    its type (str, int or float); a header lacking one of columns, a row not as wide as the
-    header or a field its type cannot parse raises naming the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: line 1: the header has no {missing[0]} column")
-        place = {column: i for i, column in enumerate(header)}  # a repeated name: its last
-        out = {column: [] for column in columns}
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
-                                 f"fields as in the header, got {len(row)}")
-            for column, kind in columns.items():
-                try:
-                    out[column].append(kind(row[place[column]]))
-                except ValueError:
-                    noun = "an integer" if kind is int else "a number"
-                    raise ValueError(f"{path}: line {reader.line_num}: {column} "
-                                     f"{row[place[column]]!r} is not {noun}") from None
-    return out
 
 
 def load_reference(path: str | None = None) -> dict[str, dict]:

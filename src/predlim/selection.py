@@ -17,7 +17,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .sequence_core import InteractionLog, write_csv
+from .sequence_core import _HEADER, InteractionLog, write_csv
 
 __all__ = ["build_plan", "materialize", "write_selection_csv"]
 
@@ -107,4 +107,4 @@ def materialize(plan: dict, log: InteractionLog) -> tuple[Iterator[Row], list[Ro
 
 
 def write_selection_csv(rows: Iterable[Row], path: str) -> None:
-    write_csv(path, ["user_id", "item_id", "timestamp"], rows)
+    write_csv(path, _HEADER, rows)

@@ -4,7 +4,7 @@ Raw data is a CSV of (user_id, item_id, timestamp) triples. Ingestion sorts by
 timestamp (stable, so equal timestamps keep file order), optionally truncates to
 the first max_events rows, drops users shorter than min_length, and encodes item
 ids as dense integers in first-appearance order. Every estimator downstream
-operates on the integer sequences only.
+operates on the integer sequences only. Every CSV is read (by one decoding rule) and written here.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def ingest_csv(
         users, items, stamps, user_ids, item_ids = _read_plain(path) or _read_rows(path)
     except UnicodeDecodeError:
         raise ValueError(f"{path}: {_bad_utf8(path)}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # stable: file order breaks timestamp ties; max_events None keeps every row
     order = _stable_order(stamps)[:max_events]
     if dedup:  # each row's timestamp rank, in time order
@@ -324,6 +326,38 @@ def _bad_utf8(path: str) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         return f"line {line}: invalid UTF-8 (byte 0x{data[exc.start]:02x})"
     return "invalid UTF-8"
+
+
+def csv_columns(path, columns: dict) -> dict[str, list]:
+    """Each of columns of the CSV file at path as a list over its non-blank rows, parsed by
+    its type (str, int or float). Decoded as ingest_csv decodes: a byte-order mark is skipped.
+    A byte not UTF-8, a header lacking one of columns, a row not as wide as the header, a field
+    its type cannot parse or a csv module fault (a field too long) raises naming the line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: line 1: the header has no {missing[0]} column")
+            place = {column: i for i, column in enumerate(header)}  # a repeated name: its last
+            out = {column: [] for column in columns}
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
+                                     f"fields as in the header, got {len(row)}")
+                for column, kind in columns.items():
+                    try:
+                        out[column].append(kind(row[place[column]]))
+                    except ValueError:
+                        noun = "an integer" if kind is int else "a number"
+                        raise ValueError(f"{path}: line {reader.line_num}: {column} "
+                                         f"{row[place[column]]!r} is not {noun}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {_bad_utf8(path)}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return out
 
 
 def write_csv(path: str, header: list[str], rows: Iterable) -> None:

@@ -2,6 +2,8 @@ import csv
 import json
 import multiprocessing
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -719,6 +721,67 @@ def test_ingest_non_utf8_fails_cleanly(tmp_path, capsys):
     )
     assert code == 1
     assert stderr.startswith("error:")
+
+
+def _written(where):
+    """Every file under the directory where, by its path relative to it, as bytes."""
+    return {str(p.relative_to(where)): p.read_bytes() for p in sorted(where.rglob("*"))
+            if p.is_file()}
+
+
+def test_every_csv_input_is_decoded_by_ingests_rule(tmp_path, capsys):
+    # a byte-order mark is skipped; a byte that is not UTF-8, or a field past the csv
+    # module's limit, is one error line that names the file, and nothing is written
+    log_path, est_path = _session_corpus(tmp_path, capsys)
+    raw, scores = tmp_path / "raw.csv", tmp_path / "scores.csv"
+    write_raw_csv(raw)
+    run_cli(capsys, "score", "--log", log_path, "--entropy", est_path, "--method", "epl",
+            "--output", str(scores))
+    datasets, reference = tmp_path / "datasets.csv", tmp_path / "reference.csv"
+    datasets.write_text("dataset_id,method,predictability\nAOTM,epl,0.1\nBridge,epl,0.7\n"
+                        "Algebra,epl,0.6\n")
+    reference.write_text("dataset_id,best_model,hit1,hit20\nAOTM,SASRec,0.0,0.1485\n"
+                         "Bridge,GRU4Rec,0.1,0.9\nAlgebra,GRU4Rec,0.1,0.6\n")
+    where = tmp_path / "outputs"
+    where.mkdir()
+    out = where / "out"
+    table = [  # (the command before its input, the input option, the input, the rest)
+        (("ingest",), "--input", raw, ("--output", str(out))),
+        (("score", "--log", log_path, "--method", "epl"), "--entropy", est_path,
+         ("--output", str(out))),
+        (("cohort", "--log", log_path, "--dimension", "novelty"), "--scores", scores,
+         ("--output", str(out))),
+        (("select", "--log", log_path, "--strategy", "highpi", "--budget", "0.5",
+          "--min-length", "2"), "--scores", scores, ("--output-dir", str(out))),
+        (("report",), "--scores", datasets, ("--reference", str(reference), "--output", str(out))),
+        (("report", "--scores", str(datasets)), "--reference", reference,
+         ("--output", str(out))),
+    ]
+    limit = csv.field_size_limit()
+    copy = tmp_path / "copy.csv"
+    for before, option, path, after in table:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        results = []
+        for variant in (data, b"\xef\xbb\xbf" + data):
+            copy.write_bytes(variant)
+            code, stdout, stderr = run_cli(capsys, *before, option, str(copy), *after)
+            assert (code, stderr) == (0, ""), (before, stderr)
+            results.append((stdout, _written(where)))
+            shutil.rmtree(where)
+            where.mkdir()
+        assert results[0] == results[1] and results[0][1], before
+        header, second, rest = data.split(b"\n", 2)
+        for variant, message in (  # ingest's csv loop does not say which line is too long
+            (b"\n".join([header, second, b"\xff" + rest]), r"line 3: invalid UTF-8 \(byte 0xff\)"),
+            (b"\n".join([header, b"x" * (limit + 1) + second, rest]),
+             rf"(line 2: )?field larger than field limit \({limit}\)"),
+        ):
+            copy.write_bytes(variant)
+            code, stdout, stderr = run_cli(capsys, *before, option, str(copy), *after)
+            assert (code, stdout) == (1, ""), (before, stderr)
+            assert re.fullmatch(f"error: {re.escape(str(copy))}: {message}\n", stderr), before
+            assert not any(where.iterdir()), before
 
 
 def test_duplicate_user_rows_are_rejected(tmp_path, capsys):

@@ -590,6 +590,10 @@ def test_perm_iid_near_one():
 def test_perm_requires_enough_vectors():
     with pytest.raises(ValueError, match="vectors"):
         perm_entropy(np.arange(6), d=3)  # only 4 embedding vectors
+    # 6 vectors are enough; the rule that fails is length >= d * tau + 1 = 31
+    with pytest.raises(ValueError, match=r"gives 6 embedding vectors; need >= 5 at d=3, "
+                                         r"tau=10, and length >= d\*tau \+ 1 = 31$"):
+        perm_entropy(np.arange(26) % 7, d=3, tau=10)
     with pytest.raises(ValueError):
         perm_entropy(np.arange(30), d=6)
     with pytest.raises(ValueError):

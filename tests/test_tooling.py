@@ -111,6 +111,20 @@ def test_one_csv_writer_in_the_package():
     assert found == ["sequence_core.py"]
 
 
+def test_one_module_imports_csv():
+    # every CSV predlim reads or writes goes through sequence_core, under one decoding rule
+    src = os.path.dirname(predlim.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [name for node in ast.walk(tree)
+                      if isinstance(node, ast.Import) and "csv" in [a.name for a in node.names]
+                      or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert found == ["sequence_core.py"]
+
+
 def test_no_module_parses_json():
     # a log loads from its arrays alone; no module reads JSON back in
     src = os.path.dirname(predlim.__file__)
