@@ -107,11 +107,11 @@ def _read_per_user(path: str, what: str, num_users: int, users: list, *columns) 
         raise ValueError(f"{path}: multiple {what} rows for user {twice}")
     if not users:
         raise ValueError(f"{path}: no usable {what} rows")
+    outside = [u for u in users if not 0 <= u < num_users]  # as Python ints: numpy's may be floats
+    if outside:
+        raise ValueError(f"{path}: {what} for user {min(outside)}, who is not in the log")
     order = np.argsort(users)
     users = np.array(users)[order]
-    if users[0] < 0 or users[-1] >= num_users:
-        extra = users[0] if users[0] < 0 else users[users >= num_users][0]
-        raise ValueError(f"{what} for user {extra}, who is not in the log")
     return [users, *(np.array(v)[order] for v in columns)]
 
 

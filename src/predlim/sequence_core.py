@@ -4,7 +4,7 @@ Raw data is a CSV of (user_id, item_id, timestamp) triples. Ingestion sorts by
 timestamp (stable, so equal timestamps keep file order), optionally truncates to
 the first max_events rows, drops users shorter than min_length, and encodes item
 ids as dense integers in first-appearance order. Every estimator downstream
-operates on the integer sequences only. Every CSV is read (by one decoding rule) and written here.
+operates on the integer sequences only. Every CSV is read (by one reader) and written here.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -106,16 +107,15 @@ def ingest_csv(
 ) -> InteractionLog:
     """Read a (user_id, item_id, timestamp) CSV into an InteractionLog.
 
-    A UTF-8 byte-order mark before the header is skipped. Ids are kept as integer
-    codes while reading, and a timestamp may be any integer. Rows are sorted by
-    timestamp with file order breaking ties. If max_events is set, only the first
-    max_events rows of the sorted stream are kept. With dedup, a row repeating the
-    previous surviving (user, item, timestamp) row of the same user is dropped.
-    Users with fewer than min_length events are then removed; item indices are
-    assigned in first-appearance order over the surviving rows so that vocabulary
-    counts sum to the log's interactions. A plain file (see _read_plain) is read
-    by array code, any other by the csv module; the log, or the error, is the same.
-    A file that is not UTF-8 raises a ValueError naming the line and the byte.
+    The file is decoded and its header matched as _csv_rows does. Ids are kept as integer codes
+    while reading, and a timestamp may be any integer. Rows are sorted by timestamp with file
+    order breaking ties. If max_events is set, only the first max_events rows of the sorted
+    stream are kept. With dedup, a row repeating the previous surviving (user, item, timestamp)
+    row of the same user is dropped. Users with fewer than min_length events are then removed;
+    item indices are assigned in first-appearance order over the surviving rows so that
+    vocabulary counts sum to the log's interactions. A plain file (see _read_plain) is read by
+    array code, any other by _csv_rows; the log, or the error, is the same, and an error in the
+    file names the file and the line.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
@@ -123,10 +123,8 @@ def ingest_csv(
         raise ValueError("max_events must be >= 0")
     try:
         users, items, stamps, user_ids, item_ids = _read_plain(path) or _read_rows(path)
-    except UnicodeDecodeError:
+    except UnicodeDecodeError:  # from _read_plain; _read_rows names the line itself
         raise ValueError(f"{path}: {_bad_utf8(path)}") from None
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from None
     # stable: file order breaks timestamp ties; max_events None keeps every row
     order = _stable_order(stamps)[:max_events]
     if dedup:  # each row's timestamp rank, in time order
@@ -175,32 +173,22 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _read_rows(path: str):
-    """ingest_csv's columns by the csv module: user codes, item codes and timestamps, row by
+    """ingest_csv's columns read by _csv_rows: user codes, item codes and timestamps, row by
     row, then the user and the item ids, each numbered in file order."""
     user_code, item_code = {}, {}  # id -> integer code
     users, items, stamps = array("q"), array("q"), array("q")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if [c.strip().lower() for c in header] != _HEADER:
-            raise ValueError(f"{path}: line 1: expected header user_id,item_id,timestamp")
-        for row in reader:  # reader.line_num: the line a row ends on, past any quoted newline
-            if not row:
-                continue
-            if len(row) != 3 or not row[0] or not row[1]:
-                raise ValueError(f"{path}: line {reader.line_num}: malformed row {row!r}")
+    with _csv_rows(path, _HEADER) as (rows, width, (u, i, t)):
+        for row in rows:
+            if len(row) != width or not row[u] or not row[i]:
+                raise ValueError(f"malformed row {row!r}")
             try:
-                stamps.append(int(row[2]))
+                stamps.append(int(row[t]))
             except ValueError:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: timestamp {row[2]!r} is not an integer"
-                ) from None
+                raise ValueError(f"timestamp {row[t]!r} is not an integer") from None
             except OverflowError:  # beyond int64: Python ints from here on
-                stamps = [*stamps, int(row[2])]
-            users.append(user_code.setdefault(row[0], len(user_code)))
-            items.append(item_code.setdefault(row[1], len(item_code)))
+                stamps = [*stamps, int(row[t])]
+            users.append(user_code.setdefault(row[u], len(user_code)))
+            items.append(item_code.setdefault(row[i], len(item_code)))
     # a list only once a timestamp is beyond int64: then compared as Python ints
     stamps = np.array(stamps, object) if type(stamps) is list else np.frombuffer(stamps, np.int64)
     return (np.frombuffer(users, np.int64), np.frombuffer(items, np.int64), stamps,
@@ -211,10 +199,10 @@ def _read_plain(path: str):
     """_read_rows's columns by array code, ids numbered in an order of their own, from a
     plain file; None for any other, which _read_rows then reads to the same log or error.
 
-    Plain: no quote, no NUL and no CR but before LF; the header (after an optional BOM)
-    matched as _read_rows matches it; then every line blank or a non-empty user, a comma,
-    a non-empty item, a comma and a timestamp -?[0-9]{1,18}; no field longer than
-    csv.field_size_limit(). Bytes that are not UTF-8 raise UnicodeDecodeError, as there.
+    Plain: no quote, no NUL and no CR but before LF; the header (after an optional BOM) is
+    user_id,item_id,timestamp by _names, in that order; then every line blank or a non-empty
+    user, a comma, a non-empty item, a comma and a timestamp -?[0-9]{1,18}; no field longer
+    than csv.field_size_limit(). Bytes that are not UTF-8 raise UnicodeDecodeError.
     """
     with open(path, "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size + 8)  # zeros past the end: see _codes
@@ -235,7 +223,7 @@ def _read_plain(path: str):
     del lf
     header = bytes(buf[:ends[0]]).decode("utf-8").split(",")
     limit = csv.field_size_limit()
-    if max(map(len, header)) > limit or [c.strip().lower() for c in header] != _HEADER:
+    if max(map(len, header)) > limit or _names(header) != _HEADER:
         return None
     filled = ends > starts  # blank lines are skipped
     filled[0] = False
@@ -328,35 +316,47 @@ def _bad_utf8(path: str) -> str:
     return "invalid UTF-8"
 
 
-def csv_columns(path, columns: dict) -> dict[str, list]:
-    """Each of columns of the CSV file at path as a list over its non-blank rows, parsed by
-    its type (str, int or float). Decoded as ingest_csv decodes: a byte-order mark is skipped.
-    A byte not UTF-8, a header lacking one of columns, a row not as wide as the header, a field
-    its type cannot parse or a csv module fault (a field too long) raises naming the line."""
+@contextmanager
+def _csv_rows(path, columns):
+    """Yield the non-blank rows of the CSV file at path (UTF-8, a byte-order mark skipped) past
+    its header, the header's width and each of columns' place in it, by _names in any order, a
+    repeated name at its last. A missing column, a byte not UTF-8, a csv module fault or a
+    ValueError in the with block raises one ValueError naming the file and the line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh)  # line_num: the line a row ends on, past any quoted newline
         try:
-            header = next(reader, [])
-            missing = [c for c in columns if c not in header]
+            header = _names(next(reader, []))
+            place = {name: k for k, name in enumerate(header)}
+            missing = [c for c in columns if c not in place]
             if missing:
-                raise ValueError(f"{path}: line 1: the header has no {missing[0]} column")
-            place = {column: i for i, column in enumerate(header)}  # a repeated name: its last
-            out = {column: [] for column in columns}
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} "
-                                     f"fields as in the header, got {len(row)}")
-                for column, kind in columns.items():
-                    try:
-                        out[column].append(kind(row[place[column]]))
-                    except ValueError:
-                        noun = "an integer" if kind is int else "a number"
-                        raise ValueError(f"{path}: line {reader.line_num}: {column} "
-                                         f"{row[place[column]]!r} is not {noun}") from None
+                raise ValueError(f"the header has no {missing[0]} column")
+            yield filter(None, reader), len(header), [place[c] for c in columns]
         except UnicodeDecodeError:
             raise ValueError(f"{path}: {_bad_utf8(path)}") from None
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except (ValueError, csv.Error) as exc:  # line 0 only for an empty file: call it line 1
+            raise ValueError(f"{path}: line {reader.line_num or 1}: {exc}") from None
+
+
+def _names(header: list[str]) -> list[str]:
+    """The header's names as every CSV reader matches them: any case, spaces around."""
+    return [name.strip().lower() for name in header]
+
+
+def csv_columns(path, columns: dict) -> dict[str, list]:
+    """Each of columns of the CSV file at path, read by _csv_rows, as a list over its rows,
+    parsed by its type (str, int or float). A row not as wide as the header, or a field its
+    type cannot parse, raises; every error names the file and the line."""
+    out = {column: [] for column in columns}
+    with _csv_rows(path, columns) as (rows, width, places):
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields as in the header, got {len(row)}")
+            for (column, kind), k in zip(columns.items(), places):
+                try:
+                    out[column].append(kind(row[k]))
+                except ValueError:
+                    noun = "an integer" if kind is int else "a number"
+                    raise ValueError(f"{column} {row[k]!r} is not {noun}") from None
     return out
 
 

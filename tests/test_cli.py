@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -462,7 +463,7 @@ def test_score_rejects_entropy_rows_for_users_the_log_lacks(tmp_path, capsys):
         capsys, "score", "--log", log_path, "--entropy", str(entropy), "--method", "epl",
         "--output", str(out),
     )
-    assert (code, stderr) == (1, "error: entropy for user -3, who is not in the log\n")
+    assert (code, stderr) == (1, f"error: {entropy}: entropy for user -3, who is not in the log\n")
     assert not out.exists()
 
 
@@ -518,7 +519,7 @@ def test_input_guards_print_one_error_line_and_write_nothing(tmp_path, capsys):
         rows = [f"{u},sampen,{value if u == 0 else '0.5'},{unit}," for u in range(5)]
         huge[value].write_text("\n".join(["user_index,estimator,value,unit,flags", *rows]) + "\n")
     cases = [
-        (("ingest", "--input", str(empty)), f"{empty}: empty file"),
+        (("ingest", "--input", str(empty)), f"{empty}: line 1: the header has no user_id column"),
         (("ingest", "--input", str(raw), "--min-length", "0"), "min_length must be >= 1"),
         (("synth", "--mechanism", "repeat-last", "--n", "1", "--users", "4", "--length", "30",
           "--p", "0.5"), "n must be >= 2"),
@@ -729,9 +730,17 @@ def _written(where):
             if p.is_file()}
 
 
+def _csv_bytes(rows):
+    """rows as the bytes of a CSV file, written by the csv module."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
 def test_every_csv_input_is_decoded_by_ingests_rule(tmp_path, capsys):
-    # a byte-order mark is skipped; a byte that is not UTF-8, or a field past the csv
-    # module's limit, is one error line that names the file, and nothing is written
+    # a byte-order mark is skipped, and header names match in any case, padded, in any order,
+    # among other columns; a byte that is not UTF-8, or a field past the csv module's limit,
+    # is one error line that names the file and the line, and nothing is written
     log_path, est_path = _session_corpus(tmp_path, capsys)
     raw, scores = tmp_path / "raw.csv", tmp_path / "scores.csv"
     write_raw_csv(raw)
@@ -762,20 +771,23 @@ def test_every_csv_input_is_decoded_by_ingests_rule(tmp_path, capsys):
     for before, option, path, after in table:
         with open(path, "rb") as fh:
             data = fh.read()
+        names, *rows = filter(None, csv.reader(io.StringIO(data.decode(), newline="")))
+        shouted = _csv_bytes([[f" {name.upper()} " for name in names], *rows])
+        turned = _csv_bytes([[*row[::-1], "extra"] for row in (names, *rows)])  # ingest: csv loop
         results = []
-        for variant in (data, b"\xef\xbb\xbf" + data):
+        for variant in (data, b"\xef\xbb\xbf" + data, shouted, turned):
             copy.write_bytes(variant)
             code, stdout, stderr = run_cli(capsys, *before, option, str(copy), *after)
             assert (code, stderr) == (0, ""), (before, stderr)
             results.append((stdout, _written(where)))
             shutil.rmtree(where)
             where.mkdir()
-        assert results[0] == results[1] and results[0][1], before
+        assert results == results[:1] * 4 and results[0][1], before
         header, second, rest = data.split(b"\n", 2)
-        for variant, message in (  # ingest's csv loop does not say which line is too long
+        for variant, message in (
             (b"\n".join([header, second, b"\xff" + rest]), r"line 3: invalid UTF-8 \(byte 0xff\)"),
             (b"\n".join([header, b"x" * (limit + 1) + second, rest]),
-             rf"(line 2: )?field larger than field limit \({limit}\)"),
+             rf"line 2: field larger than field limit \({limit}\)"),
         ):
             copy.write_bytes(variant)
             code, stdout, stderr = run_cli(capsys, *before, option, str(copy), *after)
@@ -977,9 +989,10 @@ def test_cohort_and_select_reject_a_score_outside_the_unit_interval(tmp_path, ca
 
 def test_cohort_and_select_reject_scores_for_users_the_log_lacks(tmp_path, capsys):
     log_path, lines = _scored_corpus(tmp_path, capsys)
-    for user in ("7", "-1"):
+    where = tmp_path / "edited.csv"
+    for user in ("7", "-1", str(2**63)):  # 2**63 is past int64: reported as written
         extra = lines + [",".join([user, *lines[1].split(",")[1:]])]
-        error = f"error: score for user {user}, who is not in the log\n"
+        error = f"error: {where}: score for user {user}, who is not in the log\n"
         assert _cohort_and_select(tmp_path, capsys, log_path, extra) == [(1, error, False)] * 2
     cover = "error: features and scores must cover identical user sets: "
     last = lines[-1].split(",")[0]

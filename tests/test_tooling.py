@@ -100,15 +100,26 @@ def test_every_lookup_table_row_is_a_plain_dict():
         assert table and all(type(row) is dict for row in table.values())
 
 
-def test_one_csv_writer_in_the_package():
-    # every CSV predlim writes goes through sequence_core.write_csv
+def _modules_calling(call):
+    """The package's module file names, each once per occurrence of call in it."""
     src = os.path.dirname(predlim.__file__)
     found = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
-                found += [name] * fh.read().count("csv.writer(")
-    assert found == ["sequence_core.py"]
+                found += [name] * fh.read().count(call)
+    return found
+
+
+def test_one_csv_writer_in_the_package():
+    # every CSV predlim writes goes through sequence_core.write_csv
+    assert _modules_calling("csv.writer(") == ["sequence_core.py"]
+
+
+def test_one_csv_reader_in_the_package():
+    # every CSV predlim reads goes through sequence_core._csv_rows, which opens the file,
+    # matches the header and names the line of any fault
+    assert _modules_calling("csv.reader(") == ["sequence_core.py"]
 
 
 def test_one_module_imports_csv():
